@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 FLOAT_FMT = "%.17g"
 
 
@@ -9,8 +11,25 @@ def fmt(x) -> str:
     return FLOAT_FMT % float(x)
 
 
-def open_out(target):
-    """Return (file object, needs_close) for a path or an open file."""
-    if hasattr(target, "write"):
-        return target, False
-    return open(target, "w", newline=""), True
+def _cell(value) -> str:
+    if isinstance(value, float):        # numpy float64 included
+        return FLOAT_FMT % value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    return fmt(value)
+
+
+def write_csv(target, header: str, rows) -> None:
+    """Write header, then one comma-joined line per row, to a path or open file.
+
+    A str cell is written as given, an integer with %d, anything else with fmt.
+    """
+    if not hasattr(target, "write"):
+        with open(target, "w", newline="") as f:
+            write_csv(f, header, rows)
+        return
+    target.write(header + "\n")
+    for row in rows:
+        target.write(",".join(map(_cell, row)) + "\n")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma
 
+from ._fmt import write_csv
 from .temporal_mesh import RATIO_SLACK, TemporalMesh
 
 __all__ = [
@@ -150,30 +151,20 @@ def theta(alpha: float) -> float:
 
 
 def _assemble_B(n: int, c: np.ndarray, d: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Piecewise assembly of the convolution kernels B from (c, d).
+    """Convolution kernels B from (c, d), built on the c_tilde entries.
 
+    B agrees with c_tilde on every history interval k < n except for the
+    rho_n^2 d_0 / (1+rho_n) correction at k = n-1; the current-step entry
+    k = n has its own formula (theta enters only that entry of c_tilde).
     Subscript m maps to array index n - 1 - m; rho[k-1] is rho_k.
     """
-    B = np.empty(n)
     if n == 1:
-        B[0] = c[0]
-        return B
+        return c.copy()
+    B = _assemble_ctilde(n, c, d, rho, 1.0)
     rho_n = rho[n - 1]
+    B[n - 2] -= rho_n ** 2 / (1.0 + rho_n) * d[n - 1]
     B[n - 1] = c[n - 1] + d[n - 2] / (rho_n * (1.0 + rho_n)) \
         + rho_n / (1.0 + rho_n) * d[n - 1]
-    if n == 2:
-        B[0] = c[0] - d[0] / (1.0 + rho[1]) \
-            - rho[1] ** 2 / (1.0 + rho[1]) * d[1]
-        return B
-    B[0] = c[0] - d[0] / (1.0 + rho[1])
-    rho_m = rho[n - 2]
-    B[n - 2] = c[n - 2] + d[n - 3] / (rho_m * (1.0 + rho_m)) \
-        - d[n - 2] / (1.0 + rho_n) - rho_n ** 2 / (1.0 + rho_n) * d[n - 1]
-    if n >= 4:
-        ks = np.arange(2, n - 1)   # history intervals k = 2..n-2
-        j = ks - 1
-        B[j] = c[j] + d[ks - 2] / (rho[ks - 1] * (1.0 + rho[ks - 1])) \
-            - d[j] / (1.0 + rho[ks])
     return B
 
 
@@ -414,45 +405,19 @@ def truncation_bound(n: int, mesh: TemporalMesh, alpha: float,
 
 def write_kernel_row_csv(n: int, mesh: TemporalMesh, alpha: float, target) -> None:
     """Emit `k,c,d,B,c_tilde,J` for the level-n kernel rows."""
-    from ._fmt import fmt, open_out
-
     row = kernel_row(n, mesh, alpha)
-    f, close = open_out(target)
-    try:
-        f.write("k,c,d,B,c_tilde,J\n")
-        for k in range(1, n + 1):
-            f.write("%d,%s,%s,%s,%s,%s\n" % (
-                k, fmt(row.c[k - 1]), fmt(row.d[k - 1]), fmt(row.B[k - 1]),
-                fmt(row.c_tilde[k - 1]), fmt(row.J[k - 1])))
-    finally:
-        if close:
-            f.close()
+    write_csv(target, "k,c,d,B,c_tilde,J",
+              zip(range(1, n + 1), row.c, row.d, row.B, row.c_tilde, row.J))
 
 
 def write_rho_star_csv(alphas, target) -> None:
     """Emit the admissibility threshold curve `alpha,rho_star`."""
-    from ._fmt import fmt, open_out
-
-    f, close = open_out(target)
-    try:
-        f.write("alpha,rho_star\n")
-        for a in alphas:
-            f.write("%s,%s\n" % (fmt(a), fmt(rho_star(float(a)))))
-    finally:
-        if close:
-            f.close()
+    write_csv(target, "alpha,rho_star",
+              ((float(a), rho_star(float(a))) for a in alphas))
 
 
 def write_q3_csv(rhos, alphas, target) -> None:
     """Emit `rho,alpha,q3` over the grid of given ratios and orders."""
-    from ._fmt import fmt, open_out
-
-    f, close = open_out(target)
-    try:
-        f.write("rho,alpha,q3\n")
-        for a in alphas:
-            for r in rhos:
-                f.write("%s,%s,%s\n" % (fmt(r), fmt(a), fmt(q3(float(r), float(a)))))
-    finally:
-        if close:
-            f.close()
+    write_csv(target, "rho,alpha,q3",
+              ((float(r), float(a), q3(float(r), float(a)))
+               for a in alphas for r in rhos))

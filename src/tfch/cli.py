@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gamma
 
 from . import diagnostics, temporal_mesh
-from ._fmt import fmt
+from ._fmt import fmt, write_csv
 from ._verification import run_verification_suite
 from .caputo_l2 import (
     q3,
@@ -250,8 +250,8 @@ def _cmd_rho_star(args) -> int:
         outputs.append("q3_curves.csv")
     if args.fixed_point:
         rho, alpha = rho_bar()
-        with open(_out_path(args, "fixed_point.csv"), "w") as f:
-            f.write("rho_bar,alpha_bar\n%s,%s\n" % (fmt(rho), fmt(alpha)))
+        write_csv(_out_path(args, "fixed_point.csv"), "rho_bar,alpha_bar",
+                  [(rho, alpha)])
         outputs.append("fixed_point.csv")
         notes.append("fixed point rho=%s alpha=%s" % (fmt(rho), fmt(alpha)))
         print("fixed point: rho = %.7f, alpha = %.5f" % (rho, alpha))
@@ -326,21 +326,30 @@ def _caputo_error(alpha: float, N: int, T: float) -> float:
     return float(np.max(np.abs(mesh.nodes ** (3.0 + alpha) - w)))
 
 
-def _cmd_caputo_convergence(args) -> int:
-    path = _out_path(args, "caputo_convergence.csv")
+def _convergence_table(args, name: str, errors_by_alpha) -> int:
+    """Print and write `alpha,N,error,order` to name.
+
+    errors_by_alpha yields (alpha, errors over args.Ns); from a generator,
+    each alpha's rows print as soon as its errors are computed.
+    """
     print("alpha      N      error   order")
-    with open(path, "w", newline="") as f:
-        f.write("alpha,N,error,order\n")
-        for alpha in args.alphas:
-            errors = [_caputo_error(alpha, N, args.T) for N in args.Ns]
-            orders = diagnostics.convergence_order(errors, args.Ns)
-            for i, (N, err) in enumerate(zip(args.Ns, errors)):
-                order_txt = "" if i == 0 else fmt(orders[i - 1])
-                f.write("%s,%d,%s,%s\n" % (fmt(alpha), N, fmt(err), order_txt))
-                shown = "   --" if i == 0 else "%5.2f" % orders[i - 1]
-                print("%5.2f  %5d  %9.3g   %s" % (alpha, N, err, shown))
-    _write_meta(args, ["caputo_convergence.csv"])
+    rows = []
+    for alpha, errors in errors_by_alpha:
+        orders = diagnostics.convergence_order(errors, args.Ns)
+        for i, (N, err) in enumerate(zip(args.Ns, errors)):
+            shown = "   --" if i == 0 else "%5.2f" % orders[i - 1]
+            print("%5.2f  %5d  %9.3g   %s" % (alpha, N, err, shown))
+            rows.append((alpha, N, err, "" if i == 0 else orders[i - 1]))
+    write_csv(_out_path(args, name), "alpha,N,error,order", rows)
+    _write_meta(args, [name])
     return 0
+
+
+def _cmd_caputo_convergence(args) -> int:
+    return _convergence_table(
+        args, "caputo_convergence.csv",
+        ((alpha, [_caputo_error(alpha, N, args.T) for N in args.Ns])
+         for alpha in args.alphas))
 
 
 def _tfch_errors_for_alpha(alpha, args):
@@ -373,28 +382,13 @@ def _cmd_tfch_convergence(args) -> int:
         for alpha in args.alphas:
             results[alpha] = _tfch_errors_for_alpha(alpha, args)
 
-    path = _out_path(args, "tfch_convergence.csv")
-    print("alpha      N      error   order")
-    with open(path, "w", newline="") as f:
-        f.write("alpha,N,error,order\n")
-        for alpha in args.alphas:
-            errors = results[alpha]
-            orders = diagnostics.convergence_order(errors, args.Ns)
-            for i, (N, err) in enumerate(zip(args.Ns, errors)):
-                order_txt = "" if i == 0 else fmt(orders[i - 1])
-                f.write("%s,%d,%s,%s\n" % (fmt(alpha), N, fmt(err), order_txt))
-                shown = "   --" if i == 0 else "%5.2f" % orders[i - 1]
-                print("%5.2f  %5d  %9.3g   %s" % (alpha, N, err, shown))
-    _write_meta(args, ["tfch_convergence.csv"])
-    return 0
+    return _convergence_table(args, "tfch_convergence.csv",
+                              ((alpha, results[alpha]) for alpha in args.alphas))
 
 
 def _write_state_csv(state, path: str) -> None:
     x = np.linspace(state.domain[0], state.domain[1], state.values.size)
-    with open(path, "w", newline="") as f:
-        f.write("x,u\n")
-        for xi, ui in zip(x, state.values):
-            f.write("%s,%s\n" % (fmt(xi), fmt(ui)))
+    write_csv(path, "x,u", zip(x, state.values))
 
 
 def _cmd_tfch_run(args) -> int:
@@ -414,12 +408,9 @@ def _cmd_tfch_run(args) -> int:
     diagnostics.write_mass_csv(series, _out_path(args, "mass.csv"))
     outputs = ["energy.csv", "mass.csv", "validators.csv",
                "terminal_state.csv"]
-    with open(_out_path(args, "validators.csv"), "w", newline="") as f:
-        f.write("kind,violations,first_level\n")
-        for kind in sorted(history.violations):
-            levels = history.violations[kind]
-            f.write("%s,%d,%s\n" % (kind, len(levels),
-                                    levels[0] if levels else ""))
+    write_csv(_out_path(args, "validators.csv"), "kind,violations,first_level",
+              ((kind, len(levels), levels[0] if levels else "")
+               for kind, levels in sorted(history.violations.items())))
     _write_state_csv(history.terminal, _out_path(args, "terminal_state.csv"))
     if args.dump_states > 0:
         for n in range(0, mesh.N + 1, args.dump_states):
@@ -450,33 +441,30 @@ def _cmd_manufactured(args) -> int:
     notes = []
     for N in args.Ns:
         mesh = temporal_mesh.build_graded_cubic(N, args.T)
-        detail_path = _out_path(args, "manufactured_N%d.csv" % N)
-        summary_path = _out_path(args, "summary_N%d.csv" % N)
-        with open(detail_path, "w", newline="") as fd, \
-                open(summary_path, "w", newline="") as fs:
-            fd.write("alpha,x,exact,numeric,abs_error\n")
-            fs.write("alpha,max_error\n")
-            for alpha in args.alphas:
-                cfg = SolverConfig(
-                    alpha=alpha, kappa=args.kappa, epsilon=args.epsilon,
-                    mesh=mesh, M=args.M, iteration_tol=args.tol,
-                    source="manufactured", initial=_zero_initial)
-                history = solve(cfg)
-                x = np.linspace(0.0, 1.0, args.M + 1)
-                exact = manufactured_solution(x, args.T, alpha)
-                numeric = history.terminal.values
-                err = np.abs(exact - numeric)
-                for xi, ei, ni_, ai in zip(x, exact, numeric, err):
-                    fd.write("%s,%s,%s,%s,%s\n" % (fmt(alpha), fmt(xi),
-                                                   fmt(ei), fmt(ni_), fmt(ai)))
-                max_err = float(err.max())
-                fs.write("%s,%s\n" % (fmt(alpha), fmt(max_err)))
-                notes.append("N=%d alpha=%s max error %s"
-                             % (N, fmt(alpha), fmt(max_err)))
-                print("N=%4d  alpha=%4.2f  max error %.3e"
-                      % (N, alpha, max_err))
-        outputs.extend([os.path.basename(detail_path),
-                        os.path.basename(summary_path)])
+        detail, summary = [], []
+        for alpha in args.alphas:
+            cfg = SolverConfig(
+                alpha=alpha, kappa=args.kappa, epsilon=args.epsilon,
+                mesh=mesh, M=args.M, iteration_tol=args.tol,
+                source="manufactured", initial=_zero_initial)
+            history = solve(cfg)
+            x = np.linspace(0.0, 1.0, args.M + 1)
+            exact = manufactured_solution(x, args.T, alpha)
+            numeric = history.terminal.values
+            err = np.abs(exact - numeric)
+            detail.extend((alpha,) + cells
+                          for cells in zip(x, exact, numeric, err))
+            max_err = float(err.max())
+            summary.append((alpha, max_err))
+            notes.append("N=%d alpha=%s max error %s"
+                         % (N, fmt(alpha), fmt(max_err)))
+            print("N=%4d  alpha=%4.2f  max error %.3e" % (N, alpha, max_err))
+        detail_name = "manufactured_N%d.csv" % N
+        summary_name = "summary_N%d.csv" % N
+        write_csv(_out_path(args, detail_name),
+                  "alpha,x,exact,numeric,abs_error", detail)
+        write_csv(_out_path(args, summary_name), "alpha,max_error", summary)
+        outputs.extend([detail_name, summary_name])
     _write_meta(args, outputs, notes)
     return 0
 

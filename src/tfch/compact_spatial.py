@@ -7,15 +7,17 @@ H = A^{-1} D approximates the Laplacian to fourth order. A and D share
 eigenvectors (A = I + (h^2/12) D), so -H^{-1} is symmetric positive definite
 and induces the negative-order inner product used by the energy estimates.
 
-Tridiagonal solves use the Thomas recurrence without pivoting; both systems
-here are strictly diagonally dominant, where that recurrence is stable.
+Inverse solves go through one banded LAPACK tridiagonal solve, for a single
+grid function or for many at once (columns of a matrix); A and D are
+diagonally dominant, so its partial pivoting never swaps rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 __all__ = [
     "GridFunction",
@@ -90,53 +92,26 @@ def _rewrap(u: GridFunction, interior: np.ndarray) -> GridFunction:
     return GridFunction(values=v, h=u.h, domain=u.domain)
 
 
-class _TridiagFactor:
-    """Thomas factorization of a constant tridiagonal (lower, diag, upper).
+def _solve_tridiag(off: float, diag: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve tridiag(off, diag, off) x = rhs along axis 0.
 
-    Forward elimination is precomputed once; solves then cost one sweep each
-    and accept vector or matrix right-hand sides.
+    rhs is a vector or a matrix whose columns are separate right-hand sides.
     """
-
-    def __init__(self, lower: float, diag: float, upper: float, m: int):
-        piv = np.empty(m)
-        mult = np.empty(m)
-        piv[0] = diag
-        mult[0] = 0.0
-        for i in range(1, m):
-            mult[i] = lower / piv[i - 1]
-            piv[i] = diag - mult[i] * upper
-        self._piv = piv
-        self._mult = mult
-        self._upper = upper
-        self.m = m
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = np.array(rhs, dtype=float, copy=True)
-        mult, piv, up = self._mult, self._piv, self._upper
-        for i in range(1, self.m):
-            y[i] -= mult[i] * y[i - 1]
-        y[-1] /= piv[-1]
-        for i in range(self.m - 2, -1, -1):
-            y[i] = (y[i] - up * y[i + 1]) / piv[i]
-        return y
+    ab = np.empty((3, rhs.shape[0]))
+    ab[0] = off
+    ab[1] = diag
+    ab[2] = off
+    return solve_banded((1, 1), ab, rhs)
 
 
-_factor_cache: dict = {}
+def _neg_h_inv(full: np.ndarray, h: float) -> np.ndarray:
+    """Interior rows of (-H)^{-1} applied along axis 0 of full.
 
-
-def _a_factor(m: int) -> _TridiagFactor:
-    key = ("A", m)
-    if key not in _factor_cache:
-        _factor_cache[key] = _TridiagFactor(1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0, m)
-    return _factor_cache[key]
-
-
-def _dxx_factor(m: int) -> _TridiagFactor:
-    # Solving D w = r is done at unit scale: tridiag(1,-2,1) y = h^2 r.
-    key = ("D", m)
-    if key not in _factor_cache:
-        _factor_cache[key] = _TridiagFactor(1.0, -2.0, 1.0, m)
-    return _factor_cache[key]
+    full holds grid values with the two boundary rows included; the result
+    solves D w = -(A v) with D at unit scale, tridiag(1,-2,1) w = -h^2 A v.
+    """
+    av = (full[:-2] + 10.0 * full[1:-1] + full[2:]) / 12.0
+    return _solve_tridiag(1.0, -2.0, -av * h * h)
 
 
 def apply_A(u: GridFunction) -> GridFunction:
@@ -153,7 +128,7 @@ def apply_A_inv(u: GridFunction) -> GridFunction:
     """Inverse of the compact average on interior values, boundary kept."""
     v, _ = _interior(u)
     res = np.array(u.values, copy=True)
-    res[1:-1] = _a_factor(v.size).solve(v)
+    res[1:-1] = _solve_tridiag(1.0 / 12.0, 10.0 / 12.0, v)
     return GridFunction(values=res, h=u.h, domain=u.domain)
 
 
@@ -172,11 +147,8 @@ def apply_H(u: GridFunction) -> GridFunction:
 
 def apply_negH_inv(u: GridFunction) -> GridFunction:
     """Solve -H w = u, i.e. D w = -(A u), with zero boundary."""
-    v, h = _interior(u)
-    full = u.values
-    av = (full[:-2] + 10.0 * v + full[2:]) / 12.0
-    w = _dxx_factor(v.size).solve(-av * h * h)
-    return _rewrap(u, w)
+    _, h = _interior(u)
+    return _rewrap(u, _neg_h_inv(u.values, h))
 
 
 def a_matrix(M: int) -> np.ndarray:

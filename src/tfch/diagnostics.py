@@ -2,7 +2,8 @@
 
 The discrete free energy uses the compact negative Laplacian for its gradient
 part; the modified energy augments it with a weighted history of negative-order
-norms of increments, built from the auxiliary J kernels. The dissipation
+norms of increments, built from the auxiliary J kernels. Those norms come from
+one banded solve of (-H)^{-1} against all the states at once. The dissipation
 estimate states exactly that the modified energy never increases, so these
 routines are both the experiment observables and the acceptance instruments.
 """
@@ -13,11 +14,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve as dense_solve
 from scipy.special import gamma
 
+from ._fmt import write_csv
 from .caputo_l2 import kernel_row_J
-from .compact_spatial import GridFunction, a_matrix, dxx_matrix, quad_negH
+from .compact_spatial import GridFunction, _neg_h_inv, quad_negH
 from .temporal_mesh import TemporalMesh
 
 __all__ = [
@@ -86,11 +87,6 @@ def G_functional(history, mesh: TemporalMesh, alpha: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _neg_h_inverse_matrix(M: int, h: float) -> np.ndarray:
-    """Dense interior matrix of (-H)^{-1} = -D^{-1} A (symmetric)."""
-    return -dense_solve(dxx_matrix(M, h), a_matrix(M))
-
-
 def modified_energy(history) -> np.ndarray:
     """Dissipated Lyapunov sequence of a finished run, one value per level.
 
@@ -118,13 +114,19 @@ class EnergySeries:
 
 
 def energy_series(history) -> EnergySeries:
-    """Free energy, modified energy, and mass at every level of a run."""
+    """Free energy, modified energy, and mass at every level of a run.
+
+    (-H)^{-1} is linear, so (-H)^{-1} (u^n - u^j) = z^n - z^j with
+    z^j = (-H)^{-1} u^j: one banded multi-right-hand-side solve gives every
+    z^j, and each level's negative-order norms are row sums, O(N^2 M) in all.
+    """
     cfg = history.config
     mesh = cfg.mesh
     N = mesh.N
     S = history.interior_matrix()
     h = cfg.h
-    neg_h_inv = _neg_h_inverse_matrix(cfg.M, h)
+    # states as columns, zero boundary rows added back
+    Z = _neg_h_inv(np.pad(S.T, ((1, 1), (0, 0))), h).T
 
     free = np.array([free_energy(u, cfg.epsilon) for u in history.states])
     masses = np.array([mass(u) for u in history.states])
@@ -134,7 +136,7 @@ def energy_series(history) -> EnergySeries:
     for n in range(1, N + 1):
         lead, J = _g_weights(n, mesh, cfg.alpha)
         X = S[n] - S[:n]                       # row j holds u^n - u^j
-        Q = h * np.einsum("ij,ij->i", X, X @ neg_h_inv)
+        Q = h * np.einsum("ij,ij->i", X, Z[n] - Z[:n])
         Q[Q < 0.0] = 0.0
         hist_part = lead * Q[n - 1] + 0.5 * J[0] * Q[0]
         if n > 1:
@@ -313,45 +315,20 @@ def convergence_order(errors, Ns=None) -> np.ndarray:
 
 def write_energy_csv(series: EnergySeries, target) -> None:
     """Emit `n,t_n,E,E_modified` (modified blank at level 0)."""
-    from ._fmt import fmt, open_out
-
-    f, close = open_out(target)
-    try:
-        f.write("n,t_n,E,E_modified\n")
-        for n in series.levels:
-            em = series.modified_energy[n]
-            f.write("%d,%s,%s,%s\n" % (
-                n, fmt(series.times[n]), fmt(series.free_energy[n]),
-                "" if np.isnan(em) else fmt(em)))
-    finally:
-        if close:
-            f.close()
+    write_csv(target, "n,t_n,E,E_modified",
+              ((n, t, e, "" if np.isnan(em) else em) for n, t, e, em in zip(
+                  series.levels, series.times, series.free_energy,
+                  series.modified_energy)))
 
 
 def write_mass_csv(series: EnergySeries, target) -> None:
     """Emit `n,t_n,mass`."""
-    from ._fmt import fmt, open_out
-
-    f, close = open_out(target)
-    try:
-        f.write("n,t_n,mass\n")
-        for n in series.levels:
-            f.write("%d,%s,%s\n" % (n, fmt(series.times[n]), fmt(series.mass[n])))
-    finally:
-        if close:
-            f.close()
+    write_csv(target, "n,t_n,mass",
+              zip(series.levels, series.times, series.mass))
 
 
 def write_convergence_csv(Ns, errors, orders, target) -> None:
     """Emit `N,error,order` (order blank on the first row)."""
-    from ._fmt import fmt, open_out
-
-    f, close = open_out(target)
-    try:
-        f.write("N,error,order\n")
-        for i, (n_val, err) in enumerate(zip(Ns, errors)):
-            order = "" if i == 0 else fmt(orders[i - 1])
-            f.write("%d,%s,%s\n" % (n_val, fmt(err), order))
-    finally:
-        if close:
-            f.close()
+    write_csv(target, "N,error,order",
+              ((int(n_val), err, "" if i == 0 else orders[i - 1])
+               for i, (n_val, err) in enumerate(zip(Ns, errors))))

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fmt import write_csv
+
 __all__ = [
     "TemporalMesh",
     "RatioBoundReport",
@@ -157,16 +159,7 @@ def validate_ratio_bound(mesh: TemporalMesh, alpha: float) -> RatioBoundReport:
 
 def write_mesh_csv(mesh: TemporalMesh, target) -> None:
     """Emit `k,t_k,tau_k,rho_k`, one row per k = 0..N (tau_0, rho_0 empty)."""
-    from ._fmt import fmt, open_out
-
-    f, close = open_out(target)
-    try:
-        f.write("k,t_k,tau_k,rho_k\n")
-        f.write("0,%s,,\n" % fmt(mesh.nodes[0]))
-        for k in range(1, mesh.N + 1):
-            f.write("%d,%s,%s,%s\n" % (k, fmt(mesh.nodes[k]),
-                                       fmt(mesh.steps[k - 1]),
-                                       fmt(mesh.ratios[k - 1])))
-    finally:
-        if close:
-            f.close()
+    rows = [(0, mesh.nodes[0], "", "")]
+    rows += [(k, mesh.nodes[k], mesh.steps[k - 1], mesh.ratios[k - 1])
+             for k in range(1, mesh.N + 1)]
+    write_csv(target, "k,t_k,tau_k,rho_k", rows)

@@ -190,8 +190,9 @@ def test_apply_caputo_is_elementwise(graded_24):
                                        rel=1e-13)
 
 
-def test_kernel_row_bundle_is_consistent(mixed_ratio_mesh):
-    n, alpha = 6, 0.45
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_kernel_row_bundle_is_consistent(mixed_ratio_mesh, n):
+    alpha = 0.45
     row = kernel_row(n, mixed_ratio_mesh, alpha)
     c, d = coeffs_cd(n, mixed_ratio_mesh, alpha)
     assert (row.c == c).all() and (row.d == d).all()

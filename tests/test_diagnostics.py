@@ -6,14 +6,17 @@ half-weights, and adding 0.25 h (the omitted (0^2-1)^2 contributions) back
 reproduces the continuum energy of the bump to 1e-12.
 """
 
+import dataclasses
 import io
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.special import gamma
 
 from tfch.caputo_l2 import kernel_row_J
-from tfch.compact_spatial import GridFunction, sample
+from tfch.compact_spatial import GridFunction, a_matrix, dxx_matrix, sample
 from tfch.diagnostics import (
     G_functional,
     convergence_order,
@@ -137,6 +140,37 @@ class TestModifiedEnergy:
         for n in (0, N // 2, N):
             assert series.mass[n] == pytest.approx(mass(hist.states[n]),
                                                    rel=1e-14)
+
+    def test_matches_dense_negative_norm_oracle(self):
+        # On the solver run the history term is ~1e-7 of E; the same run with
+        # random states makes it comparable to E, so both are checked.
+        hist = _small_run(alpha=0.5, N=24, M=16)
+        cfg, mesh, alpha = hist.config, hist.mesh, hist.config.alpha
+        neg_h_inv = -scipy.linalg.solve(dxx_matrix(cfg.M, cfg.h),
+                                        a_matrix(cfg.M))
+        rng = np.random.default_rng(7)
+        noisy = tuple(
+            GridFunction(values=np.pad(rng.uniform(-1.0, 1.0, cfg.M - 1), 1),
+                         h=cfg.h)
+            for _ in hist.states)
+        for run in (hist, dataclasses.replace(hist, states=noisy)):
+            S = run.interior_matrix()
+            series = energy_series(run)
+            for n in range(1, mesh.N + 1):
+                X = S[n] - S[:n]
+                Q = cfg.h * np.einsum("ij,jk,ik->i", X, neg_h_inv, X)
+                J = kernel_row_J(n, mesh, alpha)
+                rho = mesh.ratios[n] if n < mesh.N else 1.0
+                lead = alpha * rho ** (2.0 - 0.5 * alpha) / (
+                    2.0 * (1.0 + rho) * mesh.steps[n - 1] ** alpha
+                    * gamma(3.0 - alpha))
+                history_term = lead * Q[n - 1] + 0.5 * J[0] * Q[0]
+                for j in range(1, n):
+                    history_term += 0.5 * (J[j] - J[j - 1]) * Q[j]
+                expected = free_energy(run.states[n], cfg.epsilon) \
+                    + history_term / cfg.kappa
+                assert series.modified_energy[n] == pytest.approx(
+                    expected, rel=1e-13)
 
 
 class TestSummationByParts:
