@@ -16,9 +16,9 @@ import numpy as np
 from scipy.special import gamma
 
 from .caputo_l2 import (
+    kernel_row,
     kernel_row_B,
     kernel_row_J,
-    kernel_row_split,
     q,
     rho_star,
 )
@@ -75,11 +75,11 @@ def _check_split_equivalence(rng) -> CheckResult:
         n = int(rng.integers(1, mesh.N + 1))
         w = rng.standard_normal(n + 1)
         dw = np.diff(w)
-        direct = float(kernel_row_B(n, mesh, alpha) @ dw)
-        leading, lagged, ct = kernel_row_split(n, mesh, alpha)
-        split = leading * dw[n - 1] + float(ct @ dw)
+        row = kernel_row(n, mesh, alpha)
+        direct = float(row.B @ dw)
+        split = row.leading * dw[n - 1] + float(row.c_tilde @ dw)
         if n >= 2:
-            split -= lagged * dw[n - 2]
+            split -= row.lagged * dw[n - 2]
         scale = max(1.0, abs(direct))
         worst = max(worst, abs(direct - split) / scale)
     passed = worst <= 1e-13

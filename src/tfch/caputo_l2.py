@@ -1,13 +1,17 @@
 """Discrete Caputo-derivative kernels on nonuniform meshes.
 
 Implements the variable-step piecewise-quadratic (order 3-alpha) convolution
-kernels c, d, B, their theta-split with residual kernels c_tilde, the
-auxiliary J kernels whose monotonicity/convexity/dominance carry the energy
-analysis, the step-ratio theory functions q/q2/q3 with the admissibility
-threshold rho_star(alpha), and the discrete fractional derivative itself.
+kernels c, d, B, their theta-split into leading, lagged and residual kernels
+c_tilde, the auxiliary J kernels whose monotonicity/convexity/dominance carry
+the energy analysis, the step-ratio theory functions q/q2/q3 with the
+admissibility threshold rho_star(alpha), and the discrete fractional
+derivative itself.
 
-Kernel rows are recomputed per time level: O(n) work each, O(N^2) per run,
-memory-light at desk scale. All operations are pure functions.
+kernel_row is the one assembly path: it evaluates (c, d) once per level and
+derives every row of a KernelRow from them; kernel_row_B, kernel_row_split
+and kernel_row_J are views of it. Rows are recomputed per time level: O(n)
+work each, O(N^2) per run, memory-light at desk scale. All operations are
+pure functions.
 """
 
 from __future__ import annotations
@@ -150,79 +154,20 @@ def theta(alpha: float) -> float:
     return 1.0 / (2.0 - alpha) + num / (2.0 * (2.0 - alpha) * (1.0 + RHO_BAR))
 
 
-def _assemble_B(n: int, c: np.ndarray, d: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Convolution kernels B from (c, d), built on the c_tilde entries.
+@dataclass(frozen=True, eq=False)
+class KernelRow:
+    """All level-n kernel rows, each ordered by history interval k = 1..n.
 
-    B agrees with c_tilde on every history interval k < n except for the
-    rho_n^2 d_0 / (1+rho_n) correction at k = n-1; the current-step entry
-    k = n has its own formula (theta enters only that entry of c_tilde).
-    Subscript m maps to array index n - 1 - m; rho[k-1] is rho_k.
-    """
-    if n == 1:
-        return c.copy()
-    B = _assemble_ctilde(n, c, d, rho, 1.0)
-    rho_n = rho[n - 1]
-    B[n - 2] -= rho_n ** 2 / (1.0 + rho_n) * d[n - 1]
-    B[n - 1] = c[n - 1] + d[n - 2] / (rho_n * (1.0 + rho_n)) \
-        + rho_n / (1.0 + rho_n) * d[n - 1]
-    return B
-
-
-def _assemble_ctilde(n: int, c: np.ndarray, d: np.ndarray, rho: np.ndarray,
-                     th: float) -> np.ndarray:
-    """Residual kernels c_tilde of the theta split."""
-    ct = np.empty(n)
-    if n == 1:
-        ct[0] = (1.0 - th) * c[0]
-        return ct
-    rho_n = rho[n - 1]
-    ct[n - 1] = (1.0 - th) * c[n - 1] + d[n - 2] / (rho_n * (1.0 + rho_n))
-    ct[0] = c[0] - d[0] / (1.0 + rho[1])
-    if n >= 3:
-        ks = np.arange(2, n)       # history intervals k = 2..n-1
-        j = ks - 1
-        ct[j] = c[j] + d[ks - 2] / (rho[ks - 1] * (1.0 + rho[ks - 1])) \
-            - d[j] / (1.0 + rho[ks])
-    return ct
-
-
-def kernel_row_B(n: int, mesh: TemporalMesh, alpha: float) -> np.ndarray:
-    """Convolution kernels B_{n-k}^{(n)}, ordered by interval k = 1..n."""
-    c, d = coeffs_cd(n, mesh, alpha)
-    return _assemble_B(n, c, d, mesh.ratios)
-
-
-def kernel_row_split(n: int, mesh: TemporalMesh, alpha: float):
-    """Theta-split of the level-n row: (leading, lagged, c_tilde row).
-
-    The discrete derivative regroups as
+    The theta split regroups the discrete derivative as
 
         leading * dw^n - lagged * dw^{n-1} + sum_k c_tilde_{n-k} dw^k
 
     with leading = theta c_0 + rho_n d_0/(1+rho_n) and
     lagged = rho_n^2 d_0/(1+rho_n) (zero at n = 1, where no dw^0 exists).
+    B agrees with c_tilde on every history interval k < n except for the
+    lagged correction at k = n-1; its current-step entry k = n has its own
+    formula. J is c_tilde with its last entry doubled.
     """
-    c, d = coeffs_cd(n, mesh, alpha)
-    th = theta(alpha)
-    if n == 1:
-        return th * c[0], 0.0, _assemble_ctilde(n, c, d, mesh.ratios, th)
-    rho_n = mesh.ratios[n - 1]
-    leading = th * c[n - 1] + rho_n / (1.0 + rho_n) * d[n - 1]
-    lagged = rho_n ** 2 / (1.0 + rho_n) * d[n - 1]
-    return leading, lagged, _assemble_ctilde(n, c, d, mesh.ratios, th)
-
-
-def kernel_row_J(n: int, mesh: TemporalMesh, alpha: float) -> np.ndarray:
-    """Auxiliary kernels: J_0 = 2 c_tilde_0, J_{n-k} = c_tilde_{n-k} otherwise."""
-    c, d = coeffs_cd(n, mesh, alpha)
-    J = _assemble_ctilde(n, c, d, mesh.ratios, theta(alpha))
-    J[n - 1] *= 2.0
-    return J
-
-
-@dataclass(frozen=True, eq=False)
-class KernelRow:
-    """All level-n kernel rows, each ordered by history interval k = 1..n."""
 
     level: int
     theta: float
@@ -231,17 +176,59 @@ class KernelRow:
     B: np.ndarray
     c_tilde: np.ndarray
     J: np.ndarray
+    leading: float
+    lagged: float
 
 
 def kernel_row(n: int, mesh: TemporalMesh, alpha: float) -> KernelRow:
-    """Bundle every kernel row at level n from a single (c, d) evaluation."""
+    """Every kernel row at level n from a single (c, d) evaluation.
+
+    Subscript m maps to array index n - 1 - m; rho[k-1] is rho_k.
+    """
     c, d = coeffs_cd(n, mesh, alpha)
     th = theta(alpha)
-    ct = _assemble_ctilde(n, c, d, mesh.ratios, th)
+    ct = np.empty(n)
+    if n == 1:
+        ct[0] = (1.0 - th) * c[0]
+        B = c.copy()
+        leading, lagged = th * c[0], 0.0
+    else:
+        rho = mesh.ratios
+        rho_n = rho[n - 1]
+        prev = d[n - 2] / (rho_n * (1.0 + rho_n))
+        cur = rho_n / (1.0 + rho_n) * d[n - 1]
+        ct[n - 1] = (1.0 - th) * c[n - 1] + prev
+        ct[0] = c[0] - d[0] / (1.0 + rho[1])
+        if n >= 3:
+            ks = np.arange(2, n)       # history intervals k = 2..n-1
+            j = ks - 1
+            ct[j] = c[j] + d[ks - 2] / (rho[ks - 1] * (1.0 + rho[ks - 1])) \
+                - d[j] / (1.0 + rho[ks])
+        leading = th * c[n - 1] + cur
+        lagged = rho_n ** 2 / (1.0 + rho_n) * d[n - 1]
+        B = ct.copy()
+        B[n - 2] -= lagged
+        B[n - 1] = c[n - 1] + prev + cur
     J = ct.copy()
     J[n - 1] *= 2.0
-    return KernelRow(level=n, theta=th, c=c, d=d,
-                     B=_assemble_B(n, c, d, mesh.ratios), c_tilde=ct, J=J)
+    return KernelRow(level=n, theta=th, c=c, d=d, B=B, c_tilde=ct, J=J,
+                     leading=leading, lagged=lagged)
+
+
+def kernel_row_B(n: int, mesh: TemporalMesh, alpha: float) -> np.ndarray:
+    """Convolution kernels B_{n-k}^{(n)}, ordered by interval k = 1..n."""
+    return kernel_row(n, mesh, alpha).B
+
+
+def kernel_row_split(n: int, mesh: TemporalMesh, alpha: float):
+    """Theta-split of the level-n row: (leading, lagged, c_tilde row)."""
+    row = kernel_row(n, mesh, alpha)
+    return row.leading, row.lagged, row.c_tilde
+
+
+def kernel_row_J(n: int, mesh: TemporalMesh, alpha: float) -> np.ndarray:
+    """Auxiliary kernels: J_0 = 2 c_tilde_0, J_{n-k} = c_tilde_{n-k} otherwise."""
+    return kernel_row(n, mesh, alpha).J
 
 
 def apply_caputo(history, mesh: TemporalMesh, alpha: float):

@@ -43,7 +43,6 @@ from .caputo_l2 import (
     write_q3_csv,
     write_rho_star_csv,
 )
-from .compact_spatial import norm_inf
 from .tfch_solver import (
     SolverConfig,
     manufactured_solution,
@@ -290,6 +289,14 @@ def _build_mesh(spec: str, N, T: float):
 
 def _cmd_mesh(args) -> int:
     mesh = _build_mesh(args.mesh, args.N, args.T)
+    if args.alpha is not None and not 0.0 < args.alpha < 1.0:
+        raise UsageError("alpha %g outside (0,1)" % args.alpha)
+    if args.kernel_level is not None:
+        if args.alpha is None:
+            raise UsageError("--kernel-level needs --alpha")
+        if not 1 <= args.kernel_level <= mesh.N:
+            raise UsageError("--kernel-level %d outside 1..%d"
+                             % (args.kernel_level, mesh.N))
     temporal_mesh.write_mesh_csv(mesh, _out_path(args, "mesh.csv"))
     outputs = ["mesh.csv"]
     notes = []
@@ -308,8 +315,6 @@ def _cmd_mesh(args) -> int:
             write_kernel_row_csv(args.kernel_level, mesh, args.alpha,
                                  _out_path(args, "kernel_row.csv"))
             outputs.append("kernel_row.csv")
-    elif args.kernel_level is not None:
-        raise UsageError("--kernel-level needs --alpha")
     _write_meta(args, outputs, notes)
     return 0
 

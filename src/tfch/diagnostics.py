@@ -51,18 +51,20 @@ def free_energy(u: GridFunction, epsilon: float) -> float:
     return float(0.5 * epsilon ** 2 * quad_negH(u) + double_well)
 
 
-def _g_weights(n: int, mesh: TemporalMesh, alpha: float):
-    """Leading weight and J row entering the history functional at level n.
+def _g_weights(n: int, mesh: TemporalMesh, alpha: float) -> np.ndarray:
+    """Weights w of the level-n history functional sum_j w_j |u^n - u^j|^2.
 
-    rho_{N+1} is taken as 1: the functional at the final level is evaluated
-    as if one more equal step followed.
+    In interval order, w_0 = J_0/2 and w_j = (J_j - J_{j-1})/2 for j >= 1,
+    plus the leading weight at j = n-1. rho_{N+1} is taken as 1: the
+    functional at the final level is evaluated as if one more equal step
+    followed.
     """
-    J = kernel_row_J(n, mesh, alpha)
     rho_next = mesh.ratios[n] if n < mesh.N else 1.0
     tau_n = mesh.steps[n - 1]
-    lead = alpha * rho_next ** (2.0 - 0.5 * alpha) \
+    w = 0.5 * np.diff(kernel_row_J(n, mesh, alpha), prepend=0.0)
+    w[n - 1] += alpha * rho_next ** (2.0 - 0.5 * alpha) \
         / (2.0 * (1.0 + rho_next) * tau_n ** alpha * gamma(3.0 - alpha))
-    return lead, J
+    return w
 
 
 def G_functional(history, mesh: TemporalMesh, alpha: float):
@@ -79,11 +81,7 @@ def G_functional(history, mesh: TemporalMesh, alpha: float):
     n = len(W) - 1
     if n < 1:
         raise ValueError("history must contain at least two levels")
-    lead, J = _g_weights(n, mesh, alpha)
-    out = lead * (W[n] - W[n - 1]) ** 2
-    out = out + 0.5 * J[0] * (W[n] - W[0]) ** 2
-    for j in range(1, n):
-        out = out + 0.5 * (J[j] - J[j - 1]) * (W[n] - W[j]) ** 2
+    out = np.tensordot(_g_weights(n, mesh, alpha), (W[n] - W[:n]) ** 2, axes=1)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -134,14 +132,10 @@ def energy_series(history) -> EnergySeries:
     modified = np.empty(N + 1)
     modified[0] = np.nan
     for n in range(1, N + 1):
-        lead, J = _g_weights(n, mesh, cfg.alpha)
         X = S[n] - S[:n]                       # row j holds u^n - u^j
         Q = h * np.einsum("ij,ij->i", X, Z[n] - Z[:n])
         Q[Q < 0.0] = 0.0
-        hist_part = lead * Q[n - 1] + 0.5 * J[0] * Q[0]
-        if n > 1:
-            hist_part += 0.5 * np.dot(np.diff(J[:n]), Q[1:n])
-        modified[n] = free[n] + hist_part / cfg.kappa
+        modified[n] = free[n] + _g_weights(n, mesh, cfg.alpha) @ Q / cfg.kappa
     return EnergySeries(
         levels=np.arange(N + 1),
         times=mesh.nodes.copy(),

@@ -20,7 +20,6 @@ from tfch.caputo_l2 import (
     coeffs_cd,
     kernel_row,
     kernel_row_B,
-    kernel_row_J,
     kernel_row_split,
     q,
     q2,
@@ -190,19 +189,53 @@ def test_apply_caputo_is_elementwise(graded_24):
                                        rel=1e-13)
 
 
+def _piecewise_B(n, c, d, rho):
+    """Convolution kernels B assembled case by case from (c, d), independently
+    of the c_tilde entries the library builds B on.
+
+    Subscript m maps to array index n - 1 - m; rho[k-1] is rho_k.
+    """
+    B = np.empty(n)
+    if n == 1:
+        B[0] = c[0]
+        return B
+    rho_n = rho[n - 1]
+    B[n - 1] = c[n - 1] + d[n - 2] / (rho_n * (1.0 + rho_n)) \
+        + rho_n / (1.0 + rho_n) * d[n - 1]
+    if n == 2:
+        B[0] = c[0] - d[0] / (1.0 + rho[1]) \
+            - rho[1] ** 2 / (1.0 + rho[1]) * d[1]
+        return B
+    B[0] = c[0] - d[0] / (1.0 + rho[1])
+    rho_m = rho[n - 2]
+    B[n - 2] = c[n - 2] + d[n - 3] / (rho_m * (1.0 + rho_m)) \
+        - d[n - 2] / (1.0 + rho_n) - rho_n ** 2 / (1.0 + rho_n) * d[n - 1]
+    if n >= 4:
+        ks = np.arange(2, n - 1)   # history intervals k = 2..n-2
+        j = ks - 1
+        B[j] = c[j] + d[ks - 2] / (rho[ks - 1] * (1.0 + rho[ks - 1])) \
+            - d[j] / (1.0 + rho[ks])
+    return B
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_kernel_row_bundle_is_consistent(mixed_ratio_mesh, n):
     alpha = 0.45
     row = kernel_row(n, mixed_ratio_mesh, alpha)
     c, d = coeffs_cd(n, mixed_ratio_mesh, alpha)
+    th = theta(alpha)
     assert (row.c == c).all() and (row.d == d).all()
-    assert (row.B == kernel_row_B(n, mixed_ratio_mesh, alpha)).all()
-    assert (row.J == kernel_row_J(n, mixed_ratio_mesh, alpha)).all()
-    leading, lagged, ct = kernel_row_split(n, mixed_ratio_mesh, alpha)
-    assert (row.c_tilde == ct).all()
+    assert row.B.tobytes() == _piecewise_B(n, c, d,
+                                           mixed_ratio_mesh.ratios).tobytes()
+    if n == 1:
+        assert row.leading == th * c[0] and row.lagged == 0.0
+    else:
+        rho_n = mixed_ratio_mesh.ratios[n - 1]
+        assert row.leading == th * c[n - 1] + rho_n / (1.0 + rho_n) * d[n - 1]
+        assert row.lagged == rho_n ** 2 / (1.0 + rho_n) * d[n - 1]
     assert row.J[n - 1] == 2.0 * row.c_tilde[n - 1]
     assert (row.J[: n - 1] == row.c_tilde[: n - 1]).all()
-    assert row.theta == theta(alpha)
+    assert row.theta == th
     assert row.level == n
 
 

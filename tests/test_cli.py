@@ -117,6 +117,19 @@ class TestMesh:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "0.5", "--kernel-level", "0"],
+        ["--alpha", "0.5", "--kernel-level", "11"],
+        ["--alpha", "1.5"],
+        ["--alpha", "1.0", "--kernel-level", "3"],
+        ["--kernel-level", "3"],
+    ])
+    def test_bad_flag_values_exit_2_before_output(self, tmp_path, flags):
+        rc = _run(["mesh", "--N", "10", "--out", str(tmp_path)] + flags)
+        assert rc == 2
+        assert not (tmp_path / "mesh.csv").exists()
+        assert not (tmp_path / "kernel_row.csv").exists()
+
     def test_kernel_row_output(self, tmp_path):
         rc = _run(["mesh", "--N", "6", "--alpha", "0.5", "--kernel-level",
                    "4", "--out", str(tmp_path)])
