@@ -17,6 +17,13 @@ started from u^{(0)} = u^{n-1} and stopped on a max-norm increment test.
 The left matrix changes only through B_0, so one LU factorization per time
 step serves every inner iteration.
 
+The factorization and the per-sweep triangular solves call LAPACK getrf and
+getrs directly (lu_factor and lu_solve below). A sweep's solve is a few
+microseconds of LAPACK work on a small dense factor, so scipy.linalg's
+wrappers, with their finiteness scans, shape checks and batching dispatch,
+would cost more than the solve itself; the sweep screens every right-hand
+side with its own isfinite guard before it reaches LAPACK.
+
 Step-size validators (fixed-point solvability, energy dissipation, first
 step, post-run Lipschitz) are evaluated and reported as warnings; they never
 abort a run.
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs
 from scipy.special import gamma
 
 from .caputo_l2 import kernel_row_B, q
@@ -52,6 +59,38 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-12
+
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+
+
+def lu_factor(a):
+    """Pivoted LU of a finite float64 matrix as (lu, piv), as scipy.linalg's.
+
+    Calls LAPACK getrf without scipy's finiteness scan. Warns LinAlgWarning
+    when a pivot is exactly zero.
+    """
+    lu, piv, info = _getrf(a)
+    if info < 0:
+        raise ValueError("illegal value in %dth argument of internal getrf"
+                         % -info)
+    if info > 0:
+        warnings.warn("Diagonal number %d is exactly zero. Singular matrix."
+                      % info, LinAlgWarning, stacklevel=2)
+    return lu, piv
+
+
+def lu_solve(lu_piv, b, overwrite_b=False):
+    """Solve a x = b from lu_factor's (lu, piv); b is a vector or a matrix.
+
+    Calls LAPACK getrs without scipy's finiteness scan, so b must be finite.
+    With overwrite_b, a contiguous vector b is solved in place and returned.
+    """
+    lu, piv = lu_piv
+    x, info = _getrs(lu, piv, b, overwrite_b=overwrite_b)
+    if info < 0:
+        raise ValueError("illegal value in %dth argument of internal getrs"
+                         % -info)
+    return x
 
 
 class NonconvergenceError(RuntimeError):
@@ -273,16 +312,20 @@ def solve(config: SolverConfig) -> RunHistory:
         const = A @ (B0 * U[n - 1] - hist) + ag
         lu_L = lu_factor(B0 * A + K)
 
-        u_s = U[n - 1].copy()
+        u_s = U[n - 1]
         converged = False
         for s in range(config.max_iterations):
-            rhs = kappa * (D @ (u_s ** 3)) + const
+            rhs = D @ (u_s ** 3)
+            rhs *= kappa
+            rhs += const
             if not np.isfinite(rhs).all():
-                # the cubic overflowed: the sweep is diverging, not just slow
+                # the cubic overflowed: the sweep is diverging, not just slow;
+                # this is also the only guard between overflow and LAPACK
                 raise NonconvergenceError(n, float("inf"),
                                           config.max_iterations)
-            u_next = lu_solve(lu_L, rhs)
-            res = float(np.max(np.abs(u_next - u_s)))
+            u_next = lu_solve(lu_L, rhs, overwrite_b=True)
+            diff = u_next - u_s
+            res = float(np.abs(diff, out=diff).max())
             u_s = u_next
             if res <= config.iteration_tol:
                 iterations[n - 1] = s + 1

@@ -12,7 +12,11 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
+from scipy.linalg import lu_factor as scipy_lu_factor
+from scipy.linalg import lu_solve as scipy_lu_solve
 
+from tfch import tfch_solver
 from tfch.caputo_l2 import kernel_row_B
 from tfch.compact_spatial import a_matrix, dxx_matrix, norm_inf, sample
 from tfch.diagnostics import mass
@@ -138,8 +142,13 @@ class TestSolveBasics:
         # cubic sweep blow up; that must surface as the contract error, not
         # as a low-level linear-algebra failure
         cfg = _config(initial=lambda x: x + 1.0)
-        with pytest.raises(NonconvergenceError):
+        with pytest.raises(NonconvergenceError) as exc:
             _solve_quiet(cfg)
+        # the sweep's isfinite(rhs) guard is what turns the overflow into
+        # this error: LAPACK itself is called without a finiteness scan
+        assert exc.value.level == 1
+        assert exc.value.residual == float("inf")
+        assert exc.value.cap == 500
 
     def test_reference_solution_swaps_only_the_mesh(self):
         cfg = _config()
@@ -152,6 +161,104 @@ class TestSolveBasics:
         assert ref.config.alpha == cfg.alpha
         assert ref.config.M == cfg.M
         assert ref.config.source is cfg.source
+
+
+def _phase_separation_config(M=32):
+    # the coarsening benchmark's phase-separation regime in miniature
+    noise = 0.01 * np.random.default_rng(0).uniform(-1.0, 1.0, M + 1)
+
+    def initial(x):
+        return 0.9 * np.sin(np.pi * x) * np.cos(6.0 * np.pi * x) + noise
+
+    return SolverConfig(alpha=0.5, kappa=0.03, epsilon=0.05, M=M,
+                        mesh=build_graded_cubic(40, 0.1), initial=initial)
+
+
+def _scipy_operators(cfg):
+    """A, D and K = kappa D + kappa eps^2 D A^{-1} D, via scipy.linalg."""
+    A = a_matrix(cfg.M)
+    D = dxx_matrix(cfg.M, cfg.h)
+    K = cfg.kappa * D + cfg.kappa * cfg.epsilon ** 2 * (
+        D @ scipy_lu_solve(scipy_lu_factor(A), D))
+    return A, D, K
+
+
+def _scipy_sweep_oracle(cfg):
+    """The step loop of solve on scipy.linalg's lu_factor/lu_solve.
+
+    Homogeneous source only, validators left out. Returns the (N+1, M-1)
+    interior states.
+    """
+    assert cfg.source is None
+    mesh, alpha, kappa, M = cfg.mesh, cfg.alpha, cfg.kappa, cfg.M
+    x_full = np.linspace(cfg.domain[0], cfg.domain[1], M + 1)
+    A, D, K = _scipy_operators(cfg)
+    U = np.empty((mesh.N + 1, M - 1))
+    U[0] = np.asarray(cfg.initial(x_full), dtype=float)[1:-1]
+    dU = np.empty((mesh.N, M - 1))
+    ag = np.zeros(M - 1)  # A g of the zero source
+    for n in range(1, mesh.N + 1):
+        B = kernel_row_B(n, mesh, alpha)
+        B0 = B[n - 1]
+        hist = B[: n - 1] @ dU[: n - 1] if n > 1 else 0.0
+        const = A @ (B0 * U[n - 1] - hist) + ag
+        lu_L = scipy_lu_factor(B0 * A + K)
+        u_s = U[n - 1].copy()
+        for _ in range(cfg.max_iterations):
+            u_next = scipy_lu_solve(lu_L, kappa * (D @ (u_s ** 3)) + const)
+            res = float(np.max(np.abs(u_next - u_s)))
+            u_s = u_next
+            if res <= cfg.iteration_tol:
+                break
+        else:
+            raise AssertionError("oracle sweep did not converge at %d" % n)
+        U[n] = u_s
+        dU[n - 1] = U[n] - U[n - 1]
+    return U
+
+
+class TestLapackStepLoop:
+    """solve factors and solves through LAPACK getrf/getrs directly; the
+    discrete solution must stay bitwise what scipy.linalg's wrappers give."""
+
+    def test_states_bitwise_equal_scipy_sweep_oracle(self):
+        cfg = _phase_separation_config()
+        hist = _solve_quiet(cfg)
+        assert hist.iterations.min() >= 9 and hist.iterations.max() >= 40
+        assert (hist.interior_matrix().tobytes()
+                == _scipy_sweep_oracle(cfg).tobytes())
+
+    @pytest.mark.parametrize("M", [16, 128])
+    def test_wrappers_bitwise_equal_scipy_on_step_matrix(self, M):
+        cfg = _phase_separation_config(M)
+        A, D, K = _scipy_operators(cfg)
+        n = 7
+        L = kernel_row_B(n, cfg.mesh, cfg.alpha)[n - 1] * A + K
+        lu, piv = tfch_solver.lu_factor(L)
+        lu_ref, piv_ref = scipy_lu_factor(L)
+        assert lu.tobytes() == lu_ref.tobytes()
+        assert piv.tobytes() == piv_ref.tobytes()
+
+        b = np.random.default_rng(M).standard_normal(M - 1)
+        x_ref = scipy_lu_solve((lu_ref, piv_ref), b)
+        assert tfch_solver.lu_solve((lu, piv), b).tobytes() == x_ref.tobytes()
+        b_in = b.copy()
+        x = tfch_solver.lu_solve((lu, piv), b_in, overwrite_b=True)
+        assert x is b_in and x.tobytes() == x_ref.tobytes()
+
+        D_before = D.copy()
+        X = tfch_solver.lu_solve((lu, piv), D)
+        assert X.shape == D.shape
+        assert X.tobytes() == scipy_lu_solve((lu_ref, piv_ref), D).tobytes()
+        assert D.tobytes() == D_before.tobytes()
+
+    def test_exactly_singular_matrix_warns(self):
+        a = np.eye(5)
+        a[2] = 0.0
+        with pytest.warns(LinAlgWarning,
+                          match=r"Diagonal number 3 is exactly zero\. "
+                                r"Singular matrix\."):
+            tfch_solver.lu_factor(a)
 
 
 class TestValidators:
