@@ -20,6 +20,7 @@ from .caputo_l2 import (
     kernel_row_B,
     kernel_row_J,
     kernel_row_split,
+    kernel_rows,
     q,
     q2,
     q3,

@@ -18,7 +18,7 @@ from scipy.special import gamma
 from .caputo_l2 import (
     kernel_row,
     kernel_row_B,
-    kernel_row_J,
+    kernel_rows,
     q,
     rho_star,
 )
@@ -93,7 +93,7 @@ def _check_dgs_identity(rng) -> CheckResult:
     for _ in range(25):
         mesh = _random_admissible_mesh(rng, n_max=32)
         alpha = float(rng.uniform(0.05, 0.95))
-        rows = [kernel_row_J(m, mesh, alpha) for m in range(1, mesh.N + 1)]
+        rows = [row.J for row in kernel_rows(mesh, alpha)]
         phis = rng.standard_normal(mesh.N)
         scale = max(1.0, max(float(np.max(np.abs(r))) for r in rows))
         worst = max(worst, dgs_identity_check(rows, 1.0, phis) / scale)
@@ -244,7 +244,7 @@ def _check_positive_definiteness(rng) -> CheckResult:
         mesh = _random_admissible_mesh(rng, n_max=32)
         alpha = float(rng.uniform(0.05, 0.95))
         n = mesh.N
-        rows = [kernel_row_J(m, mesh, alpha) for m in range(1, n + 1)]
+        rows = [row.J for row in kernel_rows(mesh, alpha)]
         phi = rng.standard_normal(n)
         lhs = 2.0 * sum(phi[m - 1] * float(rows[m - 1] @ phi[:m])
                         for m in range(1, n + 1))

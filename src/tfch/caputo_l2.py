@@ -7,11 +7,15 @@ the energy analysis, the step-ratio theory functions q/q2/q3 with the
 admissibility threshold rho_star(alpha), and the discrete fractional
 derivative itself.
 
-kernel_row is the one assembly path: it evaluates (c, d) once per level and
-derives every row of a KernelRow from them; kernel_row_B, kernel_row_split
-and kernel_row_J are views of it. Rows are recomputed per time level: O(n)
-work each, O(N^2) per run, memory-light at desk scale. All operations are
-pure functions.
+kernel_row evaluates (c, d) at one level and derives every row of a
+KernelRow from them; kernel_row_B, kernel_row_split and kernel_row_J are
+views of it. Marching callers take rows in level order from kernel_rows,
+which evaluates the history part of (c, d) for blocks of consecutive levels
+in one elementwise pass, blocks sized by their number of entries, and
+yields rows bitwise equal to kernel_row's. Both share one (c, d) evaluation
+(_cd_history) and one row assembly (_assemble): O(n) work per row, O(N^2)
+per run, with memory bounded by the block size. All operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "kernel_row_split",
     "kernel_row_J",
     "kernel_row",
+    "kernel_rows",
     "apply_caputo",
     "solve_linear_fode",
     "q",
@@ -56,6 +61,12 @@ RHO_BAR = 4.7476114
 # eps <= 0.25, where 34 terms put the tail under 1e-18 relative.
 _SERIES_CUT = 0.25
 _SERIES_TERMS = 34
+
+# History entries per elementwise (c, d) pass in kernel_rows. A pass costs
+# about 32 numpy calls whatever its length, so short rows are batched; 8192
+# entries keep its temporaries near 1 MiB (64-level blocks grew the peak
+# resident set of a 1000-level run by ~5 MiB).
+_BLOCK_ENTRIES = 8192
 
 
 def _check_alpha_open(alpha: float) -> None:
@@ -99,24 +110,25 @@ def coeffs_cd(n: int, mesh: TemporalMesh, alpha: float):
     nodes, steps = mesh.nodes, mesh.steps
     g2 = gamma(2.0 - alpha)
     g3 = gamma(3.0 - alpha)
-    c = np.empty(n)
-    d = np.empty(n)
-    # Most recent interval (k = n): b = 0, so the powers collapse exactly.
-    tau_n = steps[n - 1]
-    c[n - 1] = tau_n ** -alpha / g2
-    d[n - 1] = alpha * tau_n ** -alpha / g3
-    if n == 1:
-        return c, d
+    c, d = _cd_history(nodes[n] - nodes[: n - 1], steps[: n - 1],
+                       alpha, g2, g3)
+    return _cd_row(c, d, steps[n - 1], alpha, g2, g3)
 
-    a = nodes[n] - nodes[: n - 1]
-    tau = steps[: n - 1]
+
+def _cd_history(a, tau, alpha, g2, g3):
+    """(c, d) on history intervals k < n in coeffs_cd's subtraction-free form.
+
+    a = t_n - t_{k-1} and tau = tau_k are flat arrays; every output entry
+    depends on its own (a, tau) pair alone, so the entries of several levels
+    may be laid end to end and evaluated in one pass.
+    """
     eps = tau / a                       # in (0,1) strictly for k < n
     p1 = 1.0 - alpha
     p2 = 2.0 - alpha
     lg = np.log1p(-eps)
-    c[: n - 1] = a ** p1 * -np.expm1(p1 * lg) / (tau * g2)
+    c = a ** p1 * -np.expm1(p1 * lg) / (tau * g2)
 
-    G = np.empty(n - 1)
+    G = np.empty(a.size)
     direct = eps > _SERIES_CUT
     if direct.any():
         u = 1.0 - eps[direct]
@@ -136,8 +148,17 @@ def coeffs_cd(n: int, mesh: TemporalMesh, alpha: float):
             acc += (alpha * s - p2 * (R_next - R)) * ek
             R = R_next
         G[ser] = acc
-    d[: n - 1] = a ** p2 * G / (tau * tau * g3)
+    d = a ** p2 * G / (tau * tau * g3)
     return c, d
+
+
+def _cd_row(c_hist, d_hist, tau_n, alpha, g2, g3):
+    """Level-n (c, d): the history entries, then the most recent interval's.
+
+    On the most recent interval (k = n) b = 0, so the powers collapse exactly.
+    """
+    p = tau_n ** -alpha
+    return np.append(c_hist, p / g2), np.append(d_hist, alpha * p / g3)
 
 
 def theta(alpha: float) -> float:
@@ -181,12 +202,49 @@ class KernelRow:
 
 
 def kernel_row(n: int, mesh: TemporalMesh, alpha: float) -> KernelRow:
-    """Every kernel row at level n from a single (c, d) evaluation.
+    """Every kernel row at level n from a single (c, d) evaluation."""
+    c, d = coeffs_cd(n, mesh, alpha)
+    return _assemble(n, mesh, theta(alpha), c, d)
+
+
+def kernel_rows(mesh: TemporalMesh, alpha: float):
+    """Yield kernel_row(n, mesh, alpha) for n = 1..N in order, bitwise equal.
+
+    The history part of (c, d) is evaluated for a block of consecutive levels
+    in one elementwise pass over their concatenated a = t_n - t_{k-1} and
+    tau_k. A block takes levels while their history entries total at most
+    _BLOCK_ENTRIES, and always at least one level, so the pass's temporaries
+    stay a fixed size whatever N is. All state lives in the generator.
+    """
+    _check_alpha_open(alpha)
+    nodes, steps = mesh.nodes, mesh.steps
+    g2 = gamma(2.0 - alpha)
+    g3 = gamma(3.0 - alpha)
+    th = theta(alpha)
+    N = mesh.N
+    first = 1
+    while first <= N:
+        last, total = first, first - 1
+        while last < N and total + last <= _BLOCK_ENTRIES:
+            last += 1
+            total += last - 1
+        counts = np.arange(first - 1, last)    # n - 1 for n = first..last
+        starts = np.cumsum(counts) - counts
+        k = np.arange(total) - np.repeat(starts, counts)
+        c_hist, d_hist = _cd_history(np.repeat(nodes[first:last + 1], counts)
+                                     - nodes[k], steps[k], alpha, g2, g3)
+        for n, s in zip(range(first, last + 1), starts):
+            c, d = _cd_row(c_hist[s:s + n - 1], d_hist[s:s + n - 1],
+                           steps[n - 1], alpha, g2, g3)
+            yield _assemble(n, mesh, th, c, d)
+        first = last + 1
+
+
+def _assemble(n: int, mesh: TemporalMesh, th: float, c, d) -> KernelRow:
+    """KernelRow at level n from its (c, d) rows and the split weight theta.
 
     Subscript m maps to array index n - 1 - m; rho[k-1] is rho_k.
     """
-    c, d = coeffs_cd(n, mesh, alpha)
-    th = theta(alpha)
     ct = np.empty(n)
     if n == 1:
         ct[0] = (1.0 - th) * c[0]
@@ -259,8 +317,8 @@ def solve_linear_fode(mesh: TemporalMesh, alpha: float, rhs, w0: float = 0.0) ->
     w = np.empty(N + 1)
     w[0] = w0
     dw = np.empty(N)
-    for n in range(1, N + 1):
-        B = kernel_row_B(n, mesh, alpha)
+    for row in kernel_rows(mesh, alpha):
+        n, B = row.level, row.B
         acc = B[: n - 1] @ dw[: n - 1] if n > 1 else 0.0
         dw[n - 1] = (rhs(mesh.nodes[n]) - acc) / B[n - 1]
         w[n] = w[n - 1] + dw[n - 1]

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.special import gamma
 
 from ._fmt import write_csv
-from .caputo_l2 import kernel_row_J
+from .caputo_l2 import kernel_row_J, kernel_rows
 from .compact_spatial import GridFunction, _neg_h_inv, quad_negH
 from .temporal_mesh import TemporalMesh
 
@@ -51,17 +52,20 @@ def free_energy(u: GridFunction, epsilon: float) -> float:
     return float(0.5 * epsilon ** 2 * quad_negH(u) + double_well)
 
 
-def _g_weights(n: int, mesh: TemporalMesh, alpha: float) -> np.ndarray:
-    """Weights w of the level-n history functional sum_j w_j |u^n - u^j|^2.
+def _g_weights(J: np.ndarray, mesh: TemporalMesh,
+               alpha: float) -> np.ndarray:
+    """Weights w of the level-n history functional sum_j w_j |u^n - u^j|^2,
+    from the level-n J row (n = len(J)).
 
     In interval order, w_0 = J_0/2 and w_j = (J_j - J_{j-1})/2 for j >= 1,
     plus the leading weight at j = n-1. rho_{N+1} is taken as 1: the
     functional at the final level is evaluated as if one more equal step
     followed.
     """
+    n = len(J)
     rho_next = mesh.ratios[n] if n < mesh.N else 1.0
     tau_n = mesh.steps[n - 1]
-    w = 0.5 * np.diff(kernel_row_J(n, mesh, alpha), prepend=0.0)
+    w = 0.5 * np.diff(J, prepend=0.0)
     w[n - 1] += alpha * rho_next ** (2.0 - 0.5 * alpha) \
         / (2.0 * (1.0 + rho_next) * tau_n ** alpha * gamma(3.0 - alpha))
     return w
@@ -81,7 +85,8 @@ def G_functional(history, mesh: TemporalMesh, alpha: float):
     n = len(W) - 1
     if n < 1:
         raise ValueError("history must contain at least two levels")
-    out = np.tensordot(_g_weights(n, mesh, alpha), (W[n] - W[:n]) ** 2, axes=1)
+    out = np.tensordot(_g_weights(kernel_row_J(n, mesh, alpha), mesh, alpha),
+                       (W[n] - W[:n]) ** 2, axes=1)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -131,11 +136,13 @@ def energy_series(history) -> EnergySeries:
 
     modified = np.empty(N + 1)
     modified[0] = np.nan
-    for n in range(1, N + 1):
+    for row in kernel_rows(mesh, cfg.alpha):
+        n = row.level
         X = S[n] - S[:n]                       # row j holds u^n - u^j
         Q = h * np.einsum("ij,ij->i", X, Z[n] - Z[:n])
         Q[Q < 0.0] = 0.0
-        modified[n] = free[n] + _g_weights(n, mesh, cfg.alpha) @ Q / cfg.kappa
+        w = _g_weights(row.J, mesh, cfg.alpha)
+        modified[n] = free[n] + w @ Q / cfg.kappa
     return EnergySeries(
         levels=np.arange(N + 1),
         times=mesh.nodes.copy(),
@@ -267,8 +274,8 @@ def kernel_property_check(mesh: TemporalMesh, alpha: float,
             margins[kind] = min(margins[kind], float(diffs.min()) / scale)
 
     prev = None
-    for n in range(1, n_max + 1):
-        J = kernel_row_J(n, mesh, alpha)
+    for row in islice(kernel_rows(mesh, alpha), n_max):
+        n, J = row.level, row.J
         scale = float(np.max(np.abs(J)))
         if n >= 2:
             _tally("mono", np.diff(J), scale)

@@ -39,7 +39,8 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs
 from scipy.special import gamma
 
-from .caputo_l2 import kernel_row_B, q
+# kernel_row_B is unused here but stays importable: bench/spans.py wraps it.
+from .caputo_l2 import kernel_row_B, kernel_rows, q  # noqa: F401
 from .compact_spatial import GridFunction, a_matrix, dxx_matrix
 from .temporal_mesh import TemporalMesh, build_graded_cubic, validate_ratio_bound
 
@@ -303,8 +304,8 @@ def solve(config: SolverConfig) -> RunHistory:
     violations = {"first_step": [], "solvability": [], "energy": [],
                   "lipschitz": []}
 
-    for n in range(1, N + 1):
-        B = kernel_row_B(n, mesh, alpha)
+    for row in kernel_rows(mesh, alpha):
+        n, B = row.level, row.B
         B0 = B[n - 1]
         hist = B[: n - 1] @ dU[: n - 1] if n > 1 else 0.0
         g_full = _source_values(config, x_full, mesh.nodes[n])

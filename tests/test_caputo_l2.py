@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tfch import caputo_l2
 from tfch.caputo_l2 import (
     RHO_BAR,
     apply_caputo,
@@ -21,6 +22,7 @@ from tfch.caputo_l2 import (
     kernel_row,
     kernel_row_B,
     kernel_row_split,
+    kernel_rows,
     q,
     q2,
     q3,
@@ -237,6 +239,39 @@ def test_kernel_row_bundle_is_consistent(mixed_ratio_mesh, n):
     assert (row.J[: n - 1] == row.c_tilde[: n - 1]).all()
     assert row.theta == th
     assert row.level == n
+
+
+def _random_ratio_mesh(N, seed=3):
+    rng = np.random.default_rng(seed)
+    steps = 1e-3 * np.cumprod(np.concatenate(([1.0],
+                                              rng.uniform(0.3, 4.7, N - 1))))
+    return build_custom(steps)
+
+
+_STREAM_MESHES = {
+    # 44 850 history entries: several blocks of the 8192-entry budget
+    "graded-300": lambda: build_graded_cubic(300, 1.0),
+    "uniform-100": lambda: build_uniform(100, 1.0),
+    "random-ratio-80": lambda: _random_ratio_mesh(80),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.82265, 0.99])
+@pytest.mark.parametrize("mesh_name", sorted(_STREAM_MESHES))
+def test_kernel_rows_bitwise_equal_kernel_row(mesh_name, alpha, budget,
+                                              assert_stream_bitwise,
+                                              monkeypatch):
+    """The blocked stream reproduces the per-level rows exactly; budget 1
+    makes every block a single level (levels 1 and 2 share the first)."""
+    if budget is not None:
+        monkeypatch.setattr(caputo_l2, "_BLOCK_ENTRIES", budget)
+    assert_stream_bitwise(_STREAM_MESHES[mesh_name](), alpha)
+
+
+def test_kernel_rows_validates_alpha(graded_24):
+    with pytest.raises(ValueError):
+        next(kernel_rows(graded_24, 1.0))
 
 
 def test_first_level_row_collapses_to_single_kernel():

@@ -17,10 +17,15 @@ from scipy.linalg import lu_factor as scipy_lu_factor
 from scipy.linalg import lu_solve as scipy_lu_solve
 
 from tfch import tfch_solver
-from tfch.caputo_l2 import kernel_row_B
+from tfch.caputo_l2 import kernel_row_B, rho_star
 from tfch.compact_spatial import a_matrix, dxx_matrix, norm_inf, sample
-from tfch.diagnostics import mass
-from tfch.temporal_mesh import build_graded_cubic, build_uniform
+from tfch.diagnostics import energy_series, mass
+from tfch.temporal_mesh import (
+    build_custom,
+    build_graded_cubic,
+    build_uniform,
+    validate_ratio_bound,
+)
 from tfch.tfch_solver import (
     NonconvergenceError,
     RunHistory,
@@ -278,7 +283,6 @@ class TestValidators:
 
     def test_out_of_theory_mesh_warns_about_ratio_bound(self):
         # one 20x step jump: far beyond any admissible ratio
-        from tfch.temporal_mesh import build_custom
         mesh = build_custom(np.array([0.01, 0.2, 0.2, 0.2]))
         cfg = _config(mesh=mesh)
         with warnings.catch_warnings(record=True) as rec:
@@ -292,6 +296,33 @@ class TestValidators:
         hist = _solve_quiet(cfg)
         assert 0.0 < hist.lipschitz_constant <= 2.0
         assert hist.lipschitz_limit > 0.0
+
+
+class TestRelaxedRatioBand:
+    """Runs whose step ratios lie in the band (4.660, rho_star(alpha)] that
+    the relaxed threshold admits beyond Liao et al.'s older bound."""
+
+    @staticmethod
+    def _jump_mesh(alpha):
+        # 40 equal steps, then a jump by 0.999 rho_star, four times over
+        ratio = 0.999 * rho_star(alpha)
+        steps = np.repeat(ratio ** np.arange(5), 40)
+        return build_custom(0.1 * steps / steps.sum())
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.82265])
+    def test_modified_energy_dissipates(self, alpha, assert_stream_bitwise):
+        mesh = self._jump_mesh(alpha)
+        assert validate_ratio_bound(mesh, alpha).ok
+        assert mesh.ratios.max() > 4.660
+        cfg = SolverConfig(alpha=alpha, kappa=0.01, epsilon=0.1, mesh=mesh,
+                           M=64, initial=quartic_bump)
+        hist = _solve_quiet(cfg)
+        assert hist.violations["energy"] == ()
+        em = energy_series(hist).modified_energy
+        # criterion 3's allowance, unchanged
+        gaps = em[2:] - em[1:-1] - 1e-12 * np.maximum(1.0, np.abs(em[1:-1]))
+        assert gaps.max() <= 0.0
+        assert_stream_bitwise(mesh, alpha)
 
 
 class TestStepBounds:
