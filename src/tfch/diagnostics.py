@@ -2,10 +2,14 @@
 
 The discrete free energy uses the compact negative Laplacian for its gradient
 part; the modified energy augments it with a weighted history of negative-order
-norms of increments, built from the auxiliary J kernels. Those norms come from
-one banded solve of (-H)^{-1} against all the states at once. The dissipation
-estimate states exactly that the modified energy never increases, so these
-routines are both the experiment observables and the acceptance instruments.
+norms of increments, built from the auxiliary J kernels. (-H)^{-1} is
+symmetric positive definite, so energy_series factors it once as R^T R and
+reads each negative-order norm as the Euclidean norm of a difference of the
+factored states w^j = R u^j. Such a norm is nonnegative by construction, so
+none is clamped. The same factor gives the gradient part of every free
+energy, |R^{-T} u|^2. The dissipation estimate states exactly that the
+modified energy never increases, so these routines are both the experiment
+observables and the acceptance instruments.
 """
 
 from __future__ import annotations
@@ -65,7 +69,9 @@ def _g_weights(J: np.ndarray, mesh: TemporalMesh,
     n = len(J)
     rho_next = mesh.ratios[n] if n < mesh.N else 1.0
     tau_n = mesh.steps[n - 1]
-    w = 0.5 * np.diff(J, prepend=0.0)
+    w = J.copy()
+    w[1:] -= J[:-1]
+    w *= 0.5
     w[n - 1] += alpha * rho_next ** (2.0 - 0.5 * alpha) \
         / (2.0 * (1.0 + rho_next) * tau_n ** alpha * gamma(3.0 - alpha))
     return w
@@ -116,31 +122,67 @@ class EnergySeries:
     mass: np.ndarray
 
 
+def _norm_factors(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper triangular R with R^T R = P, and F = R^{-T}, for P symmetric
+    positive definite.
+
+    Row k of R is the Cholesky row, and row k of F follows from
+    R^T F = I by forward substitution. Both are numpy loops, not LAPACK
+    potrf/trsm: OpenBLAS's threaded versions of those change the last bits
+    of R with the BLAS thread count.
+    """
+    m = len(P)
+    R = np.zeros_like(P)
+    F = np.zeros_like(P)
+    for k in range(m):
+        col = R[:k, k]
+        r = P[k, k:] - np.einsum("i,ij->j", col, R[:k, k:])
+        R[k, k:] = r / np.sqrt(r[0])
+        F[k, :k] = np.einsum("i,ij->j", col, F[:k, :k]) / -R[k, k]
+        F[k, k] = 1.0 / R[k, k]
+    return R, F
+
+
 def energy_series(history) -> EnergySeries:
     """Free energy, modified energy, and mass at every level of a run.
 
-    (-H)^{-1} is linear, so (-H)^{-1} (u^n - u^j) = z^n - z^j with
-    z^j = (-H)^{-1} u^j: one banded multi-right-hand-side solve gives every
-    z^j, and each level's negative-order norms are row sums, O(N^2 M) in all.
+    (-H)^{-1} = R^T R with R upper triangular, so the negative-order norm
+    (v, (-H)^{-1} v) is h |R v|^2. With w^j = R u^j, level n needs
+    h |w^n - w^j|^2 for j < n: one difference per level, written into one
+    reused buffer, then a row sum of squares, O(N^2 M) in all. The
+    difference is taken before squaring, so the norms keep their accuracy
+    (no |w^n|^2 - 2 w^n.w^j + |w^j|^2 cancellation) and are nonnegative
+    by construction. The gradient part of each free energy is
+    (-H u, u) = h |F u|^2 with F = R^{-T}, so free energies agree with
+    free_energy to rounding.
     """
     cfg = history.config
     mesh = cfg.mesh
     N = mesh.N
-    S = history.interior_matrix()
     h = cfg.h
-    # states as columns, zero boundary rows added back
-    Z = _neg_h_inv(np.pad(S.T, ((1, 1), (0, 0))), h).T
+    m = cfg.M - 1
+    # (-H)^{-1} column by column, through the one compact-operator path
+    R, F = _norm_factors(_neg_h_inv(np.pad(np.eye(m), ((1, 1), (0, 0))), h))
 
-    free = np.array([free_energy(u, cfg.epsilon) for u in history.states])
     masses = np.array([mass(u) for u in history.states])
+    S = history.interior_matrix()
+    work = np.empty_like(S)
+    np.einsum("jk,ik->ji", S, F, out=work)        # row j holds F u^j
+    gradient = np.einsum("ij,ij->i", work, work)
+    np.multiply(S, S, out=work)
+    work -= 1.0
+    np.square(work, out=work)
+    free = 0.5 * cfg.epsilon ** 2 * (h * gradient) \
+        + 0.25 * h * work.sum(axis=1)
 
+    W = np.einsum("jk,ik->ji", S, R, out=work)    # row j holds w^j = R u^j
+    buf = S                                       # the states are read no more
     modified = np.empty(N + 1)
     modified[0] = np.nan
     for row in kernel_rows(mesh, cfg.alpha):
         n = row.level
-        X = S[n] - S[:n]                       # row j holds u^n - u^j
-        Q = h * np.einsum("ij,ij->i", X, Z[n] - Z[:n])
-        Q[Q < 0.0] = 0.0
+        X = np.subtract(W[:n], W[n], out=buf[:n])   # row j holds w^j - w^n
+        Q = h * np.einsum("ij,ij->i", X, X)
         w = _g_weights(row.J, mesh, cfg.alpha)
         modified[n] = free[n] + w @ Q / cfg.kappa
     return EnergySeries(

@@ -223,7 +223,9 @@ def first_step_bound(alpha: float, kappa: float, epsilon: float) -> float:
 
 def solvability_step_bound(alpha: float, kappa: float, h: float, rho: float) -> float:
     """Sufficient tau_n for fixed-point contraction:
-    tau_n <= ((2-alpha+2 rho) h^2 / (12 kappa (1+rho) Gamma(3-alpha)))^{1/alpha}."""
+    tau_n <= ((2-alpha+2 rho) h^2 / (12 kappa (1+rho) Gamma(3-alpha)))^{1/alpha}.
+
+    An array of ratios gives the array of bounds."""
     return ((2.0 - alpha + 2.0 * rho) * h * h
             / (12.0 * kappa * (1.0 + rho) * gamma(3.0 - alpha))) ** (1.0 / alpha)
 
@@ -240,6 +242,12 @@ def energy_step_bound(alpha: float, kappa: float, epsilon: float,
     if margin <= 0.0:
         raise ValueError("ratio margin q(%g, %g, %g) = %g is not positive"
                          % (rho, rho_next, alpha, margin))
+    return _energy_bound(alpha, kappa, epsilon, margin)
+
+
+def _energy_bound(alpha: float, kappa: float, epsilon: float, margin):
+    """energy_step_bound from a positive ratio margin q, or elementwise from
+    an array of margins (nan where a margin is nan)."""
     return (4.0 * epsilon ** 2 * margin
             / (kappa * gamma(3.0 - alpha))) ** (1.0 / alpha)
 
@@ -261,6 +269,38 @@ def _source_values(config: SolverConfig, x_full: np.ndarray, t: float) -> np.nda
         return manufactured_source(x_full, t, config.alpha, config.kappa,
                                    config.epsilon)
     return np.asarray(config.source(x_full, t), dtype=float)
+
+
+def _levels(over: np.ndarray, first: int) -> list:
+    """Levels where over is true, over[0] standing for level first."""
+    return [int(n) for n in np.nonzero(over)[0] + first]
+
+
+def _step_violations(config: SolverConfig) -> dict:
+    """Levels breaching the first-step, solvability and energy bounds.
+
+    The bounds depend only on the mesh and the parameters, so every level's
+    bound is evaluated at once, before the march. The energy bound at level n
+    uses rho_{n+1}, taken as 1 at n = N; where the ratio margin
+    q(rho_n, rho_{n+1}) is not positive no step satisfies it, and the level
+    counts as a violation.
+    """
+    mesh = config.mesh
+    alpha, kappa, eps = config.alpha, config.kappa, config.epsilon
+    slack = 1.0 + _BOUND_SLACK
+    steps = mesh.steps[1:]                       # tau_n, n = 2..N
+    rho = mesh.ratios[1:]
+    margin = q(rho, np.append(mesh.ratios[2:], 1.0), alpha)
+    positive = margin > 0.0
+    energy = _energy_bound(alpha, kappa, eps,
+                           np.where(positive, margin, np.nan))
+    solvability = solvability_step_bound(alpha, kappa, config.h, rho)
+    return {
+        "first_step": _levels(
+            mesh.steps[:1] > first_step_bound(alpha, kappa, eps) * slack, 1),
+        "solvability": _levels(steps > solvability * slack, 2),
+        "energy": _levels(~positive | (steps > energy * slack), 2),
+    }
 
 
 def solve(config: SolverConfig) -> RunHistory:
@@ -301,8 +341,7 @@ def solve(config: SolverConfig) -> RunHistory:
     dU = np.empty((N, m))
     iterations = np.zeros(N, dtype=int)
     residuals = np.zeros(N)
-    violations = {"first_step": [], "solvability": [], "energy": [],
-                  "lipschitz": []}
+    violations = _step_violations(config)
 
     for row in kernel_rows(mesh, alpha):
         n, B = row.level, row.B
@@ -338,29 +377,10 @@ def solve(config: SolverConfig) -> RunHistory:
         U[n] = u_s
         dU[n - 1] = U[n] - U[n - 1]
 
-        tau_n = mesh.steps[n - 1]
-        if n == 1:
-            if tau_n > first_step_bound(alpha, kappa, eps) * (1.0 + _BOUND_SLACK):
-                violations["first_step"].append(n)
-        else:
-            rho_n = mesh.ratios[n - 1]
-            sb = solvability_step_bound(alpha, kappa, h, rho_n)
-            if tau_n > sb * (1.0 + _BOUND_SLACK):
-                violations["solvability"].append(n)
-            rho_next = mesh.ratios[n] if n < N else 1.0
-            try:
-                eb = energy_step_bound(alpha, kappa, eps, rho_n, rho_next)
-            except ValueError:
-                violations["energy"].append(n)
-            else:
-                if tau_n > eb * (1.0 + _BOUND_SLACK):
-                    violations["energy"].append(n)
-
     lip = float(np.max(np.abs(3.0 * U ** 2 - 1.0)))
     lip_limit = lipschitz_step_bound(alpha, kappa, eps, lip)
-    for n in range(1, N + 1):
-        if mesh.steps[n - 1] > lip_limit * (1.0 + _BOUND_SLACK):
-            violations["lipschitz"].append(n)
+    violations["lipschitz"] = _levels(
+        mesh.steps > lip_limit * (1.0 + _BOUND_SLACK), 1)
 
     for kind, levels in violations.items():
         if levels:

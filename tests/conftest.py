@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from tfch.caputo_l2 import KernelRow, kernel_row, kernel_rows
+from tfch.caputo_l2 import KernelRow, kernel_row, kernel_rows, rho_star
 from tfch.temporal_mesh import build_custom, build_graded_cubic
 
 
@@ -44,3 +44,15 @@ def assert_stream_bitwise():
             levels.append(row.level)
         assert levels == list(range(1, mesh.N + 1))
     return check
+
+
+@pytest.fixture(scope="session")
+def band_jump_steps():
+    """Step sizes of a mesh in the relaxed ratio band (4.660, rho_star]:
+    40 equal steps, then a jump by 0.999 rho_star(alpha), four times over,
+    scaled to T = 0.1 (N = 200)."""
+    def steps(alpha):
+        ratio = 0.999 * rho_star(alpha)
+        s = np.repeat(ratio ** np.arange(5), 40)
+        return 0.1 * s / s.sum()
+    return steps

@@ -202,6 +202,32 @@ class TestTfchRun:
                      "--out", str(tmp_path)]) == 1
 
 
+class TestRelaxedRatioBand:
+    """tfch-run on a mesh file whose ratios reach into the band
+    (4.660, rho_star(alpha)] that the relaxed threshold admits."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.82265])
+    def test_modified_energy_dissipates(self, tmp_path, alpha,
+                                        band_jump_steps):
+        steps = band_jump_steps(alpha)
+        assert (steps[1:] / steps[:-1]).max() > 4.660
+        mesh_file = tmp_path / "steps.txt"
+        mesh_file.write_text("".join("%.17g\n" % s for s in steps))
+        rc = _run(["tfch-run", "--mesh", str(mesh_file), "--M", "64",
+                   "--kappa", "0.01", "--epsilon", "0.1",
+                   "--alpha", repr(alpha), "--out", str(tmp_path)])
+        assert rc == 0
+        validators = _read(tmp_path / "validators.csv").strip().split("\n")
+        assert "energy,0," in validators
+        rows = [line.split(",")
+                for line in _read(tmp_path / "energy.csv").split()[1:]]
+        assert len(rows) == steps.size + 1
+        em = np.array([float(r[3]) for r in rows[1:]])
+        # criterion 3's allowance, unchanged
+        gaps = em[1:] - em[:-1] - 1e-12 * np.maximum(1.0, np.abs(em[:-1]))
+        assert gaps.max() <= 0.0
+
+
 class TestTfchConvergence:
     def test_reference_must_be_finer(self, tmp_path):
         assert _run(["tfch-convergence", "--alphas", "0.5", "--Ns", "6,8",

@@ -8,6 +8,11 @@ reproduces the continuum energy of the bump to 1e-12.
 
 import dataclasses
 import io
+import os
+import pickle
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +36,7 @@ from tfch.diagnostics import (
     write_mass_csv,
 )
 from tfch.temporal_mesh import build_custom, build_graded_cubic
-from tfch.tfch_solver import SolverConfig, quartic_bump, solve
+from tfch.tfch_solver import RunHistory, SolverConfig, quartic_bump, solve
 
 # continuum E[u] = (eps^2/2) int u_x^2 + (1/4) int (u^2-1)^2 for the quartic
 # bump at eps = 0.1, quadrature at 30 digits
@@ -45,6 +50,39 @@ def _small_run(alpha=0.4, N=12, M=12):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return solve(cfg)
+
+
+def _random_history(config, seed):
+    """A RunHistory of uniform random states in [-1, 1] on config's grid,
+    one per level of its mesh, without a solve."""
+    rng = np.random.default_rng(seed)
+    N = config.mesh.N
+    states = tuple(
+        GridFunction(values=np.pad(rng.uniform(-1.0, 1.0, config.M - 1), 1),
+                     h=config.h)
+        for _ in range(N + 1))
+    return RunHistory(config=config, states=states,
+                      iterations=np.zeros(N, dtype=int), residuals=np.zeros(N),
+                      violations={}, lipschitz_constant=0.0,
+                      lipschitz_limit=0.0)
+
+
+def _graded_config(N, M):
+    return SolverConfig(alpha=0.5, kappa=0.01, epsilon=0.1,
+                        mesh=build_graded_cubic(N, 1.0), M=M,
+                        initial=quartic_bump)
+
+
+# Runs in a child process: energy_series of a pickled history, saved as npz.
+_SERIES_PROBE = """
+import pickle, sys
+import numpy as np
+from tfch.diagnostics import energy_series
+with open(sys.argv[1], "rb") as f:
+    series = energy_series(pickle.load(f))
+np.savez(sys.argv[2], free_energy=series.free_energy,
+         modified_energy=series.modified_energy, mass=series.mass)
+"""
 
 
 class TestMassAndEnergy:
@@ -171,6 +209,61 @@ class TestModifiedEnergy:
                     + history_term / cfg.kappa
                 assert series.modified_energy[n] == pytest.approx(
                     expected, rel=1e-13)
+
+
+    def test_free_energies_and_masses_match_per_state_functions(self):
+        hist = _small_run(alpha=0.5, N=24, M=16)
+        # the random states are the oracle test's above
+        for run in (_small_run(), hist, _random_history(hist.config, 7)):
+            series = energy_series(run)
+            eps = run.config.epsilon
+            for n, u in enumerate(run.states):
+                assert series.free_energy[n] == pytest.approx(
+                    free_energy(u, eps), rel=1e-13)
+                assert series.mass[n].tobytes() == \
+                    np.float64(mass(u)).tobytes()
+
+    def test_peak_memory_stays_within_four_state_arrays(self):
+        # N >> M, so arrays the size of the N+1 states dominate; the kernel
+        # row stream's block workspace (about 1 MiB whatever N and M are)
+        # would swamp the bound on a much smaller history
+        N, M = 1000, 100
+        hist = _random_history(_graded_config(N, M), 3)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            energy_series(hist)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        doubles = 4 * (N + 1) * (M - 1) + 4 * (M - 1) ** 2
+        assert peak <= 8 * doubles
+
+    def test_bitwise_equal_across_blas_thread_counts(self, tmp_path):
+        hist = _random_history(_graded_config(200, 200), 5)
+        path = tmp_path / "history.pkl"
+        with open(path, "wb") as f:
+            pickle.dump(hist, f)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules[energy_series.__module__].__file__)))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p))
+            out = tmp_path / ("series-%s.npz" % threads)
+            subprocess.run([sys.executable, "-c", _SERIES_PROBE, str(path),
+                            str(out)], env=env, check=True, timeout=300)
+            with np.load(out) as data:
+                runs.append({k: data[k] for k in data.files})
+        assert sorted(runs[0]) == ["free_energy", "mass", "modified_energy"]
+        for name, values in runs[0].items():
+            assert values.tobytes() == runs[1][name].tobytes(), name
 
 
 class TestSummationByParts:

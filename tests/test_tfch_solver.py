@@ -17,7 +17,7 @@ from scipy.linalg import lu_factor as scipy_lu_factor
 from scipy.linalg import lu_solve as scipy_lu_solve
 
 from tfch import tfch_solver
-from tfch.caputo_l2 import kernel_row_B, rho_star
+from tfch.caputo_l2 import kernel_row_B
 from tfch.compact_spatial import a_matrix, dxx_matrix, norm_inf, sample
 from tfch.diagnostics import energy_series, mass
 from tfch.temporal_mesh import (
@@ -290,6 +290,59 @@ class TestValidators:
             solve(cfg)
         assert any("ratio bound" in str(w.message) for w in rec)
 
+    @staticmethod
+    def _scalar_violations(hist):
+        # the validators level by level through the public scalar bounds
+        cfg, mesh = hist.config, hist.mesh
+        alpha, kappa, eps = cfg.alpha, cfg.kappa, cfg.epsilon
+        slack = 1.0 + tfch_solver._BOUND_SLACK
+        out = {"first_step": [], "solvability": [], "energy": [],
+               "lipschitz": []}
+        for n in range(1, mesh.N + 1):
+            tau = mesh.steps[n - 1]
+            if tau > hist.lipschitz_limit * slack:
+                out["lipschitz"].append(n)
+            if n == 1:
+                if tau > first_step_bound(alpha, kappa, eps) * slack:
+                    out["first_step"].append(n)
+                continue
+            rho = mesh.ratios[n - 1]
+            if tau > solvability_step_bound(alpha, kappa, cfg.h, rho) * slack:
+                out["solvability"].append(n)
+            rho_next = mesh.ratios[n] if n < mesh.N else 1.0
+            try:
+                bound = energy_step_bound(alpha, kappa, eps, rho, rho_next)
+            except ValueError:
+                out["energy"].append(n)
+            else:
+                if tau > bound * slack:
+                    out["energy"].append(n)
+        return {kind: tuple(levels) for kind, levels in out.items()}
+
+    def test_violations_match_per_level_scalar_bounds(self):
+        steps = np.cumprod(np.random.default_rng(11).uniform(0.3, 6.0, 30))
+        cases = [
+            _config(mesh=build_graded_cubic(40, 1.0), M=16),
+            # a 20x jump: the energy margin q is not positive there
+            _config(mesh=build_custom(np.array([0.01, 0.2, 0.2, 0.2]))),
+            # random ratios below 1 and beyond rho_star
+            _config(mesh=build_custom(0.01 * steps / steps.sum()),
+                    kappa=1.0, epsilon=0.05),
+            _config(mesh=build_custom(np.array([0.3, 0.1, 0.1])),
+                    kappa=1.0, epsilon=0.05),
+            _config(mesh=build_custom(np.array([0.3]))),
+        ]
+        seen = set()
+        for cfg in cases:
+            hist = _solve_quiet(cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = self._scalar_violations(hist)
+            assert hist.violations == expected
+            seen.update(kind for kind, levels in hist.violations.items()
+                        if levels)
+        assert seen == {"first_step", "solvability", "energy", "lipschitz"}
+
     def test_lipschitz_summary_fields(self):
         # amplitudes stay far below 1 here, so |f'| tops out just under 1
         cfg = _config()
@@ -302,16 +355,10 @@ class TestRelaxedRatioBand:
     """Runs whose step ratios lie in the band (4.660, rho_star(alpha)] that
     the relaxed threshold admits beyond Liao et al.'s older bound."""
 
-    @staticmethod
-    def _jump_mesh(alpha):
-        # 40 equal steps, then a jump by 0.999 rho_star, four times over
-        ratio = 0.999 * rho_star(alpha)
-        steps = np.repeat(ratio ** np.arange(5), 40)
-        return build_custom(0.1 * steps / steps.sum())
-
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.82265])
-    def test_modified_energy_dissipates(self, alpha, assert_stream_bitwise):
-        mesh = self._jump_mesh(alpha)
+    def test_modified_energy_dissipates(self, alpha, assert_stream_bitwise,
+                                        band_jump_steps):
+        mesh = build_custom(band_jump_steps(alpha))
         assert validate_ratio_bound(mesh, alpha).ok
         assert mesh.ratios.max() > 4.660
         cfg = SolverConfig(alpha=alpha, kappa=0.01, epsilon=0.1, mesh=mesh,
