@@ -21,8 +21,10 @@ The factorization and the per-sweep triangular solves call LAPACK getrf and
 getrs directly (lu_factor and lu_solve below). A sweep's solve is a few
 microseconds of LAPACK work on a small dense factor, so scipy.linalg's
 wrappers, with their finiteness scans, shape checks and batching dispatch,
-would cost more than the solve itself; the sweep screens every right-hand
-side with its own isfinite guard before it reaches LAPACK.
+would cost more than the solve itself. No right-hand side is screened before
+LAPACK: a non-finite one (an overflowing cubic, a NaN source) comes back as a
+non-finite increment, and the sweep's residual test turns that into
+NonconvergenceError at the same level.
 
 Step-size validators (fixed-point solvability, energy dissipation, first
 step, post-run Lipschitz) are evaluated and reported as warnings; they never
@@ -31,6 +33,7 @@ abort a run.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -328,6 +331,7 @@ def solve(config: SolverConfig) -> RunHistory:
     D = dxx_matrix(M, h)
     lu_A = lu_factor(A)
     K = kappa * D + kappa * eps ** 2 * (D @ lu_solve(lu_A, D))
+    D *= kappa  # only the sweep's kappa D u^3 term uses D from here on
 
     u0 = np.asarray(config.initial(x_full), dtype=float)
     if u0.shape != x_full.shape:
@@ -342,6 +346,9 @@ def solve(config: SolverConfig) -> RunHistory:
     iterations = np.zeros(N, dtype=int)
     residuals = np.zeros(N)
     violations = _step_violations(config)
+    L = np.empty((m, m))
+    cube = np.empty(m)
+    diff = np.empty(m)
 
     for row in kernel_rows(mesh, alpha):
         n, B = row.level, row.B
@@ -350,21 +357,19 @@ def solve(config: SolverConfig) -> RunHistory:
         g_full = _source_values(config, x_full, mesh.nodes[n])
         ag = (g_full[:-2] + 10.0 * g_full[1:-1] + g_full[2:]) / 12.0
         const = A @ (B0 * U[n - 1] - hist) + ag
-        lu_L = lu_factor(B0 * A + K)
+        np.multiply(A, B0, out=L)
+        L += K
+        lu_L = lu_factor(L)
 
         u_s = U[n - 1]
         converged = False
         for s in range(config.max_iterations):
-            rhs = D @ (u_s ** 3)
-            rhs *= kappa
+            np.multiply(u_s, u_s, out=cube)
+            cube *= u_s
+            rhs = D @ cube
             rhs += const
-            if not np.isfinite(rhs).all():
-                # the cubic overflowed: the sweep is diverging, not just slow;
-                # this is also the only guard between overflow and LAPACK
-                raise NonconvergenceError(n, float("inf"),
-                                          config.max_iterations)
             u_next = lu_solve(lu_L, rhs, overwrite_b=True)
-            diff = u_next - u_s
+            np.subtract(u_next, u_s, out=diff)
             res = float(np.abs(diff, out=diff).max())
             u_s = u_next
             if res <= config.iteration_tol:
@@ -372,6 +377,10 @@ def solve(config: SolverConfig) -> RunHistory:
                 residuals[n - 1] = res
                 converged = True
                 break
+            if not res < math.inf:
+                # NaN or inf: the cubic overflowed or the data is not finite;
+                # getrs passed it through to the increment
+                raise NonconvergenceError(n, math.inf, config.max_iterations)
         if not converged:
             raise NonconvergenceError(n, res, config.max_iterations)
         U[n] = u_s

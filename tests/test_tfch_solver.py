@@ -17,6 +17,7 @@ from scipy.linalg import lu_factor as scipy_lu_factor
 from scipy.linalg import lu_solve as scipy_lu_solve
 
 from tfch import tfch_solver
+from tfch._longdouble import longdouble_sweep
 from tfch.caputo_l2 import kernel_row_B
 from tfch.compact_spatial import a_matrix, dxx_matrix, norm_inf, sample
 from tfch.diagnostics import energy_series, mass
@@ -149,9 +150,24 @@ class TestSolveBasics:
         cfg = _config(initial=lambda x: x + 1.0)
         with pytest.raises(NonconvergenceError) as exc:
             _solve_quiet(cfg)
-        # the sweep's isfinite(rhs) guard is what turns the overflow into
-        # this error: LAPACK itself is called without a finiteness scan
+        # the overflow passes through getrs into the increment; the sweep's
+        # residual test, not a scan of each right-hand side, reports it
         assert exc.value.level == 1
+        assert exc.value.residual == float("inf")
+        assert exc.value.cap == 500
+
+    def test_nan_source_raises_at_its_first_level(self):
+        # a NaN right-hand side reaches getrs unscreened, like an overflow;
+        # the residual test must catch NaN as well as inf
+        cfg = _config()
+        k = 3
+
+        def source(x, t):
+            return np.full_like(x, np.nan if t >= cfg.mesh.nodes[k] else 0.0)
+
+        with pytest.raises(NonconvergenceError) as exc:
+            _solve_quiet(_config(source=source))
+        assert exc.value.level == k
         assert exc.value.residual == float("inf")
         assert exc.value.cap == 500
 
@@ -188,16 +204,19 @@ def _scipy_operators(cfg):
     return A, D, K
 
 
-def _scipy_sweep_oracle(cfg):
+def _scipy_sweep_oracle(cfg, legacy_rhs=False):
     """The step loop of solve on scipy.linalg's lu_factor/lu_solve.
 
-    Homogeneous source only, validators left out. Returns the (N+1, M-1)
-    interior states.
+    The right-hand side is solve's, (kappa D) @ (u u u) + const; with
+    legacy_rhs it is kappa * (D @ u**3) + const, the unfolded form, which
+    rounds differently. Homogeneous source only, validators left out. Returns the
+    (N+1, M-1) interior states.
     """
     assert cfg.source is None
     mesh, alpha, kappa, M = cfg.mesh, cfg.alpha, cfg.kappa, cfg.M
     x_full = np.linspace(cfg.domain[0], cfg.domain[1], M + 1)
     A, D, K = _scipy_operators(cfg)
+    kD = kappa * D
     U = np.empty((mesh.N + 1, M - 1))
     U[0] = np.asarray(cfg.initial(x_full), dtype=float)[1:-1]
     dU = np.empty((mesh.N, M - 1))
@@ -210,7 +229,11 @@ def _scipy_sweep_oracle(cfg):
         lu_L = scipy_lu_factor(B0 * A + K)
         u_s = U[n - 1].copy()
         for _ in range(cfg.max_iterations):
-            u_next = scipy_lu_solve(lu_L, kappa * (D @ (u_s ** 3)) + const)
+            if legacy_rhs:
+                rhs = kappa * (D @ (u_s ** 3)) + const
+            else:
+                rhs = kD @ (u_s * u_s * u_s) + const
+            u_next = scipy_lu_solve(lu_L, rhs)
             res = float(np.max(np.abs(u_next - u_s)))
             u_s = u_next
             if res <= cfg.iteration_tol:
@@ -232,6 +255,26 @@ class TestLapackStepLoop:
         assert hist.iterations.min() >= 9 and hist.iterations.max() >= 40
         assert (hist.interior_matrix().tobytes()
                 == _scipy_sweep_oracle(cfg).tobytes())
+
+    def test_states_close_to_legacy_rhs_oracle(self):
+        # folding kappa into D and cubing by multiplication round
+        # differently from kappa * (D @ u**3); on this run the states differ
+        # by at most 1.15e-15 (max |u| 0.89), and the bound is 10x that
+        cfg = _phase_separation_config()
+        gap = np.max(np.abs(_solve_quiet(cfg).interior_matrix()
+                            - _scipy_sweep_oracle(cfg, legacy_rhs=True)))
+        assert gap <= 1.15e-14
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float64")
+    def test_states_close_to_longdouble_sweep(self):
+        # the same sweep in extended precision, with a numpy LU in place of
+        # LAPACK: solve is 1.74e-14 from it on this run (the legacy
+        # right-hand side 1.76e-14); the bound is about 6x that
+        cfg = _phase_separation_config()
+        gap = np.max(np.abs(_solve_quiet(cfg).interior_matrix()
+                            - longdouble_sweep(cfg)))
+        assert gap <= 1e-13
 
     @pytest.mark.parametrize("M", [16, 128])
     def test_wrappers_bitwise_equal_scipy_on_step_matrix(self, M):
