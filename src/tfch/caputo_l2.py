@@ -7,13 +7,13 @@ the energy analysis, the step-ratio theory functions q/q2/q3 with the
 admissibility threshold rho_star(alpha), and the discrete fractional
 derivative itself.
 
-kernel_row evaluates (c, d) at one level and derives every row of a
-KernelRow from them; kernel_row_B, kernel_row_split and kernel_row_J are
-views of it. Marching callers take rows in level order from kernel_rows,
-which evaluates the history part of (c, d) for blocks of consecutive levels
-in one elementwise pass, blocks sized by their number of entries, and
-yields rows bitwise equal to kernel_row's. Both share one (c, d) evaluation
-(_cd_history) and one row assembly (_assemble): O(n) work per row, O(N^2)
+Every kernel row comes from one block evaluator, _block: it lays the entries
+of a range of consecutive levels end to end and computes c and d, then
+c_tilde, B and J, entry by entry over the whole block. kernel_rows walks all
+levels in blocks sized by their number of entries; kernel_row is a block of
+one level, and coeffs_cd, kernel_row_B, kernel_row_split and kernel_row_J are
+views of it. Row arrays are read-only views into their block's arrays;
+leading and lagged are np.float64 at every level. O(n) work per row, O(N^2)
 per run, with memory bounded by the block size. All operations are pure
 functions.
 """
@@ -62,10 +62,10 @@ RHO_BAR = 4.7476114
 _SERIES_CUT = 0.25
 _SERIES_TERMS = 34
 
-# History entries per elementwise (c, d) pass in kernel_rows. A pass costs
-# about 32 numpy calls whatever its length, so short rows are batched; 8192
-# entries keep its temporaries near 1 MiB (64-level blocks grew the peak
-# resident set of a 1000-level run by ~5 MiB).
+# History entries per block in kernel_rows. A block costs a fixed number of
+# numpy calls whatever its length, so short rows are batched; 8192 entries
+# keep its temporaries near 1.3 MiB (64-level blocks grew the peak resident
+# set of a 1000-level run by ~5 MiB).
 _BLOCK_ENTRIES = 8192
 
 
@@ -105,14 +105,8 @@ def coeffs_cd(n: int, mesh: TemporalMesh, alpha: float):
     Gamma(3-alpha) = (2-alpha) Gamma(2-alpha) holding at float level lose the
     cancellation battle again (fl(2.8) != 1 + fl(1.8) in binary).
     """
-    _check_alpha_open(alpha)
-    _check_level(n, mesh)
-    nodes, steps = mesh.nodes, mesh.steps
-    g2 = gamma(2.0 - alpha)
-    g3 = gamma(3.0 - alpha)
-    c, d = _cd_history(nodes[n] - nodes[: n - 1], steps[: n - 1],
-                       alpha, g2, g3)
-    return _cd_row(c, d, steps[n - 1], alpha, g2, g3)
+    row = kernel_row(n, mesh, alpha)
+    return row.c, row.d
 
 
 def _cd_history(a, tau, alpha, g2, g3):
@@ -150,15 +144,6 @@ def _cd_history(a, tau, alpha, g2, g3):
         G[ser] = acc
     d = a ** p2 * G / (tau * tau * g3)
     return c, d
-
-
-def _cd_row(c_hist, d_hist, tau_n, alpha, g2, g3):
-    """Level-n (c, d): the history entries, then the most recent interval's.
-
-    On the most recent interval (k = n) b = 0, so the powers collapse exactly.
-    """
-    p = tau_n ** -alpha
-    return np.append(c_hist, p / g2), np.append(d_hist, alpha * p / g3)
 
 
 def theta(alpha: float) -> float:
@@ -202,25 +187,21 @@ class KernelRow:
 
 
 def kernel_row(n: int, mesh: TemporalMesh, alpha: float) -> KernelRow:
-    """Every kernel row at level n from a single (c, d) evaluation."""
-    c, d = coeffs_cd(n, mesh, alpha)
-    return _assemble(n, mesh, theta(alpha), c, d)
+    """Every kernel row at level n, from a block of that one level."""
+    _check_alpha_open(alpha)
+    _check_level(n, mesh)
+    return next(_block(mesh, alpha, n, n))
 
 
 def kernel_rows(mesh: TemporalMesh, alpha: float):
     """Yield kernel_row(n, mesh, alpha) for n = 1..N in order, bitwise equal.
 
-    The history part of (c, d) is evaluated for a block of consecutive levels
-    in one elementwise pass over their concatenated a = t_n - t_{k-1} and
-    tau_k. A block takes levels while their history entries total at most
-    _BLOCK_ENTRIES, and always at least one level, so the pass's temporaries
-    stay a fixed size whatever N is. All state lives in the generator.
+    A block takes levels while their history entries total at most
+    _BLOCK_ENTRIES, and always at least one level, so the block's
+    temporaries stay a fixed size whatever N is. All state lives in the
+    generator.
     """
     _check_alpha_open(alpha)
-    nodes, steps = mesh.nodes, mesh.steps
-    g2 = gamma(2.0 - alpha)
-    g3 = gamma(3.0 - alpha)
-    th = theta(alpha)
     N = mesh.N
     first = 1
     while first <= N:
@@ -228,49 +209,74 @@ def kernel_rows(mesh: TemporalMesh, alpha: float):
         while last < N and total + last <= _BLOCK_ENTRIES:
             last += 1
             total += last - 1
-        counts = np.arange(first - 1, last)    # n - 1 for n = first..last
-        starts = np.cumsum(counts) - counts
-        k = np.arange(total) - np.repeat(starts, counts)
-        c_hist, d_hist = _cd_history(np.repeat(nodes[first:last + 1], counts)
-                                     - nodes[k], steps[k], alpha, g2, g3)
-        for n, s in zip(range(first, last + 1), starts):
-            c, d = _cd_row(c_hist[s:s + n - 1], d_hist[s:s + n - 1],
-                           steps[n - 1], alpha, g2, g3)
-            yield _assemble(n, mesh, th, c, d)
+        yield from _block(mesh, alpha, first, last)
         first = last + 1
 
 
-def _assemble(n: int, mesh: TemporalMesh, th: float, c, d) -> KernelRow:
-    """KernelRow at level n from its (c, d) rows and the split weight theta.
+def _block(mesh: TemporalMesh, alpha: float, first: int, last: int):
+    """Yield the KernelRows of levels first..last from one entrywise pass.
 
-    Subscript m maps to array index n - 1 - m; rho[k-1] is rho_k.
+    Each level's n entries lie end to end, entry j on interval k = j + 1;
+    rho[k-1] is rho_k. History entries (k < n) take (c, d) from _cd_history,
+    the k = n entries the exact single powers of tau_n. Then on every entry
+
+        c_tilde = c' + P - Q,   c' = c, but (1 - theta) c at k = n,
+        P = d_{k-1} / (rho_k (1 + rho_k))   (0 at k = 1),
+        Q = d_k / (1 + rho_{k+1})           (0 at k = n),
+
+    one formula for every case, as adding or subtracting 0.0 is exact. B
+    takes lagged off c_tilde's k = n-1 entry and has its own k = n entry; J
+    doubles c_tilde's k = n entry. Powers of per-level scalars stay scalar:
+    numpy's array power is not libm's pow and moves some rows by an ulp. The
+    mesh is read up to t_last only.
     """
-    ct = np.empty(n)
-    if n == 1:
-        ct[0] = (1.0 - th) * c[0]
-        B = c.copy()
-        leading, lagged = th * c[0], 0.0
-    else:
-        rho = mesh.ratios
-        rho_n = rho[n - 1]
-        prev = d[n - 2] / (rho_n * (1.0 + rho_n))
-        cur = rho_n / (1.0 + rho_n) * d[n - 1]
-        ct[n - 1] = (1.0 - th) * c[n - 1] + prev
-        ct[0] = c[0] - d[0] / (1.0 + rho[1])
-        if n >= 3:
-            ks = np.arange(2, n)       # history intervals k = 2..n-1
-            j = ks - 1
-            ct[j] = c[j] + d[ks - 2] / (rho[ks - 1] * (1.0 + rho[ks - 1])) \
-                - d[j] / (1.0 + rho[ks])
-        leading = th * c[n - 1] + cur
-        lagged = rho_n ** 2 / (1.0 + rho_n) * d[n - 1]
-        B = ct.copy()
-        B[n - 2] -= lagged
-        B[n - 1] = c[n - 1] + prev + cur
+    nodes, steps, rho = mesh.nodes, mesh.steps, mesh.ratios
+    g2 = gamma(2.0 - alpha)
+    g3 = gamma(3.0 - alpha)
+    th = theta(alpha)
+    levels = np.arange(first, last + 1)
+    ends = np.cumsum(levels)
+    cur = ends - 1                              # the k = n entries
+    j = np.arange(ends[-1]) - np.repeat(ends - levels, levels)
+    hist = np.ones(ends[-1], dtype=bool)
+    hist[cur] = False
+    jh = j[hist]
+
+    c = np.empty(ends[-1])
+    d = np.empty(ends[-1])
+    c[hist], d[hist] = _cd_history(np.repeat(nodes[first:last + 1], levels - 1)
+                                   - nodes[jh], steps[jh], alpha, g2, g3)
+    p = np.array([steps[n - 1] ** -alpha for n in range(first, last + 1)])
+    c[cur] = p / g2
+    d[cur] = alpha * p / g3
+
+    r = rho[j[1:]]
+    P = np.zeros(ends[-1])
+    np.divide(d[:-1], r * (1.0 + r), out=P[1:], where=j[1:] > 0)
+    Q = np.zeros(ends[-1])
+    Q[hist] = d[hist] / (1.0 + rho[jh + 1])
+    ct = c.copy()
+    ct[cur] *= 1.0 - th
+    ct += P
+    ct -= Q
+
+    rho_n = rho[levels - 1]
+    now = rho_n / (1.0 + rho_n) * d[cur]
+    leading = th * c[cur] + now
+    lagged = np.array([r_n ** 2 for r_n in rho_n]) / (1.0 + rho_n) * d[cur]
+    B = ct.copy()
+    B[cur[levels > 1] - 1] -= lagged[levels > 1]
+    B[cur] = c[cur] + P[cur] + now
     J = ct.copy()
-    J[n - 1] *= 2.0
-    return KernelRow(level=n, theta=th, c=c, d=d, B=B, c_tilde=ct, J=J,
-                     leading=leading, lagged=lagged)
+    J[cur] *= 2.0
+
+    for arr in (c, d, B, ct, J):
+        arr.flags.writeable = False
+    for n, e, lead, lag in zip(range(first, last + 1), ends.tolist(),
+                               leading, lagged):
+        s = e - n
+        yield KernelRow(level=n, theta=th, c=c[s:e], d=d[s:e], B=B[s:e],
+                        c_tilde=ct[s:e], J=J[s:e], leading=lead, lagged=lag)
 
 
 def kernel_row_B(n: int, mesh: TemporalMesh, alpha: float) -> np.ndarray:

@@ -80,7 +80,7 @@ def sample(fn, M: int, domain: tuple = (0.0, 1.0)) -> GridFunction:
 
 
 def _interior(u) -> tuple[np.ndarray, float]:
-    """Interior values and mesh width of a GridFunction or raw array pair."""
+    """Interior values and mesh width of a GridFunction; TypeError otherwise."""
     if isinstance(u, GridFunction):
         return u.values[1:-1], u.h
     raise TypeError("expected a GridFunction")

@@ -39,7 +39,6 @@ __all__ = [
     "convergence_order",
     "write_energy_csv",
     "write_mass_csv",
-    "write_convergence_csv",
 ]
 
 
@@ -368,10 +367,3 @@ def write_mass_csv(series: EnergySeries, target) -> None:
     """Emit `n,t_n,mass`."""
     write_csv(target, "n,t_n,mass",
               zip(series.levels, series.times, series.mass))
-
-
-def write_convergence_csv(Ns, errors, orders, target) -> None:
-    """Emit `N,error,order` (order blank on the first row)."""
-    write_csv(target, "N,error,order",
-              ((int(n_val), err, "" if i == 0 else orders[i - 1])
-               for i, (n_val, err) in enumerate(zip(Ns, errors))))

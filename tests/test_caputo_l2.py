@@ -269,6 +269,33 @@ def test_kernel_rows_bitwise_equal_kernel_row(mesh_name, alpha, budget,
     assert_stream_bitwise(_STREAM_MESHES[mesh_name](), alpha)
 
 
+# every level at N=1000; at N=4000 the first and last 40 levels and every
+# 97th level between them
+_GRADED_LEVELS = {
+    1000: None,
+    4000: sorted({*range(1, 41), *range(1, 4001, 97), *range(3961, 4001)}),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("N", sorted(_GRADED_LEVELS))
+def test_graded_rows_bitwise_equal_per_level_oracle(N, alpha,
+                                                   assert_stream_bitwise):
+    """Long graded streams match the per-level evaluation bit for bit. An
+    array power in place of the scalar rho_n ** 2 moves lagged or B by an
+    ulp at level 312 of N=1000, at each of these orders."""
+    assert_stream_bitwise(build_graded_cubic(N, 1.0), alpha,
+                          _GRADED_LEVELS[N])
+
+
+def test_kernel_rows_are_read_only(graded_24):
+    rows = [kernel_row(3, graded_24, 0.4), next(kernel_rows(graded_24, 0.4))]
+    for row in rows:
+        for arr in (row.c, row.d, row.B, row.c_tilde, row.J):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
 def test_kernel_rows_validates_alpha(graded_24):
     with pytest.raises(ValueError):
         next(kernel_rows(graded_24, 1.0))

@@ -31,7 +31,6 @@ from tfch.diagnostics import (
     kernel_property_check,
     mass,
     modified_energy,
-    write_convergence_csv,
     write_energy_csv,
     write_mass_csv,
 )
@@ -371,11 +370,3 @@ class TestCsvWriters:
         assert lines[0] == "n,t_n,mass"
         got = np.array([float(l.split(",")[2]) for l in lines[1:]])
         assert got == pytest.approx(series.mass, rel=1e-15)
-
-    def test_convergence_csv_blank_first_order(self):
-        buf = io.StringIO()
-        write_convergence_csv([8, 16], [1e-2, 2.5e-3], [2.0], buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "N,error,order"
-        assert lines[1].split(",")[2] == ""
-        assert float(lines[2].split(",")[2]) == pytest.approx(2.0)
