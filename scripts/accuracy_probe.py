@@ -49,7 +49,7 @@ def probe(seed: int, tol: dict) -> str:
     config = workloads.coarsening_config(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        u = solve(config).terminal.values[1:-1]
+        u = solve(config).U[-1]
     exact = longdouble_sweep(config)[-1]
     path = os.path.join(BENCH, "reference",
                         workloads.reference_case("coarsening", seed),

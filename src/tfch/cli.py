@@ -365,13 +365,9 @@ def _tfch_errors_for_alpha(alpha, args):
             alpha=alpha, kappa=args.kappa, epsilon=args.epsilon,
             mesh=temporal_mesh.build_graded_cubic(N, args.T), M=args.M,
             iteration_tol=args.tol, initial=initial)
-    ref = solve(make_cfg(args.N0)).terminal
-    errors = []
-    for N in args.Ns:
-        term = solve(make_cfg(N)).terminal
-        diff = term.values - ref.values
-        errors.append(float(np.max(np.abs(diff[1:-1]))))
-    return errors
+    ref = solve(make_cfg(args.N0)).U[-1]
+    return [float(np.max(np.abs(solve(make_cfg(N)).U[-1] - ref)))
+            for N in args.Ns]
 
 
 def _cmd_tfch_convergence(args) -> int:
@@ -420,7 +416,7 @@ def _cmd_tfch_run(args) -> int:
     if args.dump_states > 0:
         for n in range(0, mesh.N + 1, args.dump_states):
             name = "state_%04d.csv" % n
-            _write_state_csv(history.states[n], _out_path(args, name))
+            _write_state_csv(history.state(n), _out_path(args, name))
             outputs.append(name)
 
     notes = ["iterations total=%d max=%d" % (history.iterations.sum(),

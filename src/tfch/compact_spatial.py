@@ -104,23 +104,25 @@ def _solve_tridiag(off: float, diag: float, rhs: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), ab, rhs)
 
 
+def _average(full: np.ndarray) -> np.ndarray:
+    """(f_{i-1} + 10 f_i + f_{i+1})/12 at the interior rows of full, axis 0."""
+    return (full[:-2] + 10.0 * full[1:-1] + full[2:]) / 12.0
+
+
 def _neg_h_inv(full: np.ndarray, h: float) -> np.ndarray:
     """Interior rows of (-H)^{-1} applied along axis 0 of full.
 
     full holds grid values with the two boundary rows included; the result
     solves D w = -(A v) with D at unit scale, tridiag(1,-2,1) w = -h^2 A v.
     """
-    av = (full[:-2] + 10.0 * full[1:-1] + full[2:]) / 12.0
-    return _solve_tridiag(1.0, -2.0, -av * h * h)
+    return _solve_tridiag(1.0, -2.0, -_average(full) * h * h)
 
 
 def apply_A(u: GridFunction) -> GridFunction:
     """Compact average: (u_{i-1} + 10 u_i + u_{i+1})/12 inside, boundary kept."""
-    v, _ = _interior(u)
-    full = u.values
-    out = (full[:-2] + 10.0 * v + full[2:]) / 12.0
-    res = np.array(full, copy=True)
-    res[1:-1] = out
+    _interior(u)  # TypeError unless u is a GridFunction
+    res = np.array(u.values, copy=True)
+    res[1:-1] = _average(u.values)
     return GridFunction(values=res, h=u.h, domain=u.domain)
 
 

@@ -163,8 +163,8 @@ def energy_series(history) -> EnergySeries:
     # (-H)^{-1} column by column, through the one compact-operator path
     R, F = _norm_factors(_neg_h_inv(np.pad(np.eye(m), ((1, 1), (0, 0))), h))
 
-    masses = np.array([mass(u) for u in history.states])
-    S = history.interior_matrix()
+    S = history.U
+    masses = h * (S.sum(axis=1) + 0.0)  # as mass(): -0.0 sums become 0.0
     work = np.empty_like(S)
     np.einsum("jk,ik->ji", S, F, out=work)        # row j holds F u^j
     gradient = np.einsum("ij,ij->i", work, work)
@@ -175,7 +175,7 @@ def energy_series(history) -> EnergySeries:
         + 0.25 * h * work.sum(axis=1)
 
     W = np.einsum("jk,ik->ji", S, R, out=work)    # row j holds w^j = R u^j
-    buf = S                                       # the states are read no more
+    buf = np.empty_like(W)
     modified = np.empty(N + 1)
     modified[0] = np.nan
     for row in kernel_rows(mesh, cfg.alpha):

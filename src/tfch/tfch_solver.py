@@ -44,7 +44,7 @@ from scipy.special import gamma
 
 # kernel_row_B is unused here but stays importable: bench/spans.py wraps it.
 from .caputo_l2 import kernel_row_B, kernel_rows, q  # noqa: F401
-from .compact_spatial import GridFunction, a_matrix, dxx_matrix
+from .compact_spatial import GridFunction, _average, a_matrix, dxx_matrix
 from .temporal_mesh import TemporalMesh, build_graded_cubic, validate_ratio_bound
 
 __all__ = [
@@ -115,8 +115,8 @@ class SolverConfig:
 
     source may be None (homogeneous), the string "manufactured" (benchmark
     forcing on (0,1)), or a callable (x_array, t) -> values. initial is a
-    callable x_array -> values; boundary entries are overwritten with zeros,
-    as the scheme pins them.
+    callable x_array -> values on the M+1 nodes; only its interior entries
+    are read, and u^0's boundary values are zero, as the scheme pins them.
     """
 
     alpha: float
@@ -133,6 +133,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0,1)")
+        for name in ("kappa", "epsilon", "iteration_tol", "domain"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError("%s must be finite" % name)
         if self.kappa <= 0.0 or self.epsilon <= 0.0:
             raise ValueError("kappa and epsilon must be positive")
         if not isinstance(self.mesh, TemporalMesh):
@@ -160,13 +163,16 @@ class SolverConfig:
 class RunHistory:
     """Everything a finished run produced.
 
-    states holds the N+1 grid functions u^0..u^N. violations maps validator
-    name to the 1-based levels whose step exceeded that bound; empty tuples
-    mean the run satisfied the corresponding sufficient condition.
+    U is the read-only (N+1, M-1) array of interior values that solve
+    marched, row n holding u^n; the boundary values are zero at every level,
+    u^0's included. state(n) and terminal give a level as a zero-padded
+    GridFunction. violations maps validator name to the 1-based levels whose
+    step exceeded that bound; empty tuples mean the run satisfied the
+    corresponding sufficient condition.
     """
 
     config: SolverConfig
-    states: tuple
+    U: np.ndarray
     iterations: np.ndarray
     residuals: np.ndarray
     violations: dict
@@ -177,13 +183,14 @@ class RunHistory:
     def mesh(self) -> TemporalMesh:
         return self.config.mesh
 
+    def state(self, n: int) -> GridFunction:
+        """u^n as a GridFunction, boundary values zero."""
+        return GridFunction(values=np.pad(self.U[n], 1), h=self.config.h,
+                            domain=tuple(self.config.domain))
+
     @property
     def terminal(self) -> GridFunction:
-        return self.states[-1]
-
-    def interior_matrix(self) -> np.ndarray:
-        """(N+1, M-1) array of interior values, one row per level."""
-        return np.stack([s.interior() for s in self.states])
+        return self.state(-1)
 
 
 def quartic_bump(x):
@@ -336,8 +343,6 @@ def solve(config: SolverConfig) -> RunHistory:
     u0 = np.asarray(config.initial(x_full), dtype=float)
     if u0.shape != x_full.shape:
         raise ValueError("initial data has wrong shape")
-    u0[0] = 0.0
-    u0[-1] = 0.0
 
     N = mesh.N
     U = np.empty((N + 1, m))
@@ -355,8 +360,7 @@ def solve(config: SolverConfig) -> RunHistory:
         B0 = B[n - 1]
         hist = B[: n - 1] @ dU[: n - 1] if n > 1 else 0.0
         g_full = _source_values(config, x_full, mesh.nodes[n])
-        ag = (g_full[:-2] + 10.0 * g_full[1:-1] + g_full[2:]) / 12.0
-        const = A @ (B0 * U[n - 1] - hist) + ag
+        const = A @ (B0 * U[n - 1] - hist) + _average(g_full)
         np.multiply(A, B0, out=L)
         L += K
         lu_L = lu_factor(L)
@@ -399,15 +403,10 @@ def solve(config: SolverConfig) -> RunHistory:
                 % (kind, len(levels), N, levels[0]),
                 RuntimeWarning, stacklevel=2)
 
-    states = []
-    for n in range(N + 1):
-        v = np.zeros(M + 1)
-        v[1:-1] = U[n]
-        states.append(GridFunction(values=v, h=h, domain=(a, b)))
-
+    U.flags.writeable = False
     return RunHistory(
         config=config,
-        states=tuple(states),
+        U=U,
         iterations=iterations,
         residuals=residuals,
         violations={k: tuple(v) for k, v in violations.items()},

@@ -201,6 +201,17 @@ class TestTfchRun:
         assert _run(["tfch-run", "--alpha", "0.5", "--M", "3", "--N", "8",
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--tol", "iteration_tol", "nan"),
+        ("--kappa", "kappa", "nan"),
+        ("--epsilon", "epsilon", "inf"),
+    ])
+    def test_non_finite_parameter_exits_1(self, tmp_path, capsys, flag,
+                                          field, value):
+        assert _run(["tfch-run", "--alpha", "0.5", "--N", "8", flag, value,
+                     "--out", str(tmp_path)]) == 1
+        assert field in capsys.readouterr().err
+
 
 class TestRelaxedRatioBand:
     """tfch-run on a mesh file whose ratios reach into the band

@@ -21,7 +21,7 @@ import scipy.linalg
 from scipy.special import gamma
 
 from tfch.caputo_l2 import kernel_row_J
-from tfch.compact_spatial import GridFunction, a_matrix, dxx_matrix, sample
+from tfch.compact_spatial import a_matrix, dxx_matrix, sample
 from tfch.diagnostics import (
     G_functional,
     convergence_order,
@@ -54,13 +54,9 @@ def _small_run(alpha=0.4, N=12, M=12):
 def _random_history(config, seed):
     """A RunHistory of uniform random states in [-1, 1] on config's grid,
     one per level of its mesh, without a solve."""
-    rng = np.random.default_rng(seed)
     N = config.mesh.N
-    states = tuple(
-        GridFunction(values=np.pad(rng.uniform(-1.0, 1.0, config.M - 1), 1),
-                     h=config.h)
-        for _ in range(N + 1))
-    return RunHistory(config=config, states=states,
+    U = np.random.default_rng(seed).uniform(-1.0, 1.0, (N + 1, config.M - 1))
+    return RunHistory(config=config, U=U,
                       iterations=np.zeros(N, dtype=int), residuals=np.zeros(N),
                       violations={}, lipschitz_constant=0.0,
                       lipschitz_limit=0.0)
@@ -175,7 +171,7 @@ class TestModifiedEnergy:
         assert series.free_energy.shape == (N + 1,)
         assert series.mass.shape == (N + 1,)
         for n in (0, N // 2, N):
-            assert series.mass[n] == pytest.approx(mass(hist.states[n]),
+            assert series.mass[n] == pytest.approx(mass(hist.state(n)),
                                                    rel=1e-14)
 
     def test_matches_dense_negative_norm_oracle(self):
@@ -186,12 +182,9 @@ class TestModifiedEnergy:
         neg_h_inv = -scipy.linalg.solve(dxx_matrix(cfg.M, cfg.h),
                                         a_matrix(cfg.M))
         rng = np.random.default_rng(7)
-        noisy = tuple(
-            GridFunction(values=np.pad(rng.uniform(-1.0, 1.0, cfg.M - 1), 1),
-                         h=cfg.h)
-            for _ in hist.states)
-        for run in (hist, dataclasses.replace(hist, states=noisy)):
-            S = run.interior_matrix()
+        noisy = rng.uniform(-1.0, 1.0, hist.U.shape)
+        for run in (hist, dataclasses.replace(hist, U=noisy)):
+            S = run.U
             series = energy_series(run)
             for n in range(1, mesh.N + 1):
                 X = S[n] - S[:n]
@@ -204,7 +197,7 @@ class TestModifiedEnergy:
                 history_term = lead * Q[n - 1] + 0.5 * J[0] * Q[0]
                 for j in range(1, n):
                     history_term += 0.5 * (J[j] - J[j - 1]) * Q[j]
-                expected = free_energy(run.states[n], cfg.epsilon) \
+                expected = free_energy(run.state(n), cfg.epsilon) \
                     + history_term / cfg.kappa
                 assert series.modified_energy[n] == pytest.approx(
                     expected, rel=1e-13)
@@ -216,11 +209,18 @@ class TestModifiedEnergy:
         for run in (_small_run(), hist, _random_history(hist.config, 7)):
             series = energy_series(run)
             eps = run.config.epsilon
-            for n, u in enumerate(run.states):
+            for n in range(run.mesh.N + 1):
+                u = run.state(n)
                 assert series.free_energy[n] == pytest.approx(
                     free_energy(u, eps), rel=1e-13)
                 assert series.mass[n].tobytes() == \
                     np.float64(mass(u)).tobytes()
+
+    def test_leaves_the_run_states_unchanged(self):
+        for run in (_small_run(), _random_history(_graded_config(40, 16), 5)):
+            before = run.U.tobytes()
+            energy_series(run)
+            assert run.U.tobytes() == before
 
     def test_peak_memory_stays_within_four_state_arrays(self):
         # N >> M, so arrays the size of the N+1 states dominate; the kernel

@@ -7,6 +7,8 @@ potential. That identity is what a mass check can and cannot expect from
 this scheme with pinned boundary values.
 """
 
+import dataclasses
+import math
 import warnings
 
 import mpmath as mp
@@ -69,6 +71,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(epsilon=-0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["kappa", "epsilon", "iteration_tol",
+                                       "domain"])
+    def test_non_finite_parameters_name_the_field(self, field, bad):
+        values = [(0.0, bad), (-bad, 1.0)] if field == "domain" else [bad]
+        for value in values:
+            with pytest.raises(ValueError, match=field):
+                _config(**{field: value})
+
     def test_mesh_type(self):
         with pytest.raises(TypeError):
             _config(mesh=np.linspace(0, 1, 5))
@@ -108,27 +119,46 @@ class TestSolveBasics:
     def test_zero_data_stays_zero(self):
         cfg = _config(M=10, initial=lambda x: np.zeros_like(x))
         hist = _solve_quiet(cfg)
-        assert all(np.all(s.values == 0.0) for s in hist.states)
+        assert np.all(hist.U == 0.0)
+        assert np.all(hist.terminal.values == 0.0)
         assert np.all(hist.iterations == 1)
 
     def test_initial_boundary_values_are_pinned(self):
         cfg = _config(initial=lambda x: 0.05 * (x + 1.0))
         hist = _solve_quiet(cfg)
-        u0 = hist.states[0].values
+        u0 = hist.state(0).values
         assert u0[0] == 0.0 and u0[-1] == 0.0
         assert u0[1] != 0.0
+
+    def test_caller_initial_array_is_unchanged(self):
+        cfg = _config()
+        data = 0.05 * (np.linspace(0.0, 1.0, cfg.M + 1) + 1.0)
+        kept = data.copy()
+        hist = _solve_quiet(dataclasses.replace(cfg, initial=lambda x: data))
+        assert data.tobytes() == kept.tobytes()
+        assert hist.U[0].tobytes() == kept[1:-1].tobytes()
 
     def test_history_shapes_and_accessors(self):
         cfg = _config()
         hist = _solve_quiet(cfg)
         N, M = cfg.mesh.N, cfg.M
-        assert len(hist.states) == N + 1
-        assert hist.interior_matrix().shape == (N + 1, M - 1)
-        assert hist.terminal is hist.states[-1]
+        assert hist.U.shape == (N + 1, M - 1)
+        padded = np.pad(hist.U[-1], 1)
+        assert hist.terminal.values.tobytes() == padded.tobytes()
+        assert hist.terminal.h == cfg.h and hist.terminal.domain == cfg.domain
+        for n in (0, N // 2, N):
+            u = hist.state(n)
+            assert u.values.tobytes() == np.pad(hist.U[n], 1).tobytes()
+            assert u.h == cfg.h and u.domain == cfg.domain
         assert hist.mesh is cfg.mesh
         assert hist.iterations.shape == (N,)
         assert (hist.iterations >= 1).all()
         assert (hist.residuals <= cfg.iteration_tol).all()
+
+    def test_states_are_read_only(self):
+        hist = _solve_quiet(_config())
+        with pytest.raises(ValueError):
+            hist.U[1, 0] = 1.0
 
     def test_wrong_initial_shape_raises(self):
         cfg = _config(initial=lambda x: np.zeros(3))
@@ -253,7 +283,7 @@ class TestLapackStepLoop:
         cfg = _phase_separation_config()
         hist = _solve_quiet(cfg)
         assert hist.iterations.min() >= 9 and hist.iterations.max() >= 40
-        assert (hist.interior_matrix().tobytes()
+        assert (hist.U.tobytes()
                 == _scipy_sweep_oracle(cfg).tobytes())
 
     def test_states_close_to_legacy_rhs_oracle(self):
@@ -261,7 +291,7 @@ class TestLapackStepLoop:
         # differently from kappa * (D @ u**3); on this run the states differ
         # by at most 1.15e-15 (max |u| 0.89), and the bound is 10x that
         cfg = _phase_separation_config()
-        gap = np.max(np.abs(_solve_quiet(cfg).interior_matrix()
+        gap = np.max(np.abs(_solve_quiet(cfg).U
                             - _scipy_sweep_oracle(cfg, legacy_rhs=True)))
         assert gap <= 1.15e-14
 
@@ -272,7 +302,7 @@ class TestLapackStepLoop:
         # LAPACK: solve is 1.74e-14 from it on this run (the legacy
         # right-hand side 1.76e-14); the bound is about 6x that
         cfg = _phase_separation_config()
-        gap = np.max(np.abs(_solve_quiet(cfg).interior_matrix()
+        gap = np.max(np.abs(_solve_quiet(cfg).U
                             - longdouble_sweep(cfg)))
         assert gap <= 1e-13
 
@@ -504,8 +534,8 @@ class TestMassBalance:
         A = a_matrix(M)
         D = dxx_matrix(M, h)
         Ainv_D = np.linalg.solve(A, D)
-        U = hist.interior_matrix()
-        masses = np.array([mass(s) for s in hist.states])
+        U = hist.U
+        masses = np.array([mass(hist.state(n)) for n in range(mesh.N + 1)])
         dm = np.diff(masses)
 
         worst = 0.0
