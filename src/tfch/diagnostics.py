@@ -3,13 +3,14 @@
 The discrete free energy uses the compact negative Laplacian for its gradient
 part; the modified energy augments it with a weighted history of negative-order
 norms of increments, built from the auxiliary J kernels. (-H)^{-1} is
-symmetric positive definite, so energy_series factors it once as R^T R and
-reads each negative-order norm as the Euclidean norm of a difference of the
-factored states w^j = R u^j. Such a norm is nonnegative by construction, so
-none is clamped. The same factor gives the gradient part of every free
-energy, |R^{-T} u|^2. The dissipation estimate states exactly that the
-modified energy never increases, so these routines are both the experiment
-observables and the acceptance instruments.
+diagonal in the orthonormal sine basis with positive eigenvalues lam, so
+energy_series reads each negative-order norm as the Euclidean norm of a
+difference of the scaled transformed states w^j = sqrt(lam) S u^j. Such a
+norm is nonnegative by construction, so none is clamped. The same basis
+gives the gradient part of every free energy, sum_k (S u)_k^2 / lam_k. The
+dissipation estimate states exactly that the modified energy never
+increases, so these routines are both the experiment observables and the
+acceptance instruments.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy.special import gamma
 
 from ._fmt import write_csv
 from .caputo_l2 import kernel_row_J, kernel_rows
-from .compact_spatial import GridFunction, _neg_h_inv, quad_negH
+from .compact_spatial import GridFunction, _sine, _tridiag_eigs, quad_negH
 from .temporal_mesh import TemporalMesh
 
 __all__ = [
@@ -121,38 +122,18 @@ class EnergySeries:
     mass: np.ndarray
 
 
-def _norm_factors(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper triangular R with R^T R = P, and F = R^{-T}, for P symmetric
-    positive definite.
-
-    Row k of R is the Cholesky row, and row k of F follows from
-    R^T F = I by forward substitution. Both are numpy loops, not LAPACK
-    potrf/trsm: OpenBLAS's threaded versions of those change the last bits
-    of R with the BLAS thread count.
-    """
-    m = len(P)
-    R = np.zeros_like(P)
-    F = np.zeros_like(P)
-    for k in range(m):
-        col = R[:k, k]
-        r = P[k, k:] - np.einsum("i,ij->j", col, R[:k, k:])
-        R[k, k:] = r / np.sqrt(r[0])
-        F[k, :k] = np.einsum("i,ij->j", col, F[:k, :k]) / -R[k, k]
-        F[k, k] = 1.0 / R[k, k]
-    return R, F
-
-
 def energy_series(history) -> EnergySeries:
     """Free energy, modified energy, and mass at every level of a run.
 
-    (-H)^{-1} = R^T R with R upper triangular, so the negative-order norm
-    (v, (-H)^{-1} v) is h |R v|^2. With w^j = R u^j, level n needs
-    h |w^n - w^j|^2 for j < n: one difference per level, written into one
-    reused buffer, then a row sum of squares, O(N^2 M) in all. The
-    difference is taken before squaring, so the norms keep their accuracy
-    (no |w^n|^2 - 2 w^n.w^j + |w^j|^2 cancellation) and are nonnegative
-    by construction. The gradient part of each free energy is
-    (-H u, u) = h |F u|^2 with F = R^{-T}, so free energies agree with
+    (-H)^{-1} = S diag(lam) S with S the orthonormal DST-I and lam > 0, so
+    each state is transformed once along its last axis, y^j = S u^j, and the
+    negative-order norm (v, (-H)^{-1} v) is h |w^n - w^j|^2 with
+    w^j = sqrt(lam) y^j. Level n needs it for j < n: one difference per
+    level, written into one reused buffer, then a row sum of squares,
+    O(N^2 M) in all. The difference is taken before squaring, so the norms
+    keep their accuracy (no |w^n|^2 - 2 w^n.w^j + |w^j|^2 cancellation) and
+    are nonnegative by construction. The gradient part of each free energy
+    is (-H u, u) = h sum_k y_k^2 / lam_k, so free energies agree with
     free_energy to rounding.
     """
     cfg = history.config
@@ -160,27 +141,26 @@ def energy_series(history) -> EnergySeries:
     N = mesh.N
     h = cfg.h
     m = cfg.M - 1
-    # (-H)^{-1} column by column, through the one compact-operator path
-    R, F = _norm_factors(_neg_h_inv(np.pad(np.eye(m), ((1, 1), (0, 0))), h))
+    # eigenvalues of (-H)^{-1} = -D^{-1} A, with D = tridiag(1,-2,1)/h^2
+    lam = -(h * h) * _tridiag_eigs(1.0 / 12.0, 10.0 / 12.0, m) \
+        / _tridiag_eigs(1.0, -2.0, m)
 
-    S = history.U
-    masses = h * (S.sum(axis=1) + 0.0)  # as mass(): -0.0 sums become 0.0
-    work = np.empty_like(S)
-    np.einsum("jk,ik->ji", S, F, out=work)        # row j holds F u^j
-    gradient = np.einsum("ij,ij->i", work, work)
-    np.multiply(S, S, out=work)
+    U = history.U
+    masses = h * (U.sum(axis=1) + 0.0)  # as mass(): -0.0 sums become 0.0
+    Y = _sine(U)                                  # row j holds y^j = S u^j
+    gradient = np.einsum("ij,ij,j->i", Y, Y, 1.0 / lam)
+    work = np.multiply(U, U)
     work -= 1.0
     np.square(work, out=work)
     free = 0.5 * cfg.epsilon ** 2 * (h * gradient) \
         + 0.25 * h * work.sum(axis=1)
 
-    W = np.einsum("jk,ik->ji", S, R, out=work)    # row j holds w^j = R u^j
-    buf = np.empty_like(W)
+    W = np.multiply(Y, np.sqrt(lam), out=Y)       # row j holds w^j
     modified = np.empty(N + 1)
     modified[0] = np.nan
     for row in kernel_rows(mesh, cfg.alpha):
         n = row.level
-        X = np.subtract(W[:n], W[n], out=buf[:n])   # row j holds w^j - w^n
+        X = np.subtract(W[:n], W[n], out=work[:n])  # row j holds w^j - w^n
         Q = h * np.einsum("ij,ij->i", X, X)
         w = _g_weights(row.J, mesh, cfg.alpha)
         modified[n] = free[n] + w @ Q / cfg.kappa

@@ -77,6 +77,13 @@ def _finalize(nodes: np.ndarray) -> TemporalMesh:
     return TemporalMesh(nodes=nodes, steps=steps, ratios=ratios)
 
 
+def _check_N_T(N, T) -> None:
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError("N must be a positive integer")
+    if not (T > 0.0 and np.isfinite(T)):
+        raise ValueError("T must be finite and positive")
+
+
 def build_graded_cubic(N: int, T: float) -> TemporalMesh:
     """Mesh with tau_k = (2k+1)^3 T / (N(N+2)(2N^2+4N+3)).
 
@@ -88,10 +95,7 @@ def build_graded_cubic(N: int, T: float) -> TemporalMesh:
     Every ratio satisfies 1 < rho_k = ((2k+1)/(2k-1))^3 <= (5/3)^3, below the
     admissibility threshold of the kernel theory for every order alpha.
     """
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError("N must be a positive integer")
-    if not T > 0.0:
-        raise ValueError("T must be positive")
+    _check_N_T(N, T)
     # Python ints: partial sums grow like 2k^4 and must stay exact
     P = [(k + 1) ** 2 * (2 * (k + 1) ** 2 - 1) - 1 for k in range(N + 1)]
     D = P[N]
@@ -102,10 +106,7 @@ def build_graded_cubic(N: int, T: float) -> TemporalMesh:
 
 def build_uniform(N: int, T: float) -> TemporalMesh:
     """Constant-step baseline mesh: tau_k = T/N, rho_k = 1."""
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError("N must be a positive integer")
-    if not T > 0.0:
-        raise ValueError("T must be positive")
+    _check_N_T(N, T)
     return _finalize(np.linspace(0.0, T, N + 1))
 
 

@@ -212,6 +212,14 @@ class TestTfchRun:
                      "--out", str(tmp_path)]) == 1
         assert field in capsys.readouterr().err
 
+    def test_infinite_horizon_exits_1_naming_T(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["tfch-run", "--alpha", "0.5", "--N", "8", "--M", "8",
+                       "--T", "inf", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "T must be finite" in capsys.readouterr().err
+
 
 class TestRelaxedRatioBand:
     """tfch-run on a mesh file whose ratios reach into the band

@@ -5,11 +5,14 @@ against dense linear algebra directly; the fourth-order claim is checked by
 Richardson ratios on a smooth eigenfunction.
 """
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tfch.compact_spatial import (
     GridFunction,
+    _tridiag_eigs,
     a_matrix,
     apply_A,
     apply_A_inv,
@@ -157,6 +160,29 @@ class TestCompactLaplacian:
         ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
         for r in ratios:
             assert 14.0 <= r <= 18.0
+
+
+class TestSineBasis:
+    @pytest.mark.parametrize("M", [8, 37, 128])
+    def test_eigenvalues_match_dense(self, M):
+        h = 1.0 / M
+        for off, diag, dense in (
+                (1.0 / 12.0, 10.0 / 12.0, a_matrix(M)),
+                (1.0 / (h * h), -2.0 / (h * h), dxx_matrix(M, h))):
+            eigs = np.sort(_tridiag_eigs(off, diag, M - 1))
+            expected = scipy.linalg.eigvalsh(dense)
+            assert np.abs(eigs - expected).max() \
+                <= 1e-14 * np.abs(expected).max()
+
+    def test_smallest_second_difference_eigenvalue_is_accurate(self):
+        # -4 sin^2(pi/2M)/h^2 at 30 digits; the form -2/h^2 + 2 cos(pi/M)/h^2
+        # misses it by 4.2e-12 relative at this M
+        M = 1024
+        h = 1.0 / M
+        with mpmath.workdps(30):
+            exact = float(-4 * mpmath.sin(mpmath.pi / (2 * M)) ** 2 * M * M)
+        got = _tridiag_eigs(1.0 / (h * h), -2.0 / (h * h), M - 1)[0]
+        assert abs(got - exact) <= 1e-14 * abs(exact)
 
 
 class TestInnerProductsAndNorms:

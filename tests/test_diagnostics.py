@@ -203,6 +203,40 @@ class TestModifiedEnergy:
                     expected, rel=1e-13)
 
 
+    @pytest.mark.parametrize("M", [128, 512])
+    def test_increment_norms_match_longdouble_closed_form(self, M):
+        # (-H)^{-1} = -D^{-1} A = h^2 G A, G_ij = min(i,j) (M - max(i,j))/M,
+        # evaluated in longdouble. Each one-step history holds a pair of
+        # near-equal random states, so its level-1 modified energy carries
+        # one negative-order norm of an increment of size ~1e-3. A tiny
+        # kappa makes that term dominate E, so subtracting E loses nothing.
+        # Each state is transformed on its own, so the transform's rounding
+        # is amplified ~1e3 in the difference: over 60 draws the relative
+        # error has median 1.4e-13 and reaches 7e-13 (one of the draws
+        # below reaches 1.0e-12).
+        kappa = 1e-12
+        cfg = SolverConfig(alpha=0.5, kappa=kappa, epsilon=0.1,
+                           mesh=build_custom([0.01]), M=M,
+                           initial=quartic_bump)
+        weight = G_functional([0.0, 1.0], cfg.mesh, cfg.alpha)
+        i = np.arange(1, M, dtype=np.longdouble)
+        G = np.minimum.outer(i, i) * (M - np.maximum.outer(i, i)) / M
+        h = np.longdouble(1) / M
+        rng = np.random.default_rng(M)
+        for _ in range(4):
+            u0 = rng.uniform(-1.0, 1.0, M - 1)
+            u1 = u0 + 1e-3 * rng.uniform(-1.0, 1.0, M - 1)
+            run = dataclasses.replace(_random_history(cfg, 0),
+                                      U=np.stack([u0, u1]))
+            series = energy_series(run)
+            Q = (series.modified_energy[1] - series.free_energy[1]) \
+                * kappa / weight
+            d = u1.astype(np.longdouble) - u0
+            Ad = np.pad(d, 1)
+            Ad = (Ad[:-2] + 10 * Ad[1:-1] + Ad[2:]) / 12
+            exact = float(h ** 3 * (d @ (G @ Ad)))
+            assert abs(Q - exact) <= 2e-12 * exact
+
     def test_free_energies_and_masses_match_per_state_functions(self):
         hist = _small_run(alpha=0.5, N=24, M=16)
         # the random states are the oracle test's above
@@ -223,24 +257,25 @@ class TestModifiedEnergy:
             assert run.U.tobytes() == before
 
     def test_peak_memory_stays_within_four_state_arrays(self):
-        # N >> M, so arrays the size of the N+1 states dominate; the kernel
-        # row stream's block workspace (about 1 MiB whatever N and M are)
-        # would swamp the bound on a much smaller history
-        N, M = 1000, 100
-        hist = _random_history(_graded_config(N, M), 3)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            energy_series(hist)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
+        # Arrays the size of the N+1 states must dominate: no (M-1)^2 array
+        # may appear. N >> M in the first case and M is large in the
+        # second; the kernel row stream's block workspace (about 1 MiB
+        # whatever N and M are) would swamp the bound on a much smaller
+        # history.
+        for N, M in ((1000, 100), (200, 512)):
+            hist = _random_history(_graded_config(N, M), 3)
+            started = not tracemalloc.is_tracing()
             if started:
-                tracemalloc.stop()
-        doubles = 4 * (N + 1) * (M - 1) + 4 * (M - 1) ** 2
-        assert peak <= 8 * doubles
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                energy_series(hist)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if started:
+                    tracemalloc.stop()
+            assert peak <= 8 * 4 * (N + 1) * (M - 1), (N, M)
 
     def test_bitwise_equal_across_blas_thread_counts(self, tmp_path):
         hist = _random_history(_graded_config(200, 200), 5)

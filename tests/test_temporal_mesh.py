@@ -103,6 +103,13 @@ def test_builder_argument_validation():
         validate_ratio_bound(build_uniform(4, 1.0), 1.5)
 
 
+@pytest.mark.parametrize("builder", [build_graded_cubic, build_uniform])
+@pytest.mark.parametrize("T", [float("inf"), float("nan"), -float("inf")])
+def test_builders_reject_non_finite_horizon(builder, T):
+    with pytest.raises(ValueError, match="T must be finite"):
+        builder(4, T)
+
+
 def test_write_mesh_csv(tmp_path):
     mesh = build_graded_cubic(3, 1.0)
     path = tmp_path / "mesh.csv"
