@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 # Fixed pivot ratio baked into theta, exactly as printed; rho_bar() recomputes
-# the underlying fixed point but theta never consumes that output.
+# the underlying minimum of rho_star but theta never consumes that output.
 RHO_BAR = 4.7476114
 
 # The second-difference kernel d is evaluated through G(eps) below, whose
@@ -366,7 +366,7 @@ def q3(rho, alpha: float):
     """alpha ln rho - 2 (1 + rho - 2^{-alpha} alpha^2 + 2^{-alpha} alpha^3 ln 2
     + alpha^2) / (1 + rho + alpha rho + 2^{-alpha} alpha^2 + alpha/2 - alpha^2).
 
-    Its zero along the rho_star root curve locates the step-ratio minimum.
+    Its zero along the rho_star root curve locates the minimum of rho_star.
     """
     rho = np.asarray(rho, dtype=float)
     ta = 2.0 ** -alpha
@@ -403,38 +403,23 @@ def rho_star(alpha: float) -> float:
     return float(r)
 
 
-def _alpha_root_q3(rho: float) -> float:
-    """Root of q3(rho, .) in alpha, bisected on (0,1)."""
-    lo, hi = 1e-6, 1.0 - 1e-12
-    flo, fhi = q3(rho, lo), q3(rho, hi)
-    if not flo * fhi < 0.0:
-        raise ArithmeticError("q3 does not change sign in alpha on (0,1)")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if q3(rho, mid) * flo > 0.0:
+def rho_bar():
+    """Minimum (rho, alpha) of the admissibility threshold rho_star over alpha.
+
+    Along the threshold curve q3(rho_star(alpha), alpha) vanishes where
+    rho_star is stationary; it runs from -2.0 at alpha = 1e-6 to +0.33 at
+    alpha = 1. Bisection halves that bracket until the midpoint stops moving
+    and returns (rho_star(alpha), alpha), about (4.7476114, 0.82265).
+    """
+    lo, hi = 1e-6, 1.0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if q3(rho_star(mid), mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def rho_bar(tol: float = 1e-10, max_sweeps: int = 200):
-    """Simultaneous root (rho, alpha) of q2 = 0 and q3 = 0.
-
-    Alternates 1-D solves: rho follows the q2 root curve at the current alpha,
-    then alpha is re-solved from q3 at that rho, until the pair moves less
-    than tol componentwise. Lands on about (4.7476114, 0.82265), the minimum
-    of the admissibility threshold over the order.
-    """
-    a = 0.8
-    r = rho_star(a)
-    for _ in range(max_sweeps):
-        a_new = _alpha_root_q3(r)
-        r_new = rho_star(a_new)
-        if abs(a_new - a) < tol and abs(r_new - r) < tol:
-            return r_new, a_new
-        a, r = a_new, r_new
-    raise ArithmeticError("alternating bisection for (rho, alpha) did not converge")
+        mid = 0.5 * (lo + hi)
+    return rho_star(mid), mid
 
 
 def truncation_bound(n: int, mesh: TemporalMesh, alpha: float,

@@ -3,7 +3,7 @@
 Subcommands:
 
     rho-star             admissibility threshold curve, optional q3 grid and
-                         the (rho, alpha) fixed point
+                         the minimum of rho_star over alpha
     mesh                 mesh tables, optional ratio report and kernel rows
     caputo-convergence   fractional-derivative benchmark tables
     tfch-convergence     temporal self-convergence of the full solver
@@ -78,6 +78,15 @@ def _int_list(text: str):
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 
 
+def _add_physics(sub) -> None:
+    """Flags every solver subcommand shares; _config reads them."""
+    sub.add_argument("--M", type=int, default=60)
+    sub.add_argument("--T", type=float, default=1.0)
+    sub.add_argument("--kappa", type=float, default=0.01)
+    sub.add_argument("--epsilon", type=float, default=0.1)
+    sub.add_argument("--tol", type=float, default=1e-10)
+
+
 def _add_common(sub) -> None:
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--config", default=None,
@@ -99,7 +108,7 @@ def build_parser():
     s.add_argument("--q3-rhos", type=_float_list,
                    default=list(np.round(np.arange(1.2, 8.01, 0.2), 10)))
     s.add_argument("--fixed-point", action="store_true",
-                   help="also locate the (rho, alpha) fixed point")
+                   help="also locate the minimum of rho_star over alpha")
     _add_common(s)
     registry["rho-star"] = s
 
@@ -129,44 +138,32 @@ def build_parser():
     s.add_argument("--alphas", type=_float_list, default=[0.3, 0.5, 0.7, 0.9])
     s.add_argument("--Ns", type=_int_list, default=[15, 18, 21, 24])
     s.add_argument("--N0", type=int, default=200, help="reference resolution")
-    s.add_argument("--M", type=int, default=60)
-    s.add_argument("--T", type=float, default=1.0)
-    s.add_argument("--kappa", type=float, default=0.01)
-    s.add_argument("--epsilon", type=float, default=0.1)
-    s.add_argument("--tol", type=float, default=1e-10)
     s.add_argument("--workers", type=int, default=1,
-                   help="thread fan-out over the alpha list")
+                   help="threads over the alpha list (at least 1)")
+    _add_physics(s)
     _add_common(s)
     registry["tfch-convergence"] = s
 
     s = subs.add_parser("tfch-run", help="one full run with diagnostics")
     s.add_argument("--alpha", type=float, default=None)
     s.add_argument("--N", type=int, default=200)
-    s.add_argument("--M", type=int, default=60)
-    s.add_argument("--T", type=float, default=1.0)
-    s.add_argument("--kappa", type=float, default=0.01)
-    s.add_argument("--epsilon", type=float, default=0.1)
     s.add_argument("--mesh", default="graded-cubic",
                    help="graded-cubic, uniform, or a path to a mesh file")
     s.add_argument("--initial", choices=("quartic-bump", "zero"),
                    default="quartic-bump")
     s.add_argument("--source", choices=("none", "manufactured"),
                    default="none")
-    s.add_argument("--tol", type=float, default=1e-10)
     s.add_argument("--max-iterations", type=int, default=500)
     s.add_argument("--dump-states", type=int, default=0, metavar="K",
                    help="write state_{n}.csv every K levels (0 disables)")
+    _add_physics(s)
     _add_common(s)
     registry["tfch-run"] = s
 
     s = subs.add_parser("manufactured", help="forced-solution accuracy sweep")
     s.add_argument("--alphas", type=_float_list, default=[0.1, 0.3, 0.6, 0.9])
     s.add_argument("--Ns", type=_int_list, default=[200])
-    s.add_argument("--M", type=int, default=60)
-    s.add_argument("--T", type=float, default=1.0)
-    s.add_argument("--kappa", type=float, default=0.01)
-    s.add_argument("--epsilon", type=float, default=0.1)
-    s.add_argument("--tol", type=float, default=1e-10)
+    _add_physics(s)
     _add_common(s)
     registry["manufactured"] = s
 
@@ -240,6 +237,9 @@ def _cmd_rho_star(args) -> int:
     for a in args.alphas:
         if not 0.0 < a <= 1.0:
             raise UsageError("alpha %g outside (0,1]" % a)
+    for r in args.q3_rhos:
+        if not 0.0 < r < np.inf:
+            raise UsageError("q3 ratio %g must be finite and positive" % r)
     outputs = ["rho_star.csv"]
     notes = []
     write_rho_star_csv(args.alphas, _out_path(args, "rho_star.csv"))
@@ -357,34 +357,31 @@ def _cmd_caputo_convergence(args) -> int:
          for alpha in args.alphas))
 
 
+def _config(args, alpha, mesh, **fields) -> SolverConfig:
+    """The run's SolverConfig: the _add_physics flags plus the given fields."""
+    return SolverConfig(alpha=alpha, kappa=args.kappa, epsilon=args.epsilon,
+                        mesh=mesh, M=args.M, iteration_tol=args.tol, **fields)
+
+
 def _tfch_errors_for_alpha(alpha, args):
     """Terminal-state errors against the N0 reference, one per N."""
-    initial = quartic_bump
-    def make_cfg(N):
-        return SolverConfig(
-            alpha=alpha, kappa=args.kappa, epsilon=args.epsilon,
-            mesh=temporal_mesh.build_graded_cubic(N, args.T), M=args.M,
-            iteration_tol=args.tol, initial=initial)
-    ref = solve(make_cfg(args.N0)).U[-1]
-    return [float(np.max(np.abs(solve(make_cfg(N)).U[-1] - ref)))
-            for N in args.Ns]
+    def terminal(N):
+        mesh = temporal_mesh.build_graded_cubic(N, args.T)
+        return solve(_config(args, alpha, mesh, initial=quartic_bump)).U[-1]
+    ref = terminal(args.N0)
+    return [float(np.max(np.abs(terminal(N) - ref))) for N in args.Ns]
 
 
 def _cmd_tfch_convergence(args) -> int:
     if args.N0 <= max(args.Ns):
         raise UsageError("--N0 must exceed every entry of --Ns")
-    results = {}
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            futures = {alpha: pool.submit(_tfch_errors_for_alpha, alpha, args)
-                       for alpha in args.alphas}
-            results = {alpha: fut.result() for alpha, fut in futures.items()}
-    else:
-        for alpha in args.alphas:
-            results[alpha] = _tfch_errors_for_alpha(alpha, args)
-
-    return _convergence_table(args, "tfch_convergence.csv",
-                              ((alpha, results[alpha]) for alpha in args.alphas))
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        errors = pool.map(lambda alpha: _tfch_errors_for_alpha(alpha, args),
+                          args.alphas)
+        return _convergence_table(args, "tfch_convergence.csv",
+                                  zip(args.alphas, errors))
 
 
 def _write_state_csv(state, path: str) -> None:
@@ -398,11 +395,9 @@ def _cmd_tfch_run(args) -> int:
     mesh = _build_mesh(args.mesh, args.N, args.T)
     initial = quartic_bump if args.initial == "quartic-bump" else _zero_initial
     source = None if args.source == "none" else "manufactured"
-    cfg = SolverConfig(
-        alpha=args.alpha, kappa=args.kappa, epsilon=args.epsilon,
-        mesh=mesh, M=args.M, iteration_tol=args.tol,
-        max_iterations=args.max_iterations, source=source, initial=initial)
-    history = solve(cfg)
+    history = solve(_config(args, args.alpha, mesh, source=source,
+                            initial=initial,
+                            max_iterations=args.max_iterations))
     series = diagnostics.energy_series(history)
 
     diagnostics.write_energy_csv(series, _out_path(args, "energy.csv"))
@@ -444,11 +439,8 @@ def _cmd_manufactured(args) -> int:
         mesh = temporal_mesh.build_graded_cubic(N, args.T)
         detail, summary = [], []
         for alpha in args.alphas:
-            cfg = SolverConfig(
-                alpha=alpha, kappa=args.kappa, epsilon=args.epsilon,
-                mesh=mesh, M=args.M, iteration_tol=args.tol,
-                source="manufactured", initial=_zero_initial)
-            history = solve(cfg)
+            history = solve(_config(args, alpha, mesh, source="manufactured",
+                                    initial=_zero_initial))
             x = np.linspace(0.0, 1.0, args.M + 1)
             exact = manufactured_solution(x, args.T, alpha)
             numeric = history.terminal.values

@@ -183,10 +183,18 @@ def dgs_identity_check(chi_rows, sigma: float, phis) -> float:
         2 phi_m sum_j chi_{m-j} phi_j
             = Y_m - Y_{m-1} + sigma chi_0 phi_m^2 + YR_m,
 
-    where Y and YR are the weighted squares of suffix sums written in the
-    docstring of kernel_property_check. It is an algebraic rearrangement, so
-    the residual is rounding noise for any row data; the positive-definiteness
-    corollary additionally needs every Y/YR weight nonnegative, and a
+    where Y and YR are weighted squares of suffix sums. Index a^m, the
+    level-m row of a, in interval order like chi_rows (a^m[m-1] is a_0),
+    and let S^m_j = phi_{j+1} + ... + phi_m and da[j] = a[j] - a[j-1]:
+
+        Y_m  = a^m[0] (S^m_0)^2 + sum_{j=1}^{m-1} da^m[j] (S^m_j)^2
+        YR_m = (a^{m-1}[0] - a^m[0]) (S^{m-1}_0)^2
+               + sum_{j=1}^{m-2} (da^{m-1}[j] - da^m[j]) (S^{m-1}_j)^2
+
+    with Y_0 = 0 and YR_1 = 0. It is an algebraic rearrangement, so the
+    residual is rounding noise for any row data; the positive-definiteness
+    corollary additionally needs every Y weight (a^m[0], da^m[j]) and YR
+    weight (a^{m-1}[0] - a^m[0], da^{m-1}[j] - da^m[j]) nonnegative, and a
     RuntimeWarning reports which weight family fails that (the residual is
     still evaluated and returned).
     """

@@ -66,6 +66,8 @@ class TemporalMesh:
 
 
 def _finalize(nodes: np.ndarray) -> TemporalMesh:
+    if not np.isfinite(nodes).all():
+        raise ValueError("nodes must be finite")
     steps = np.diff(nodes)
     if not (steps > 0.0).all():
         raise ValueError("nodes must be strictly increasing")
@@ -111,7 +113,7 @@ def build_uniform(N: int, T: float) -> TemporalMesh:
 
 
 def build_custom(steps) -> TemporalMesh:
-    """Mesh from an explicit list of positive steps.
+    """Mesh from an explicit list of finite positive steps.
 
     Nodes are the cumulative sums; the stored steps are then re-derived from
     the nodes (differing from the input by at most 1 ulp each) so that the
@@ -120,9 +122,10 @@ def build_custom(steps) -> TemporalMesh:
     steps = np.asarray(steps, dtype=float)
     if steps.ndim != 1 or len(steps) == 0:
         raise ValueError("steps must be a non-empty 1-D sequence")
-    if not (steps > 0.0).all():
-        raise ValueError("every step must be positive")
-    nodes = np.concatenate(([0.0], np.cumsum(steps)))
+    if not ((steps > 0.0) & np.isfinite(steps)).all():
+        raise ValueError("every step must be finite and positive")
+    with np.errstate(over="ignore"):  # _finalize rejects an infinite node
+        nodes = np.concatenate(([0.0], np.cumsum(steps)))
     return _finalize(nodes)
 
 

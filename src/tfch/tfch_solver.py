@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -418,10 +418,4 @@ def solve(config: SolverConfig) -> RunHistory:
 def reference_solution(config: SolverConfig, N0: int) -> RunHistory:
     """Re-run the same problem on a graded mesh with N0 steps (same horizon)."""
     mesh0 = build_graded_cubic(N0, config.mesh.horizon)
-    cfg = SolverConfig(
-        alpha=config.alpha, kappa=config.kappa, epsilon=config.epsilon,
-        mesh=mesh0, M=config.M, domain=config.domain,
-        iteration_tol=config.iteration_tol,
-        max_iterations=config.max_iterations,
-        source=config.source, initial=config.initial)
-    return solve(cfg)
+    return solve(replace(config, mesh=mesh0))

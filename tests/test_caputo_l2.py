@@ -385,6 +385,16 @@ def test_rho_bar_fixed_point():
     assert abs(q3(r, a)) <= 1e-7
 
 
+def test_rho_bar_is_the_minimum_of_rho_star():
+    r, a = rho_bar()
+    assert r == rho_star(a)
+    assert min(rho_star(x) for x in np.linspace(0.05, 0.999, 200)) >= r
+    # rho_star is quadratic near its minimum: 1e-3 either side of the
+    # argmin costs about 3.7e-6
+    for da in (-1e-3, 1e-3):
+        assert rho_star(a + da) - r == pytest.approx(3.7e-6, rel=0.05)
+
+
 def test_truncation_bound_controls_the_cubic_benchmark():
     from scipy.special import gamma
     mesh = build_graded_cubic(20, 1.0)

@@ -73,6 +73,18 @@ class TestRhoStar:
         assert _run(["rho-star", "--alphas", "1.5",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("rhos", ["-1,0,2", "2,inf", "nan"])
+    def test_bad_q3_ratio_exits_2_before_output(self, tmp_path, capsys,
+                                                rhos):
+        # q3 takes log(rho): a nonpositive ratio must not reach it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["rho-star", "--q3", "--q3-rhos=" + rhos,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMesh:
     def test_table_and_meta(self, tmp_path):
@@ -144,6 +156,28 @@ class TestMesh:
     def test_missing_mesh_file_exits_2(self, tmp_path):
         assert _run(["mesh", "--mesh", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["mesh"],
+        ["tfch-run", "--alpha", "0.5", "--M", "8"],
+    ], ids=["mesh", "tfch-run"])
+    @pytest.mark.parametrize("content, message", [
+        ("1e-3\ninf\n", "every step must be finite"),
+        ("k,t_k,tau_k,rho_k\n0,0,,\n1,0.5,0.5,\n2,inf,inf,inf\n",
+         "nodes must be finite"),
+    ], ids=["step-file", "mesh-csv"])
+    def test_non_finite_mesh_file_exits_1(self, tmp_path, capsys, argv,
+                                          content, message):
+        mesh_file = tmp_path / "in" / "steps.txt"
+        mesh_file.parent.mkdir()
+        mesh_file.write_text(content)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv + ["--mesh", str(mesh_file), "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_garbage_mesh_file_exits_1(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -251,6 +285,12 @@ class TestTfchConvergence:
     def test_reference_must_be_finer(self, tmp_path):
         assert _run(["tfch-convergence", "--alphas", "0.5", "--Ns", "6,8",
                      "--N0", "8", "--M", "8", "--out", str(tmp_path)]) == 2
+
+    def test_workers_below_one_exits_2(self, tmp_path):
+        assert _run(["tfch-convergence", "--alphas", "0.5", "--Ns", "6",
+                     "--N0", "8", "--M", "8", "--workers", "0",
+                     "--out", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_workers_do_not_change_the_bytes(self, tmp_path):
         base = ["tfch-convergence", "--alphas", "0.3,0.5", "--Ns", "6,8",

@@ -200,7 +200,7 @@ class TestModifiedEnergy:
                 expected = free_energy(run.state(n), cfg.epsilon) \
                     + history_term / cfg.kappa
                 assert series.modified_energy[n] == pytest.approx(
-                    expected, rel=1e-13)
+                    expected, rel=1e-13, abs=0)
 
 
     @pytest.mark.parametrize("M", [128, 512])
@@ -246,7 +246,7 @@ class TestModifiedEnergy:
             for n in range(run.mesh.N + 1):
                 u = run.state(n)
                 assert series.free_energy[n] == pytest.approx(
-                    free_energy(u, eps), rel=1e-13)
+                    free_energy(u, eps), rel=1e-13, abs=0)
                 assert series.mass[n].tobytes() == \
                     np.float64(mass(u)).tobytes()
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tfch import temporal_mesh
 from tfch.temporal_mesh import (
     build_custom,
     build_graded_cubic,
@@ -101,6 +102,22 @@ def test_builder_argument_validation():
         build_custom([0.1, -0.2])
     with pytest.raises(ValueError):
         validate_ratio_bound(build_uniform(4, 1.0), 1.5)
+
+
+@pytest.mark.parametrize("steps", [[1e-3, np.inf], [np.nan, 0.5],
+                                   [0.5, -np.inf]])
+def test_custom_builder_rejects_non_finite_steps(steps):
+    with pytest.raises(ValueError, match="every step must be finite"):
+        build_custom(steps)
+
+
+def test_nodes_must_be_finite():
+    # mesh.csv files reach the mesh through _finalize, and so do finite
+    # steps whose sum overflows
+    with pytest.raises(ValueError, match="nodes must be finite"):
+        temporal_mesh._finalize(np.array([0.0, 0.5, np.inf]))
+    with pytest.raises(ValueError, match="nodes must be finite"):
+        build_custom([1e308, 1e308])
 
 
 @pytest.mark.parametrize("builder", [build_graded_cubic, build_uniform])
