@@ -62,10 +62,9 @@ def longdouble_sweep(config: SolverConfig) -> np.ndarray:
     """Interior states U[0..N] of solve's scheme, as an (N+1, M-1) longdouble
     array. Validators are left out; raises NonconvergenceError like solve."""
     mesh, M = config.mesh, config.M
-    a, b = config.domain
-    x_full = np.linspace(a, b, M + 1)
+    x_full = np.linspace(0.0, 1.0, M + 1)
     kappa, eps = _LD(config.kappa), _LD(config.epsilon)
-    h = (_LD(b) - _LD(a)) / M
+    h = _LD(1) / M
     m = M - 1
     A = _tridiag(m, _LD(1) / 12, _LD(10) / 12)
     D = _tridiag(m, 1 / (h * h), -2 / (h * h))

@@ -63,7 +63,7 @@ def _random_admissible_mesh(rng, n_max: int = 64, rho_max: float = 4.6):
 def _random_grid_function(rng, M: int) -> GridFunction:
     v = np.zeros(M + 1)
     v[1:-1] = rng.standard_normal(M - 1)
-    return GridFunction(values=v, h=1.0 / M, domain=(0.0, 1.0))
+    return GridFunction(values=v)
 
 
 def _check_split_equivalence(rng) -> CheckResult:

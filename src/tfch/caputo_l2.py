@@ -311,8 +311,8 @@ def apply_caputo(history, mesh: TemporalMesh, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def solve_linear_fode(mesh: TemporalMesh, alpha: float, rhs, w0: float = 0.0) -> np.ndarray:
-    """March the scalar problem (d/dt)^alpha w = rhs(t) with the B kernels.
+def solve_linear_fode(mesh: TemporalMesh, alpha: float, rhs) -> np.ndarray:
+    """March (d/dt)^alpha w = rhs(t) from w(0) = 0 with the B kernels.
 
     Each step solves B_0^{(n)} dw^n = rhs(t_n) - sum_{k<n} B_{n-k}^{(n)} dw^k.
     Returns w at all nodes (length N+1). This inversion of the discrete
@@ -321,7 +321,7 @@ def solve_linear_fode(mesh: TemporalMesh, alpha: float, rhs, w0: float = 0.0) ->
     _check_alpha_open(alpha)
     N = mesh.N
     w = np.empty(N + 1)
-    w[0] = w0
+    w[0] = 0.0
     dw = np.empty(N)
     for row in kernel_rows(mesh, alpha):
         n, B = row.level, row.B

@@ -72,6 +72,8 @@ def _int_list(text: str):
     items = [int(p) for p in text.split(",") if p.strip()]
     if not items:
         raise argparse.ArgumentTypeError("expected at least one value")
+    if len(set(items)) < len(items):
+        raise argparse.ArgumentTypeError("values must not repeat")
     return items
 
 
@@ -392,6 +394,8 @@ def _write_state_csv(state, path: str) -> None:
 def _cmd_tfch_run(args) -> int:
     if args.alpha is None:
         raise UsageError("tfch-run requires --alpha (flag or config)")
+    if args.dump_states < 0:
+        raise UsageError("--dump-states must be at least 0")
     mesh = _build_mesh(args.mesh, args.N, args.T)
     initial = quartic_bump if args.initial == "quartic-bump" else _zero_initial
     source = None if args.source == "none" else "manufactured"

@@ -1,7 +1,7 @@
-"""Fourth-order compact spatial operators on a uniform interval grid.
+"""Fourth-order compact spatial operators on the unit interval.
 
-Grid functions live on x_i = a + i h, i = 0..M, with zero Dirichlet values
-pinned at both ends. The compact average A = tridiag(1,10,1)/12 and the
+Grid functions live on x_i = i h, i = 0..M, h = 1/M, with zero Dirichlet
+values pinned at both ends. The compact average A = tridiag(1,10,1)/12 and the
 second difference D = tridiag(1,-2,1)/h^2 act on interior points; together
 H = A^{-1} D approximates the Laplacian to fourth order. A and D share
 eigenvectors (A = I + (h^2/12) D), so -H^{-1} is symmetric positive definite
@@ -41,16 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Values on the closed grid of an interval, endpoints included.
+    """Values on the closed grid of the unit interval, endpoints included.
 
-    values has length M+1; boundary entries are carried verbatim (the
-    operators treat them as pinned). eq is disabled: ndarray equality is
-    elementwise and would poison hashing/comparison semantics.
+    values has length M+1, so h = 1/M; boundary entries are carried verbatim
+    (the operators treat them as pinned). eq is disabled: ndarray equality
+    is elementwise and would poison hashing/comparison semantics.
     """
 
     values: np.ndarray
-    h: float
-    domain: tuple = (0.0, 1.0)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -62,6 +60,14 @@ class GridFunction:
     def M(self) -> int:
         return self.values.size - 1
 
+    @property
+    def h(self) -> float:
+        return 1.0 / self.M
+
+    @property
+    def domain(self) -> tuple:
+        return (0.0, 1.0)
+
     def interior(self) -> np.ndarray:
         return self.values[1:-1]
 
@@ -69,14 +75,12 @@ class GridFunction:
         return np.asarray(self.values, dtype=dtype)
 
 
-def sample(fn, M: int, domain: tuple = (0.0, 1.0)) -> GridFunction:
-    """Evaluate fn on the M+1 uniform nodes of domain."""
-    a, b = float(domain[0]), float(domain[1])
+def sample(fn, M: int) -> GridFunction:
+    """Evaluate fn on the M+1 uniform nodes of the unit interval."""
     if M < 2:
         raise ValueError("M must be at least 2")
-    x = np.linspace(a, b, M + 1)
-    return GridFunction(values=np.asarray(fn(x), dtype=float),
-                        h=(b - a) / M, domain=(a, b))
+    x = np.linspace(0.0, 1.0, M + 1)
+    return GridFunction(values=np.asarray(fn(x), dtype=float))
 
 
 def _interior(u) -> tuple[np.ndarray, float]:
@@ -84,12 +88,6 @@ def _interior(u) -> tuple[np.ndarray, float]:
     if isinstance(u, GridFunction):
         return u.values[1:-1], u.h
     raise TypeError("expected a GridFunction")
-
-
-def _rewrap(u: GridFunction, interior: np.ndarray) -> GridFunction:
-    v = np.zeros_like(u.values)
-    v[1:-1] = interior
-    return GridFunction(values=v, h=u.h, domain=u.domain)
 
 
 def _sine(v: np.ndarray) -> np.ndarray:
@@ -115,6 +113,14 @@ def _solve_tridiag(off: float, diag: float, rhs: np.ndarray) -> np.ndarray:
     return _sine(_sine(rhs) / _tridiag_eigs(off, diag, rhs.shape[-1]))
 
 
+def _neg_h_inv_eigs(M: int) -> np.ndarray:
+    """Eigenvalues of (-H)^{-1} = -D^{-1} A on M intervals, in _sine's order."""
+    h = 1.0 / M
+    m = M - 1
+    return -(h * h) * _tridiag_eigs(1.0 / 12.0, 10.0 / 12.0, m) \
+        / _tridiag_eigs(1.0, -2.0, m)
+
+
 def _average(full: np.ndarray) -> np.ndarray:
     """(f_{i-1} + 10 f_i + f_{i+1})/12 inside full, along its last axis."""
     return (full[..., :-2] + 10.0 * full[..., 1:-1] + full[..., 2:]) / 12.0
@@ -134,7 +140,7 @@ def apply_A(u: GridFunction) -> GridFunction:
     _interior(u)  # TypeError unless u is a GridFunction
     res = np.array(u.values, copy=True)
     res[1:-1] = _average(u.values)
-    return GridFunction(values=res, h=u.h, domain=u.domain)
+    return GridFunction(values=res)
 
 
 def apply_A_inv(u: GridFunction) -> GridFunction:
@@ -142,7 +148,7 @@ def apply_A_inv(u: GridFunction) -> GridFunction:
     v, _ = _interior(u)
     res = np.array(u.values, copy=True)
     res[1:-1] = _solve_tridiag(1.0 / 12.0, 10.0 / 12.0, v)
-    return GridFunction(values=res, h=u.h, domain=u.domain)
+    return GridFunction(values=res)
 
 
 def apply_dxx(u: GridFunction) -> GridFunction:
@@ -150,7 +156,7 @@ def apply_dxx(u: GridFunction) -> GridFunction:
     v, h = _interior(u)
     full = u.values
     out = (full[:-2] - 2.0 * v + full[2:]) / (h * h)
-    return _rewrap(u, out)
+    return GridFunction(values=np.pad(out, 1))
 
 
 def apply_H(u: GridFunction) -> GridFunction:
@@ -161,7 +167,7 @@ def apply_H(u: GridFunction) -> GridFunction:
 def apply_negH_inv(u: GridFunction) -> GridFunction:
     """Solve -H w = u, i.e. D w = -(A u), with zero boundary."""
     _, h = _interior(u)
-    return _rewrap(u, _neg_h_inv(u.values, h))
+    return GridFunction(values=np.pad(_neg_h_inv(u.values, h), 1))
 
 
 def a_matrix(M: int) -> np.ndarray:
@@ -185,7 +191,7 @@ def dxx_matrix(M: int, h: float) -> np.ndarray:
 
 
 def _check_compatible(u: GridFunction, v: GridFunction) -> None:
-    if u.values.size != v.values.size or u.h != v.h:
+    if u.values.size != v.values.size:
         raise ValueError("grid functions live on different grids")
 
 
@@ -229,4 +235,4 @@ def hadamard_pow(u: GridFunction, p: int) -> GridFunction:
     """Pointwise integer power, boundary included."""
     if not isinstance(p, int) or p < 1:
         raise ValueError("power must be a positive integer")
-    return GridFunction(values=u.values ** p, h=u.h, domain=u.domain)
+    return GridFunction(values=u.values ** p)

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from scipy.special import gamma
 
 from ._fmt import write_csv
 from .caputo_l2 import kernel_row_J, kernel_rows
-from .compact_spatial import GridFunction, _sine, _tridiag_eigs, quad_negH
+from .compact_spatial import GridFunction, _neg_h_inv_eigs, _sine, quad_negH
 from .temporal_mesh import TemporalMesh
 
 __all__ = [
@@ -140,10 +139,7 @@ def energy_series(history) -> EnergySeries:
     mesh = cfg.mesh
     N = mesh.N
     h = cfg.h
-    m = cfg.M - 1
-    # eigenvalues of (-H)^{-1} = -D^{-1} A, with D = tridiag(1,-2,1)/h^2
-    lam = -(h * h) * _tridiag_eigs(1.0 / 12.0, 10.0 / 12.0, m) \
-        / _tridiag_eigs(1.0, -2.0, m)
+    lam = _neg_h_inv_eigs(cfg.M)
 
     U = history.U
     masses = h * (U.sum(axis=1) + 0.0)  # as mass(): -0.0 sums become 0.0
@@ -254,7 +250,8 @@ def dgs_identity_check(chi_rows, sigma: float, phis) -> float:
 
 @dataclass(frozen=True)
 class KernelPropertyReport:
-    """Outcome of the three structural J-kernel checks up to some level.
+    """Outcome of the three structural J-kernel checks over levels 1..n_max,
+    every level of the mesh.
 
     Margins are the most negative slack seen, normalized by the largest row
     entry at the offending level (0.0 when every comparison held with room).
@@ -275,8 +272,8 @@ class KernelPropertyReport:
                 and self.dominance_violations == 0)
 
 
-def kernel_property_check(mesh: TemporalMesh, alpha: float,
-                          n_max: int = None) -> KernelPropertyReport:
+def kernel_property_check(mesh: TemporalMesh,
+                          alpha: float) -> KernelPropertyReport:
     """Check monotonicity, convexity, and level dominance of the J rows.
 
     In interval order (index k, subscripts reversed) the three claims are,
@@ -289,10 +286,6 @@ def kernel_property_check(mesh: TemporalMesh, alpha: float,
     These hold whenever every step ratio is in [1, rho_star(alpha)] and are
     the backbone of the dissipation proof.
     """
-    if n_max is None:
-        n_max = mesh.N
-    if not 1 <= n_max <= mesh.N:
-        raise ValueError("n_max outside 1..%d" % mesh.N)
     counts = {"mono": 0, "conv": 0, "dom": 0}
     margins = {"mono": 0.0, "conv": 0.0, "dom": 0.0}
 
@@ -303,7 +296,7 @@ def kernel_property_check(mesh: TemporalMesh, alpha: float,
             margins[kind] = min(margins[kind], float(diffs.min()) / scale)
 
     prev = None
-    for row in islice(kernel_rows(mesh, alpha), n_max):
+    for row in kernel_rows(mesh, alpha):
         n, J = row.level, row.J
         scale = float(np.max(np.abs(J)))
         if n >= 2:
@@ -313,7 +306,7 @@ def kernel_property_check(mesh: TemporalMesh, alpha: float,
                 _tally("conv", np.diff(prev) - np.diff(J[: n - 1]), scale)
         prev = J
     return KernelPropertyReport(
-        n_max=n_max,
+        n_max=mesh.N,
         monotonicity_violations=counts["mono"],
         convexity_violations=counts["conv"],
         dominance_violations=counts["dom"],
@@ -323,24 +316,20 @@ def kernel_property_check(mesh: TemporalMesh, alpha: float,
     )
 
 
-def convergence_order(errors, Ns=None) -> np.ndarray:
-    """Observed orders between successive errors.
-
-    With Ns given, order_i = log(e_i/e_{i+1}) / log(N_{i+1}/N_i); without,
-    successive resolutions are assumed to double.
-    """
+def convergence_order(errors, Ns) -> np.ndarray:
+    """Observed orders between successive errors at resolutions Ns:
+    order_i = log(e_i/e_{i+1}) / log(N_{i+1}/N_i)."""
     e = np.asarray(errors, dtype=float)
     if (e <= 0.0).any():
         raise ValueError("errors must be positive to take logarithms")
     if e.size < 2:
         return np.empty(0)
-    ratios = np.log(e[:-1] / e[1:])
-    if Ns is None:
-        return ratios / np.log(2.0)
     Ns = np.asarray(Ns, dtype=float)
     if Ns.shape != e.shape:
         raise ValueError("Ns must match errors in length")
-    return ratios / np.log(Ns[1:] / Ns[:-1])
+    if np.unique(Ns).size != Ns.size:
+        raise ValueError("Ns must not repeat a resolution")
+    return np.log(e[:-1] / e[1:]) / np.log(Ns[1:] / Ns[:-1])
 
 
 def write_energy_csv(series: EnergySeries, target) -> None:

@@ -113,10 +113,13 @@ class NonconvergenceError(RuntimeError):
 class SolverConfig:
     """Full problem + discretization description for one run.
 
-    source may be None (homogeneous), the string "manufactured" (benchmark
-    forcing on (0,1)), or a callable (x_array, t) -> values. initial is a
-    callable x_array -> values on the M+1 nodes; only its interior entries
-    are read, and u^0's boundary values are zero, as the scheme pins them.
+    The grid is the unit interval, x_i = i/M. A run on (a, b) is the
+    unit-interval run with (kappa / L^2, epsilon / L), L = b - a, and with
+    initial and source composed with x = a + L y. source may be None
+    (homogeneous), the string "manufactured" (benchmark forcing), or a
+    callable (x_array, t) -> values. initial is a callable x_array -> values
+    on the M+1 nodes; only its interior entries are read, and u^0's boundary
+    values are zero, as the scheme pins them.
     """
 
     alpha: float
@@ -124,7 +127,6 @@ class SolverConfig:
     epsilon: float
     mesh: TemporalMesh
     M: int
-    domain: tuple = (0.0, 1.0)
     iteration_tol: float = 1e-10
     max_iterations: int = 500
     source: Union[None, str, Callable] = None
@@ -133,8 +135,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0,1)")
-        for name in ("kappa", "epsilon", "iteration_tol", "domain"):
-            if not np.isfinite(getattr(self, name)).all():
+        for name in ("kappa", "epsilon", "iteration_tol"):
+            if not np.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite" % name)
         if self.kappa <= 0.0 or self.epsilon <= 0.0:
             raise ValueError("kappa and epsilon must be positive")
@@ -142,9 +144,6 @@ class SolverConfig:
             raise TypeError("mesh must be a TemporalMesh")
         if self.M < 4:
             raise ValueError("M must be at least 4")
-        a, b = self.domain
-        if not b > a:
-            raise ValueError("domain must have positive length")
         if self.iteration_tol <= 0.0:
             raise ValueError("iteration_tol must be positive")
         if self.max_iterations < 1:
@@ -156,7 +155,7 @@ class SolverConfig:
 
     @property
     def h(self) -> float:
-        return (self.domain[1] - self.domain[0]) / self.M
+        return 1.0 / self.M
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +184,7 @@ class RunHistory:
 
     def state(self, n: int) -> GridFunction:
         """u^n as a GridFunction, boundary values zero."""
-        return GridFunction(values=np.pad(self.U[n], 1), h=self.config.h,
-                            domain=tuple(self.config.domain))
+        return GridFunction(values=np.pad(self.U[n], 1))
 
     @property
     def terminal(self) -> GridFunction:
@@ -331,8 +329,7 @@ def solve(config: SolverConfig) -> RunHistory:
             RuntimeWarning, stacklevel=2)
 
     M, h = config.M, config.h
-    a, b = config.domain
-    x_full = np.linspace(a, b, M + 1)
+    x_full = np.linspace(0.0, 1.0, M + 1)
     m = M - 1
     A = a_matrix(M)
     D = dxx_matrix(M, h)

@@ -20,6 +20,14 @@ def _run(argv):
         return main(argv)
 
 
+def _exit_code(argv):
+    """main's exit code, also when argparse exits during parsing."""
+    try:
+        return _run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def _read(path):
     with open(path) as f:
         return f.read()
@@ -223,6 +231,14 @@ class TestTfchRun:
         assert t_lines[0] == "x,u"
         assert len(t_lines) == 10
 
+    def test_negative_dump_states_exits_2_before_output(self, tmp_path,
+                                                        capsys):
+        rc = _run(["tfch-run", "--alpha", "0.5", "--N", "12", "--M", "8",
+                   "--dump-states", "-3", "--out", str(tmp_path)])
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+
     def test_dump_states(self, tmp_path):
         rc = _run(["tfch-run", "--alpha", "0.5", "--N", "12", "--M", "8",
                    "--dump-states", "5", "--out", str(tmp_path)])
@@ -336,6 +352,26 @@ class TestVerifySubcommand:
         meta = _read(tmp_path / "run_meta.txt")
         assert meta.count("note: ") >= 10
         assert "PASS" in meta
+
+
+class TestResolutionLists:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("argv", [
+        ["caputo-convergence", "--alphas", "0.5"],
+        ["tfch-convergence", "--alphas", "0.5", "--N0", "8", "--M", "8"],
+        ["manufactured", "--alphas", "0.5", "--M", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_repeated_N_exits_2_before_output(self, tmp_path, capsys, argv,
+                                              source):
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = argv + ["--Ns", "6,6"]
+        else:
+            (tmp_path / "run.conf").write_text("Ns = 6,6\n")
+            argv = argv + ["--config", str(tmp_path / "run.conf")]
+        assert _exit_code(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
 
 class TestConfigFiles:

@@ -35,7 +35,7 @@ def _rand(M, seed=0):
     rng = np.random.default_rng(seed)
     v = np.zeros(M + 1)
     v[1:-1] = rng.standard_normal(M - 1)
-    return GridFunction(values=v, h=1.0 / M)
+    return GridFunction(values=v)
 
 
 class TestGridFunction:
@@ -53,7 +53,7 @@ class TestGridFunction:
 
     def test_rejects_degenerate_values(self):
         with pytest.raises(ValueError):
-            GridFunction(values=np.array([1.0]), h=0.5)
+            GridFunction(values=np.array([1.0]))
 
     def test_mismatched_grids_raise(self):
         with pytest.raises(ValueError):
@@ -203,7 +203,7 @@ class TestInnerProductsAndNorms:
             g = _rand(20, seed=seed + 20)
             du = np.diff(g.values) / g.h
             grad2 = g.h * float(du @ du)
-            neg_dxx = GridFunction(values=-apply_dxx(g).values, h=g.h)
+            neg_dxx = GridFunction(values=-apply_dxx(g).values)
             pairing = inner(apply_A(g), neg_dxx)
             assert (2.0 / 3.0) * grad2 - 1e-12 * grad2 <= pairing
             assert pairing <= grad2 * (1 + 1e-12)

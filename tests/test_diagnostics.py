@@ -358,16 +358,10 @@ class TestKernelPropertyCheck:
                 (rep.dominance_violations, rep.dominance_margin)):
             assert (count > 0) == (margin < 0.0)
 
-    def test_level_range_validation(self, graded_24):
-        with pytest.raises(ValueError):
-            kernel_property_check(graded_24, 0.5, n_max=0)
-        with pytest.raises(ValueError):
-            kernel_property_check(graded_24, 0.5, n_max=25)
-
 
 class TestConvergenceOrder:
     def test_doubling_defaults(self):
-        orders = convergence_order([1.0, 0.125, 0.125 / 8.0])
+        orders = convergence_order([1.0, 0.125, 0.125 / 8.0], Ns=[10, 20, 40])
         assert orders == pytest.approx([3.0, 3.0], rel=1e-13)
 
     def test_explicit_resolutions(self):
@@ -377,10 +371,16 @@ class TestConvergenceOrder:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            convergence_order([1.0, 0.0])
+            convergence_order([1.0, 0.0], Ns=[10, 20])
         with pytest.raises(ValueError):
             convergence_order([1.0, 0.5, 0.25], Ns=[10, 20])
-        assert convergence_order([1.0]).size == 0
+        assert convergence_order([1.0], Ns=[10]).size == 0
+
+    @pytest.mark.parametrize("Ns", [[50, 50], [10, 20, 10]])
+    def test_repeated_resolutions_raise(self, Ns):
+        # equal neighbours would divide by log 1 = 0; any repeat is refused
+        with pytest.raises(ValueError, match="repeat"):
+            convergence_order(np.geomspace(1e-2, 1e-4, len(Ns)), Ns=Ns)
 
 
 class TestCsvWriters:

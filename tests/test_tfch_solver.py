@@ -72,13 +72,10 @@ class TestConfigValidation:
             _config(epsilon=-0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["kappa", "epsilon", "iteration_tol",
-                                       "domain"])
+    @pytest.mark.parametrize("field", ["kappa", "epsilon", "iteration_tol"])
     def test_non_finite_parameters_name_the_field(self, field, bad):
-        values = [(0.0, bad), (-bad, 1.0)] if field == "domain" else [bad]
-        for value in values:
-            with pytest.raises(ValueError, match=field):
-                _config(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            _config(**{field: bad})
 
     def test_mesh_type(self):
         with pytest.raises(TypeError):
@@ -87,10 +84,6 @@ class TestConfigValidation:
     def test_minimum_spatial_resolution(self):
         with pytest.raises(ValueError):
             _config(M=3)
-
-    def test_domain_orientation(self):
-        with pytest.raises(ValueError):
-            _config(domain=(1.0, 1.0))
 
     def test_iteration_controls(self):
         with pytest.raises(ValueError):
@@ -111,8 +104,8 @@ class TestConfigValidation:
             _config(initial=np.zeros(9))
 
     def test_h_property(self):
-        cfg = _config(M=8, domain=(0.0, 2.0))
-        assert cfg.h == pytest.approx(0.25)
+        cfg = _config(M=8)
+        assert cfg.h == pytest.approx(0.125)
 
 
 class TestSolveBasics:
@@ -145,11 +138,11 @@ class TestSolveBasics:
         assert hist.U.shape == (N + 1, M - 1)
         padded = np.pad(hist.U[-1], 1)
         assert hist.terminal.values.tobytes() == padded.tobytes()
-        assert hist.terminal.h == cfg.h and hist.terminal.domain == cfg.domain
+        assert hist.terminal.domain == (0.0, 1.0)
         for n in (0, N // 2, N):
             u = hist.state(n)
             assert u.values.tobytes() == np.pad(hist.U[n], 1).tobytes()
-            assert u.h == cfg.h and u.domain == cfg.domain
+            assert u.h == 1.0 / M and u.h == cfg.h
         assert hist.mesh is cfg.mesh
         assert hist.iterations.shape == (N,)
         assert (hist.iterations >= 1).all()
@@ -244,7 +237,7 @@ def _scipy_sweep_oracle(cfg, legacy_rhs=False):
     """
     assert cfg.source is None
     mesh, alpha, kappa, M = cfg.mesh, cfg.alpha, cfg.kappa, cfg.M
-    x_full = np.linspace(cfg.domain[0], cfg.domain[1], M + 1)
+    x_full = np.linspace(0.0, 1.0, M + 1)
     A, D, K = _scipy_operators(cfg)
     kD = kappa * D
     U = np.empty((mesh.N + 1, M - 1))
@@ -515,8 +508,7 @@ class TestManufacturedBenchmark:
                       initial=lambda x: np.zeros_like(x))
         hist = _solve_quiet(cfg)
         exact = sample(lambda x: manufactured_solution(x, 1.0, alpha), 16)
-        err = norm_inf(type(exact)(values=hist.terminal.values - exact.values,
-                                   h=exact.h))
+        err = norm_inf(type(exact)(values=hist.terminal.values - exact.values))
         assert err <= 5e-3
 
 
