@@ -19,7 +19,6 @@ from .caputo_l2 import (
     kernel_row,
     kernel_row_B,
     kernel_row_J,
-    kernel_row_split,
     kernel_rows,
     q,
     q2,
@@ -38,9 +37,6 @@ from .compact_spatial import (
     apply_dxx,
     apply_negH_inv,
     inner,
-    inner_negH,
-    norm_gradH,
-    norm_inf,
     norm_l2,
     sample,
 )
@@ -51,7 +47,6 @@ from .tfch_solver import (
     manufactured_solution,
     manufactured_source,
     quartic_bump,
-    reference_solution,
     solve,
 )
 from .diagnostics import (
@@ -60,7 +55,6 @@ from .diagnostics import (
     energy_series,
     free_energy,
     mass,
-    modified_energy,
 )
 
 __version__ = "0.1.0"

@@ -45,14 +45,14 @@ class CheckResult:
     warning: bool = False
 
 
-def _random_admissible_mesh(rng, n_max: int = 64, rho_max: float = 4.6):
-    """Random mesh with every ratio in [1, rho_max].
+def _random_admissible_mesh(rng, n_max: int = 64):
+    """Random mesh with every ratio in [1, 4.6].
 
-    rho_max = 4.6 sits below the admissibility threshold for every order, so
-    these meshes are inside the theory for any alpha.
+    4.6 sits below the admissibility threshold for every order, so these
+    meshes are inside the theory for any alpha.
     """
     n = int(rng.integers(4, n_max + 1))
-    ratios = rng.uniform(1.0, rho_max, size=n - 1)
+    ratios = rng.uniform(1.0, 4.6, size=n - 1)
     steps = np.empty(n)
     steps[0] = float(rng.uniform(0.2, 1.0)) / n
     for k in range(1, n):

@@ -11,11 +11,11 @@ Every kernel row comes from one block evaluator, _block: it lays the entries
 of a range of consecutive levels end to end and computes c and d, then
 c_tilde, B and J, entry by entry over the whole block. kernel_rows walks all
 levels in blocks sized by their number of entries; kernel_row is a block of
-one level, and coeffs_cd, kernel_row_B, kernel_row_split and kernel_row_J are
-views of it. Row arrays are read-only views into their block's arrays;
-leading and lagged are np.float64 at every level. O(n) work per row, O(N^2)
-per run, with memory bounded by the block size. All operations are pure
-functions.
+one level, and coeffs_cd, kernel_row_B and kernel_row_J are views of it. The
+theta-split is a KernelRow's leading, lagged and c_tilde fields. Row arrays
+are read-only views into their block's arrays; leading and lagged are
+np.float64 at every level. O(n) work per row, O(N^2) per run, with memory
+bounded by the block size. All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "coeffs_cd",
     "theta",
     "kernel_row_B",
-    "kernel_row_split",
     "kernel_row_J",
     "kernel_row",
     "kernel_rows",
@@ -168,7 +167,7 @@ class KernelRow:
 
         leading * dw^n - lagged * dw^{n-1} + sum_k c_tilde_{n-k} dw^k
 
-    with leading = theta c_0 + rho_n d_0/(1+rho_n) and
+    with leading = theta c_0 + rho_n d_0/(1+rho_n), theta = theta(alpha), and
     lagged = rho_n^2 d_0/(1+rho_n) (zero at n = 1, where no dw^0 exists).
     B agrees with c_tilde on every history interval k < n except for the
     lagged correction at k = n-1; its current-step entry k = n has its own
@@ -176,7 +175,6 @@ class KernelRow:
     """
 
     level: int
-    theta: float
     c: np.ndarray
     d: np.ndarray
     B: np.ndarray
@@ -275,19 +273,13 @@ def _block(mesh: TemporalMesh, alpha: float, first: int, last: int):
     for n, e, lead, lag in zip(range(first, last + 1), ends.tolist(),
                                leading, lagged):
         s = e - n
-        yield KernelRow(level=n, theta=th, c=c[s:e], d=d[s:e], B=B[s:e],
+        yield KernelRow(level=n, c=c[s:e], d=d[s:e], B=B[s:e],
                         c_tilde=ct[s:e], J=J[s:e], leading=lead, lagged=lag)
 
 
 def kernel_row_B(n: int, mesh: TemporalMesh, alpha: float) -> np.ndarray:
     """Convolution kernels B_{n-k}^{(n)}, ordered by interval k = 1..n."""
     return kernel_row(n, mesh, alpha).B
-
-
-def kernel_row_split(n: int, mesh: TemporalMesh, alpha: float):
-    """Theta-split of the level-n row: (leading, lagged, c_tilde row)."""
-    row = kernel_row(n, mesh, alpha)
-    return row.leading, row.lagged, row.c_tilde
 
 
 def kernel_row_J(n: int, mesh: TemporalMesh, alpha: float) -> np.ndarray:

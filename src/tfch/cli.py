@@ -35,7 +35,6 @@ from . import diagnostics, temporal_mesh
 from ._fmt import fmt, write_csv
 from ._verification import run_verification_suite
 from .caputo_l2 import (
-    q3,
     rho_bar,
     rho_star,
     solve_linear_fode,
@@ -68,10 +67,19 @@ def _float_list(text: str):
     return items
 
 
+def _alpha_list(text: str):
+    items = _float_list(text)
+    if not all(0.0 < a < 1.0 for a in items):
+        raise argparse.ArgumentTypeError("every alpha must lie in (0,1)")
+    return items
+
+
 def _int_list(text: str):
     items = [int(p) for p in text.split(",") if p.strip()]
     if not items:
         raise argparse.ArgumentTypeError("expected at least one value")
+    if min(items) < 1:
+        raise argparse.ArgumentTypeError("values must be at least 1")
     if len(set(items)) < len(items):
         raise argparse.ArgumentTypeError("values must not repeat")
     return items
@@ -129,7 +137,7 @@ def build_parser():
 
     s = subs.add_parser("caputo-convergence",
                         help="fractional-derivative benchmark")
-    s.add_argument("--alphas", type=_float_list, default=[0.3, 0.5, 0.7, 0.9])
+    s.add_argument("--alphas", type=_alpha_list, default=[0.3, 0.5, 0.7, 0.9])
     s.add_argument("--Ns", type=_int_list, default=[250, 500, 1000, 2000, 4000])
     s.add_argument("--T", type=float, default=1.0)
     _add_common(s)
@@ -137,7 +145,7 @@ def build_parser():
 
     s = subs.add_parser("tfch-convergence",
                         help="temporal self-convergence of the solver")
-    s.add_argument("--alphas", type=_float_list, default=[0.3, 0.5, 0.7, 0.9])
+    s.add_argument("--alphas", type=_alpha_list, default=[0.3, 0.5, 0.7, 0.9])
     s.add_argument("--Ns", type=_int_list, default=[15, 18, 21, 24])
     s.add_argument("--N0", type=int, default=200, help="reference resolution")
     s.add_argument("--workers", type=int, default=1,
@@ -163,7 +171,7 @@ def build_parser():
     registry["tfch-run"] = s
 
     s = subs.add_parser("manufactured", help="forced-solution accuracy sweep")
-    s.add_argument("--alphas", type=_float_list, default=[0.1, 0.3, 0.6, 0.9])
+    s.add_argument("--alphas", type=_alpha_list, default=[0.1, 0.3, 0.6, 0.9])
     s.add_argument("--Ns", type=_int_list, default=[200])
     _add_physics(s)
     _add_common(s)
@@ -274,23 +282,33 @@ def _mesh_from_file(path: str):
     return temporal_mesh.build_custom([float(ln) for ln in lines])
 
 
-def _build_mesh(spec: str, N, T: float):
+def _build_mesh(args):
+    """The mesh that --mesh names, built from --N and --T unless it is a file.
+
+    args.N and args.T are then set to that mesh's N and horizon, so that
+    run_meta.txt records the mesh that ran; a built mesh leaves them as
+    they were.
+    """
+    spec, N, T = args.mesh, args.N, args.T
     if spec == "graded-cubic":
         if N is None:
             raise UsageError("--N is required for the graded-cubic mesh")
-        return temporal_mesh.build_graded_cubic(N, T)
-    if spec == "uniform":
+        mesh = temporal_mesh.build_graded_cubic(N, T)
+    elif spec == "uniform":
         if N is None:
             raise UsageError("--N is required for the uniform mesh")
-        return temporal_mesh.build_uniform(N, T)
-    if not os.path.exists(spec):
+        mesh = temporal_mesh.build_uniform(N, T)
+    elif not os.path.exists(spec):
         raise UsageError("--mesh must be graded-cubic, uniform, or an "
                          "existing file path (got %r)" % spec)
-    return _mesh_from_file(spec)
+    else:
+        mesh = _mesh_from_file(spec)
+    args.N, args.T = mesh.N, mesh.horizon
+    return mesh
 
 
 def _cmd_mesh(args) -> int:
-    mesh = _build_mesh(args.mesh, args.N, args.T)
+    mesh = _build_mesh(args)
     if args.alpha is not None and not 0.0 < args.alpha < 1.0:
         raise UsageError("alpha %g outside (0,1)" % args.alpha)
     if args.kernel_level is not None:
@@ -396,7 +414,7 @@ def _cmd_tfch_run(args) -> int:
         raise UsageError("tfch-run requires --alpha (flag or config)")
     if args.dump_states < 0:
         raise UsageError("--dump-states must be at least 0")
-    mesh = _build_mesh(args.mesh, args.N, args.T)
+    mesh = _build_mesh(args)
     initial = quartic_bump if args.initial == "quartic-bump" else _zero_initial
     source = None if args.source == "none" else "manufactured"
     history = solve(_config(args, args.alpha, mesh, source=source,

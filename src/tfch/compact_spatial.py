@@ -30,12 +30,8 @@ __all__ = [
     "a_matrix",
     "dxx_matrix",
     "inner",
-    "inner_negH",
     "quad_negH",
     "norm_l2",
-    "norm_inf",
-    "norm_gradH",
-    "hadamard_pow",
 ]
 
 
@@ -190,14 +186,10 @@ def dxx_matrix(M: int, h: float) -> np.ndarray:
     return D
 
 
-def _check_compatible(u: GridFunction, v: GridFunction) -> None:
-    if u.values.size != v.values.size:
-        raise ValueError("grid functions live on different grids")
-
-
 def inner(u: GridFunction, v: GridFunction) -> float:
     """Discrete L2 pairing h * sum over interior nodes."""
-    _check_compatible(u, v)
+    if u.values.size != v.values.size:
+        raise ValueError("grid functions live on different grids")
     return float(u.h * np.dot(u.interior(), v.interior()))
 
 
@@ -205,34 +197,7 @@ def norm_l2(u: GridFunction) -> float:
     return float(np.sqrt(max(inner(u, u), 0.0)))
 
 
-def norm_inf(u: GridFunction) -> float:
-    """Max absolute interior value."""
-    return float(np.max(np.abs(u.interior()))) if u.M > 1 else 0.0
-
-
-def norm_gradH(u: GridFunction) -> float:
-    """sqrt((-H u, u)): the compact substitute for the H1 seminorm.
-
-    The quadratic form is nonnegative in exact arithmetic; rounding can leave
-    a tiny negative residue, clamped to zero before the square root.
-    """
-    return float(np.sqrt(max(quad_negH(u), 0.0)))
-
-
 def quad_negH(u: GridFunction) -> float:
     """Quadratic form (-H u, u)."""
     w = apply_H(u)
     return -inner(w, u)
-
-
-def inner_negH(u: GridFunction, v: GridFunction) -> float:
-    """Negative-order pairing (u, (-H)^{-1} v)."""
-    _check_compatible(u, v)
-    return inner(u, apply_negH_inv(v))
-
-
-def hadamard_pow(u: GridFunction, p: int) -> GridFunction:
-    """Pointwise integer power, boundary included."""
-    if not isinstance(p, int) or p < 1:
-        raise ValueError("power must be a positive integer")
-    return GridFunction(values=u.values ** p)

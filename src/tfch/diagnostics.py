@@ -31,7 +31,6 @@ __all__ = [
     "mass",
     "free_energy",
     "G_functional",
-    "modified_energy",
     "energy_series",
     "dgs_identity_check",
     "KernelPropertyReport",
@@ -95,21 +94,6 @@ def G_functional(history, mesh: TemporalMesh, alpha: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def modified_energy(history) -> np.ndarray:
-    """Dissipated Lyapunov sequence of a finished run, one value per level.
-
-    Level n >= 1 value:
-
-        E^n + (1/kappa) [ lead_n |u^n - u^{n-1}|^2
-                          + 1/2 sum_{j=1}^{n-1} (J_{n-j-1} - J_{n-j}) |u^n - u^j|^2
-                          + 1/2 J_{n-1} |u^n - u^0|^2 ],
-
-    every |.|^2 the negative-order norm (v, (-H)^{-1} v). The level-0 entry
-    is nan: the history functional needs at least one increment.
-    """
-    return energy_series(history).modified_energy
-
-
 @dataclass(frozen=True, eq=False)
 class EnergySeries:
     """Per-level observables of a run: levels, times, E, modified E, mass."""
@@ -123,6 +107,16 @@ class EnergySeries:
 
 def energy_series(history) -> EnergySeries:
     """Free energy, modified energy, and mass at every level of a run.
+
+    The modified energy is the dissipated Lyapunov sequence. Its level
+    n >= 1 value is
+
+        E^n + (1/kappa) [ lead_n |u^n - u^{n-1}|^2
+                          + 1/2 sum_{j=1}^{n-1} (J_{n-j-1} - J_{n-j}) |u^n - u^j|^2
+                          + 1/2 J_{n-1} |u^n - u^0|^2 ],
+
+    every |.|^2 the negative-order norm (v, (-H)^{-1} v). Its level-0 entry
+    is nan: the history functional needs at least one increment.
 
     (-H)^{-1} = S diag(lam) S with S the orthonormal DST-I and lam > 0, so
     each state is transformed once along its last axis, y^j = S u^j, and the
@@ -250,14 +244,13 @@ def dgs_identity_check(chi_rows, sigma: float, phis) -> float:
 
 @dataclass(frozen=True)
 class KernelPropertyReport:
-    """Outcome of the three structural J-kernel checks over levels 1..n_max,
-    every level of the mesh.
+    """Outcome of the three structural J-kernel checks over every level
+    1..N of the mesh.
 
     Margins are the most negative slack seen, normalized by the largest row
     entry at the offending level (0.0 when every comparison held with room).
     """
 
-    n_max: int
     monotonicity_violations: int
     convexity_violations: int
     dominance_violations: int
@@ -306,7 +299,6 @@ def kernel_property_check(mesh: TemporalMesh,
                 _tally("conv", np.diff(prev) - np.diff(J[: n - 1]), scale)
         prev = J
     return KernelPropertyReport(
-        n_max=mesh.N,
         monotonicity_violations=counts["mono"],
         convexity_violations=counts["conv"],
         dominance_violations=counts["dom"],
@@ -318,7 +310,10 @@ def kernel_property_check(mesh: TemporalMesh,
 
 def convergence_order(errors, Ns) -> np.ndarray:
     """Observed orders between successive errors at resolutions Ns:
-    order_i = log(e_i/e_{i+1}) / log(N_{i+1}/N_i)."""
+    order_i = log(e_i/e_{i+1}) / log(N_{i+1}/N_i).
+
+    The resolutions must be positive and distinct; ValueError otherwise.
+    """
     e = np.asarray(errors, dtype=float)
     if (e <= 0.0).any():
         raise ValueError("errors must be positive to take logarithms")
@@ -327,6 +322,8 @@ def convergence_order(errors, Ns) -> np.ndarray:
     Ns = np.asarray(Ns, dtype=float)
     if Ns.shape != e.shape:
         raise ValueError("Ns must match errors in length")
+    if not (Ns > 0.0).all():
+        raise ValueError("resolutions must be positive")
     if np.unique(Ns).size != Ns.size:
         raise ValueError("Ns must not repeat a resolution")
     return np.log(e[:-1] / e[1:]) / np.log(Ns[1:] / Ns[:-1])

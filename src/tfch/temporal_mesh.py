@@ -56,14 +56,6 @@ class TemporalMesh:
     def tau_max(self) -> float:
         return float(self.steps.max())
 
-    def tau(self, k: int) -> float:
-        """tau_k, 1-based."""
-        return float(self.steps[k - 1])
-
-    def rho(self, k: int) -> float:
-        """rho_k, 1-based; rho_1 = 0 by convention."""
-        return float(self.ratios[k - 1])
-
 
 def _finalize(nodes: np.ndarray) -> TemporalMesh:
     if not np.isfinite(nodes).all():
@@ -131,12 +123,15 @@ def build_custom(steps) -> TemporalMesh:
 
 @dataclass(frozen=True)
 class RatioBoundReport:
-    """Outcome of checking 1 <= rho_k <= rho_star(alpha) for k >= 2."""
+    """Outcome of checking 1 <= rho_k <= rho_star(alpha) for k >= 2.
 
-    alpha: float
+    rho_star is the threshold the ratios were checked against; offenders
+    holds, in increasing order, every 1-based k whose ratio lies outside
+    [1, rho_star] by more than the relative slack RATIO_SLACK.
+    """
+
     rho_star: float
-    passed: np.ndarray        # flag per k = 2..N
-    offenders: tuple[int, ...]  # 1-based k values outside the admissible range
+    offenders: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
@@ -157,8 +152,7 @@ def validate_ratio_bound(mesh: TemporalMesh, alpha: float) -> RatioBoundReport:
     rho = mesh.ratios[1:]
     passed = (rho >= 1.0 - RATIO_SLACK) & (rho <= rs * (1.0 + RATIO_SLACK))
     offenders = tuple(int(k) for k in np.nonzero(~passed)[0] + 2)
-    return RatioBoundReport(alpha=float(alpha), rho_star=rs,
-                            passed=passed, offenders=offenders)
+    return RatioBoundReport(rho_star=rs, offenders=offenders)
 
 
 def write_mesh_csv(mesh: TemporalMesh, target) -> None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -45,14 +45,13 @@ from scipy.special import gamma
 # kernel_row_B is unused here but stays importable: bench/spans.py wraps it.
 from .caputo_l2 import kernel_row_B, kernel_rows, q  # noqa: F401
 from .compact_spatial import GridFunction, _average, a_matrix, dxx_matrix
-from .temporal_mesh import TemporalMesh, build_graded_cubic, validate_ratio_bound
+from .temporal_mesh import TemporalMesh, validate_ratio_bound
 
 __all__ = [
     "SolverConfig",
     "RunHistory",
     "NonconvergenceError",
     "solve",
-    "reference_solution",
     "quartic_bump",
     "manufactured_solution",
     "manufactured_source",
@@ -410,9 +409,3 @@ def solve(config: SolverConfig) -> RunHistory:
         lipschitz_constant=lip,
         lipschitz_limit=lip_limit,
     )
-
-
-def reference_solution(config: SolverConfig, N0: int) -> RunHistory:
-    """Re-run the same problem on a graded mesh with N0 steps (same horizon)."""
-    mesh0 = build_graded_cubic(N0, config.mesh.horizon)
-    return solve(replace(config, mesh=mesh0))

@@ -87,7 +87,7 @@ def _assemble(n: int, mesh: TemporalMesh, th: float, c, d) -> KernelRow:
         B[n - 1] = c[n - 1] + prev + cur
     J = ct.copy()
     J[n - 1] *= 2.0
-    return KernelRow(level=n, theta=th, c=c, d=d, B=B, c_tilde=ct, J=J,
+    return KernelRow(level=n, c=c, d=d, B=B, c_tilde=ct, J=J,
                      leading=leading, lagged=lagged)
 
 

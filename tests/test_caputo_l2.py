@@ -21,7 +21,6 @@ from tfch.caputo_l2 import (
     coeffs_cd,
     kernel_row,
     kernel_row_B,
-    kernel_row_split,
     kernel_rows,
     q,
     q2,
@@ -237,7 +236,6 @@ def test_kernel_row_bundle_is_consistent(mixed_ratio_mesh, n):
         assert row.lagged == rho_n ** 2 / (1.0 + rho_n) * d[n - 1]
     assert row.J[n - 1] == 2.0 * row.c_tilde[n - 1]
     assert (row.J[: n - 1] == row.c_tilde[: n - 1]).all()
-    assert row.theta == th
     assert row.level == n
 
 
@@ -307,9 +305,9 @@ def test_first_level_row_collapses_to_single_kernel():
     c, d = coeffs_cd(1, mesh, 0.3)
     assert c[0] == pytest.approx(0.25 ** -0.3 / gamma(1.7), rel=1e-15)
     assert (kernel_row_B(1, mesh, 0.3) == c).all()
-    leading, lagged, ct = kernel_row_split(1, mesh, 0.3)
-    assert lagged == 0.0
-    assert leading == theta(0.3) * c[0]
+    row = kernel_row(1, mesh, 0.3)
+    assert row.lagged == 0.0
+    assert row.leading == theta(0.3) * c[0]
 
 
 def test_theta_endpoints():

@@ -5,7 +5,6 @@ reruns into the same directory must be byte-identical, which is what makes
 the CSV outputs diffable across machines.
 """
 
-import os
 import warnings
 
 import numpy as np
@@ -131,6 +130,21 @@ class TestMesh:
         assert rc == 0
         meta = _read(tmp_path / "run_meta.txt")
         assert "note: ratio bound fails at 1 steps (first k=2)" in meta
+
+    @pytest.mark.parametrize("argv", [
+        ["mesh"],
+        ["tfch-run", "--alpha", "0.5", "--M", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_step_file_meta_records_the_mesh_that_ran(self, tmp_path, argv):
+        # --N and --T do not shape a mesh read from a file; run_meta.txt
+        # gives the file mesh's N and horizon instead of the flags
+        steps = tmp_path / "steps.txt"
+        steps.write_text("0.25\n0.25\n0.25\n0.25\n")
+        out = tmp_path / "out"
+        assert _run(argv + ["--mesh", str(steps), "--N", "50", "--T", "3",
+                            "--out", str(out)]) == 0
+        meta = _read(out / "run_meta.txt")
+        assert "\nN: 4\n" in meta and "\nT: 1.0\n" in meta
 
     def test_kernel_row_needs_alpha(self, tmp_path):
         rc = _run(["mesh", "--N", "6", "--kernel-level", "3",
@@ -369,6 +383,36 @@ class TestResolutionLists:
         else:
             (tmp_path / "run.conf").write_text("Ns = 6,6\n")
             argv = argv + ["--config", str(tmp_path / "run.conf")]
+        assert _exit_code(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+
+class TestSweepLists:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("bad", [
+        ("alphas", "0.5,1.5"), ("alphas", "0"), ("Ns", "0,6"),
+    ], ids=lambda bad: "%s=%s" % bad)
+    @pytest.mark.parametrize("argv", [
+        ["caputo-convergence"],
+        ["tfch-convergence", "--N0", "8", "--M", "8"],
+        ["manufactured", "--M", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_out_of_range_entry_exits_2_before_output(self, tmp_path, capsys,
+                                                      argv, bad, source):
+        # an alpha outside (0,1) or an N below 1 is refused while parsing,
+        # before a table header, a row or a CSV is written
+        lists = {"alphas": "0.5", "Ns": "4,6"}
+        key, value = bad
+        del lists[key]
+        if source == "flag":
+            argv = argv + ["--" + key, value]
+        else:
+            (tmp_path / "run.conf").write_text("%s = %s\n" % bad)
+            argv = argv + ["--config", str(tmp_path / "run.conf")]
+        for flag, good in lists.items():
+            argv = argv + ["--" + flag, good]
+        out = tmp_path / "out"
         assert _exit_code(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().out == ""

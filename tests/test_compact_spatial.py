@@ -20,11 +20,7 @@ from tfch.compact_spatial import (
     apply_H,
     apply_negH_inv,
     dxx_matrix,
-    hadamard_pow,
     inner,
-    inner_negH,
-    norm_gradH,
-    norm_inf,
     norm_l2,
     quad_negH,
     sample,
@@ -192,10 +188,6 @@ class TestInnerProductsAndNorms:
         want = (1.0 / 10.0) * float(a.interior() @ b.interior())
         assert inner(a, b) == pytest.approx(want, rel=1e-14)
 
-    def test_norm_inf_is_interior_max(self):
-        g = _rand(12, seed=11)
-        assert norm_inf(g) == np.max(np.abs(g.interior()))
-
     def test_sandwich_between_gradient_energies(self):
         # h (A u, -D u) is pinched between 2/3 and 1 times the squared
         # forward-difference seminorm
@@ -212,23 +204,5 @@ class TestInnerProductsAndNorms:
         a = _rand(15, seed=30)
         b = _rand(15, seed=31)
         assert quad_negH(a) >= 0.0
-        assert inner_negH(a, b) == pytest.approx(inner_negH(b, a), rel=1e-11)
-
-    def test_gradH_norm_squares_to_quad(self):
-        g = _rand(15, seed=32)
-        assert norm_gradH(g) ** 2 == pytest.approx(quad_negH(g), rel=1e-12)
-
-
-class TestHadamardPower:
-    def test_cubes_values(self):
-        g = _rand(9, seed=33)
-        out = hadamard_pow(g, 3)
-        assert out.values == pytest.approx(g.values ** 3, rel=1e-14)
-        assert out.h == g.h and out.domain == g.domain
-
-    def test_rejects_bad_exponents(self):
-        g = _rand(9, seed=34)
-        with pytest.raises(ValueError):
-            hadamard_pow(g, 0)
-        with pytest.raises(ValueError):
-            hadamard_pow(g, 1.5)
+        assert inner(a, apply_negH_inv(b)) == pytest.approx(
+            inner(b, apply_negH_inv(a)), rel=1e-11)

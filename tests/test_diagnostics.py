@@ -30,7 +30,6 @@ from tfch.diagnostics import (
     free_energy,
     kernel_property_check,
     mass,
-    modified_energy,
     write_energy_csv,
     write_mass_csv,
 )
@@ -139,7 +138,7 @@ class TestHistoryFunctional:
 class TestModifiedEnergy:
     def test_level_zero_is_nan_and_rest_finite(self):
         hist = _small_run()
-        em = modified_energy(hist)
+        em = energy_series(hist).modified_energy
         assert np.isnan(em[0])
         assert np.isfinite(em[1:]).all()
 
@@ -342,7 +341,6 @@ class TestKernelPropertyCheck:
     def test_graded_mesh_is_clean(self, graded_64):
         rep = kernel_property_check(graded_64, 0.5)
         assert rep.clean
-        assert rep.n_max == 64
         assert rep.monotonicity_margin == 0.0
         assert rep.convexity_margin == 0.0
         assert rep.dominance_margin == 0.0
@@ -381,6 +379,12 @@ class TestConvergenceOrder:
         # equal neighbours would divide by log 1 = 0; any repeat is refused
         with pytest.raises(ValueError, match="repeat"):
             convergence_order(np.geomspace(1e-2, 1e-4, len(Ns)), Ns=Ns)
+
+    @pytest.mark.parametrize("Ns", [[0, 10], [-10, 20]])
+    def test_nonpositive_resolutions_raise(self, Ns):
+        # N = 0 divided by zero inside the log; a negative N gave a nan order
+        with pytest.raises(ValueError, match="positive"):
+            convergence_order([1.0, 0.5], Ns=Ns)
 
 
 class TestCsvWriters:

@@ -15,9 +15,9 @@ from scipy.special import gamma
 
 from tfch.caputo_l2 import (
     coeffs_cd,
+    kernel_row,
     kernel_row_B,
     kernel_row_J,
-    kernel_row_split,
     q,
     rho_star,
 )
@@ -63,8 +63,9 @@ def test_split_regrouping_matches_the_plain_sum(data):
     n = mesh.N
     dw = np.diff(w)
     direct = float(kernel_row_B(n, mesh, alpha) @ dw)
-    leading, lagged, ct = kernel_row_split(n, mesh, alpha)
-    split = leading * dw[n - 1] - lagged * dw[n - 2] + float(ct @ dw)
+    row = kernel_row(n, mesh, alpha)
+    split = row.leading * dw[n - 1] - row.lagged * dw[n - 2] \
+        + float(row.c_tilde @ dw)
     scale = float(np.abs(kernel_row_B(n, mesh, alpha) * dw).sum())
     assert abs(direct - split) <= 1e-13 * max(scale, 1e-300)
 
@@ -158,8 +159,8 @@ def test_transformed_kernels_are_positive(data):
     n = mesh.N
     B = kernel_row_B(n, mesh, alpha)
     assert B[n - 1] > 0.0
-    leading, lagged, ct = kernel_row_split(n, mesh, alpha)
-    assert leading > 0.0
-    assert lagged >= 0.0
+    row = kernel_row(n, mesh, alpha)
+    assert row.leading > 0.0
+    assert row.lagged >= 0.0
     J = kernel_row_J(n, mesh, alpha)
     assert (J > 0.0).all()

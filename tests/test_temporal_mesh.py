@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tfch import temporal_mesh
+from tfch.caputo_l2 import rho_star
 from tfch.temporal_mesh import (
     build_custom,
     build_graded_cubic,
@@ -73,12 +74,28 @@ def test_ratio_bound_flags_a_shrinking_step():
     assert report.offenders == (2,)
 
 
+def test_ratio_bound_slack_is_1e12_relative_at_both_ends():
+    # ratios within 1e-12 (relative) of [1, rho_star] are admitted, so that
+    # uniform meshes with rho_k = 1 - ulp pass; 1e-11 outside is an offender
+    alpha = 0.5
+    rs = rho_star(alpha)
+    factors = [rs * (1.0 + 5e-13), 1.0 - 5e-13, 1.0 - 1e-11,
+               rs * (1.0 + 1e-11)]
+    mesh = build_custom(np.cumprod([1.0] + factors))
+    rho = mesh.ratios
+    assert rs < rho[1] <= rs * (1.0 + 1e-12)
+    assert 1.0 - 1e-12 <= rho[2] < 1.0
+    assert rho[3] < 1.0 - 1e-12
+    assert rho[4] > rs * (1.0 + 1e-12)
+    report = validate_ratio_bound(mesh, alpha)
+    assert report.rho_star == rs
+    assert report.offenders == (4, 5)
+
+
 def test_accessors():
     mesh = build_graded_cubic(5, 1.0)
     assert mesh.N == 5
     assert mesh.horizon == 1.0
-    assert mesh.tau(1) == mesh.steps[0]
-    assert mesh.rho(3) == mesh.ratios[2]
     assert mesh.tau_max == mesh.steps[-1]
 
 

@@ -21,17 +21,15 @@ from scipy.linalg import lu_solve as scipy_lu_solve
 from tfch import tfch_solver
 from tfch._longdouble import longdouble_sweep
 from tfch.caputo_l2 import kernel_row_B
-from tfch.compact_spatial import a_matrix, dxx_matrix, norm_inf, sample
+from tfch.compact_spatial import a_matrix, dxx_matrix, sample
 from tfch.diagnostics import energy_series, mass
 from tfch.temporal_mesh import (
     build_custom,
     build_graded_cubic,
-    build_uniform,
     validate_ratio_bound,
 )
 from tfch.tfch_solver import (
     NonconvergenceError,
-    RunHistory,
     SolverConfig,
     energy_step_bound,
     first_step_bound,
@@ -39,7 +37,6 @@ from tfch.tfch_solver import (
     manufactured_solution,
     manufactured_source,
     quartic_bump,
-    reference_solution,
     solvability_step_bound,
     solve,
 )
@@ -193,18 +190,6 @@ class TestSolveBasics:
         assert exc.value.level == k
         assert exc.value.residual == float("inf")
         assert exc.value.cap == 500
-
-    def test_reference_solution_swaps_only_the_mesh(self):
-        cfg = _config()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ref = reference_solution(cfg, 12)
-        assert isinstance(ref, RunHistory)
-        assert ref.mesh.N == 12
-        assert ref.mesh.horizon == pytest.approx(cfg.mesh.horizon)
-        assert ref.config.alpha == cfg.alpha
-        assert ref.config.M == cfg.M
-        assert ref.config.source is cfg.source
 
 
 def _phase_separation_config(M=32):
@@ -508,7 +493,7 @@ class TestManufacturedBenchmark:
                       initial=lambda x: np.zeros_like(x))
         hist = _solve_quiet(cfg)
         exact = sample(lambda x: manufactured_solution(x, 1.0, alpha), 16)
-        err = norm_inf(type(exact)(values=hist.terminal.values - exact.values))
+        err = np.abs(hist.terminal.interior() - exact.interior()).max()
         assert err <= 5e-3
 
 
