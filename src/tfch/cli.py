@@ -290,14 +290,15 @@ def _build_mesh(args):
     they were.
     """
     spec, N, T = args.mesh, args.N, args.T
-    if spec == "graded-cubic":
+    builders = {"graded-cubic": temporal_mesh.build_graded_cubic,
+                "uniform": temporal_mesh.build_uniform}
+    if spec in builders:
         if N is None:
-            raise UsageError("--N is required for the graded-cubic mesh")
-        mesh = temporal_mesh.build_graded_cubic(N, T)
-    elif spec == "uniform":
-        if N is None:
-            raise UsageError("--N is required for the uniform mesh")
-        mesh = temporal_mesh.build_uniform(N, T)
+            raise UsageError("--N is required for the %s mesh" % spec)
+        try:
+            mesh = builders[spec](N, T)
+        except ValueError as exc:  # --N or --T out of range
+            raise UsageError(str(exc)) from None
     elif not os.path.exists(spec):
         raise UsageError("--mesh must be graded-cubic, uniform, or an "
                          "existing file path (got %r)" % spec)

@@ -26,6 +26,20 @@ LAPACK: a non-finite one (an overflowing cubic, a NaN source) comes back as a
 non-finite increment, and the sweep's residual test turns that into
 NonconvergenceError at the same level.
 
+A^{-1} decays like 0.1^|i-j|, so K = kappa D + kappa eps^2 D A^{-1} D has a
+dense tail that falls toward underflow: down to 2e-190 at M = 200, exact zeros
+and subnormals from M = 400 on. getrf's trailing updates multiply pairs of
+these entries into the subnormal range, where Intel x86 cores take a slow
+microcode assist per operation. solve therefore sets every entry of K below
+2^-511 = sqrt(tiny) to exactly 0.0, so no product of two entries left is
+subnormal; A is tridiagonal, so these are the only such entries of any step
+matrix. No output moves: a zeroed entry either meets a far larger term in
+getrf's updates, which rounding to nearest keeps unchanged, or stays in the
+factor's tiny tail, whose products with state-sized values in getrs lie far
+below an ulp of the sums they join. With kappa = 0.01, eps = 0.1 the states
+are bitwise those of the untruncated K at M = 128, 200, 256, 512 and 1024; at
+M = 128 the smallest entry of K is about 1e-119, and nothing is zeroed.
+
 Step-size validators (fixed-point solvability, energy dissipation, first
 step, post-run Lipschitz) are evaluated and reported as warnings; they never
 abort a run.
@@ -62,6 +76,10 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-12
+
+# Entries of K below sqrt(tiny) = 2^-511 are set to exactly 0.0 (module
+# docstring): any product of two survivors is a normal number.
+_K_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
@@ -334,6 +352,7 @@ def solve(config: SolverConfig) -> RunHistory:
     D = dxx_matrix(M, h)
     lu_A = lu_factor(A)
     K = kappa * D + kappa * eps ** 2 * (D @ lu_solve(lu_A, D))
+    K[np.abs(K) < _K_FLOOR] = 0.0
     D *= kappa  # only the sweep's kappa D u^3 term uses D from here on
 
     u0 = np.asarray(config.initial(x_full), dtype=float)

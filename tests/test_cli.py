@@ -207,6 +207,27 @@ class TestMesh:
         assert _run(["mesh", "--mesh", str(bad), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tfch-run", "--alpha", "0.5", "--N", "0", "--M", "8"],
+     "N must be a positive integer"),
+    (["tfch-run", "--alpha", "0.5", "--N", "8", "--M", "8", "--T", "inf"],
+     "T must be finite and positive"),
+    (["mesh", "--N", "5", "--T", "-1"], "T must be finite and positive"),
+    (["mesh", "--N", "5", "--T", "inf"], "T must be finite and positive"),
+    (["mesh", "--mesh", "uniform", "--N", "0"],
+     "N must be a positive integer"),
+], ids=["run-N", "run-T-inf", "mesh-T-negative", "mesh-T-inf",
+        "uniform-N"])
+def test_bad_built_mesh_flags_exit_2_before_output(tmp_path, capsys, argv,
+                                                   message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert "usage error: " + message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestCaputoConvergence:
     def test_small_table(self, tmp_path, capsys):
         rc = _run(["caputo-convergence", "--alphas", "0.5", "--Ns", "8,16",
@@ -275,14 +296,6 @@ class TestTfchRun:
         assert _run(["tfch-run", "--alpha", "0.5", "--N", "8", flag, value,
                      "--out", str(tmp_path)]) == 1
         assert field in capsys.readouterr().err
-
-    def test_infinite_horizon_exits_1_naming_T(self, tmp_path, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            rc = main(["tfch-run", "--alpha", "0.5", "--N", "8", "--M", "8",
-                       "--T", "inf", "--out", str(tmp_path)])
-        assert rc == 1
-        assert "T must be finite" in capsys.readouterr().err
 
 
 class TestRelaxedRatioBand:

@@ -317,6 +317,62 @@ class TestLapackStepLoop:
             tfch_solver.lu_factor(a)
 
 
+def _run_energy_config(M):
+    # the run-energy workload's physics (tfch-run --alpha 0.4 defaults) on a
+    # short mesh
+    return SolverConfig(alpha=0.4, kappa=0.01, epsilon=0.1, M=M,
+                        mesh=build_graded_cubic(40, 1.0), initial=quartic_bump)
+
+
+def _factored_matrices(cfg, monkeypatch):
+    """Copies of every matrix solve hands to tfch_solver.lu_factor."""
+    seen = []
+    real = tfch_solver.lu_factor
+
+    def spy(a):
+        seen.append(a.copy())
+        return real(a)
+
+    monkeypatch.setattr(tfch_solver, "lu_factor", spy)
+    _solve_quiet(cfg)
+    return seen
+
+
+class TestUnderflowTail:
+    """solve zeroes the entries of K below 2^-511, whose products in getrf
+    would be subnormal; no state may move by a bit."""
+
+    def test_floor_is_two_to_minus_511(self):
+        assert tfch_solver._K_FLOOR == 2.0 ** -511
+
+    @pytest.mark.parametrize("M, tail", [(200, 1406), (256, 8556)])
+    def test_states_bitwise_equal_oracle_with_the_tail(self, M, tail):
+        cfg = _run_energy_config(M)
+        K = _scipy_operators(cfg)[2]
+        assert np.count_nonzero(np.abs(K) < 2.0 ** -511) == tail
+        assert (_solve_quiet(cfg).U.tobytes()
+                == _scipy_sweep_oracle(cfg).tobytes())
+
+    def test_no_factored_matrix_has_entries_below_the_floor(self,
+                                                            monkeypatch):
+        seen = _factored_matrices(_run_energy_config(200), monkeypatch)
+        assert len(seen) == 41  # A, then one step matrix per level
+        for a in seen:
+            small = np.abs(a) < 2.0 ** -511
+            assert not np.any(small & (a != 0.0))
+
+    def test_coarsening_step_matrices_untouched(self, monkeypatch):
+        # at M = 128 min |K| is 1.25e-119: nothing is zeroed
+        cfg = _phase_separation_config(128)
+        A, _, K = _scipy_operators(cfg)
+        seen = _factored_matrices(cfg, monkeypatch)
+        assert seen[0].tobytes() == A.tobytes()
+        assert len(seen) == cfg.mesh.N + 1
+        for n, L in enumerate(seen[1:], start=1):
+            B0 = kernel_row_B(n, cfg.mesh, cfg.alpha)[n - 1]
+            assert L.tobytes() == (B0 * A + K).tobytes()
+
+
 class TestValidators:
     def test_large_steps_trip_the_solvability_validator(self):
         cfg = _config(mesh=build_graded_cubic(40, 1.0), M=16)
