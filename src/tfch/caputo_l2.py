@@ -57,9 +57,17 @@ RHO_BAR = 4.7476114
 
 # The second-difference kernel d is evaluated through G(eps) below, whose
 # Taylor expansion at eps = 0 starts at eps^3. The series branch covers
-# eps <= 0.25, where 34 terms put the tail under 1e-18 relative.
-_SERIES_CUT = 0.25
-_SERIES_TERMS = 34
+# eps <= 0.25 in bins (eps bound, last term k): an entry sums the terms
+# k = 3..last of the first bin whose bound it does not exceed. Rounding to
+# nearest leaves a partial sum unchanged when a term is below 2^-55 (2.8e-17)
+# of it, and the terms decrease, so every term past a bin's last would round
+# away: at eps = bound, for alpha from 1e-6 to 1 - 1e-6, the first of them is
+# at most 4.9e-25 (eps <= 1e-3), 3.9e-23 (eps <= 1e-2) and 6.8e-21
+# (eps <= 0.25) of the partial sum. On 4e5 eps per bin at 21 alphas in
+# (0, 1), the shortest sums bitwise equal to 34 terms end at k = 8 and 10;
+# the first two bins keep 2 and 3 terms more.
+_SERIES_BINS = ((1e-3, 10), (1e-2, 13), (0.25, 34))
+_SERIES_CUT = _SERIES_BINS[-1][0]
 
 # History entries per block in kernel_rows. A block costs a fixed number of
 # numpy calls whatever its length, so short rows are batched; 8192 entries
@@ -100,6 +108,11 @@ def coeffs_cd(n: int, mesh: TemporalMesh, alpha: float):
 
     G's eps^1 and eps^2 Taylor terms vanish identically; for eps <= 0.25 it is
     summed as the series from eps^3 on, otherwise via expm1 of log1p products.
+    The series stops where later terms cannot change a bit: at eps^10 for
+    eps <= 1e-3, at eps^13 for eps <= 1e-2, at eps^34 up to 0.25. At each
+    bin's bound the first term left out is at most 4.9e-25, 3.9e-23 and
+    6.8e-21 of the partial sum, below the 2^-55 of it that rounding to nearest
+    would need to move the sum, and the terms decrease.
     Each kernel uses a single gamma constant: forms whose accuracy relies on
     Gamma(3-alpha) = (2-alpha) Gamma(2-alpha) holding at float level lose the
     cancellation battle again (fl(2.8) != 1 + fl(1.8) in binary).
@@ -121,28 +134,36 @@ def _cd_history(a, tau, alpha, g2, g3):
     lg = np.log1p(-eps)
     c = a ** p1 * -np.expm1(p1 * lg) / (tau * g2)
 
-    G = np.empty(a.size)
+    G = np.zeros(a.size)  # an eps that underflowed to 0 keeps G = 0
     direct = eps > _SERIES_CUT
     if direct.any():
         u = 1.0 - eps[direct]
         ld = lg[direct]
         G[direct] = alpha * -np.expm1(p2 * ld) - p2 * u * np.expm1(-alpha * ld)
-    ser = ~direct
-    if ser.any():
-        e = eps[ser]
-        s = p2 * (1.0 - p2) / 2.0            # eps^2 coefficient of 1 - u^{2-alpha}
-        R = alpha * (alpha + 1.0) / 2.0      # partial-sum state for the u-part
-        acc = np.zeros_like(e)
-        ek = e * e
-        for k in range(3, _SERIES_TERMS + 1):
-            s = s * ((k - 1) - p2) / k
-            R_next = R * (alpha + k - 1) / k
-            ek = ek * e
-            acc += (alpha * s - p2 * (R_next - R)) * ek
-            R = R_next
-        G[ser] = acc
+    lower = 0.0
+    for upper, last in _SERIES_BINS:
+        sel = (eps > lower) & (eps <= upper)
+        if sel.any():
+            G[sel] = _G_series(eps[sel], alpha, last)
+        lower = upper
     d = a ** p2 * G / (tau * tau * g3)
     return c, d
+
+
+def _G_series(e, alpha, last):
+    """G(e) of coeffs_cd as its Taylor series, the terms e^3 .. e^last."""
+    p2 = 2.0 - alpha
+    s = p2 * (1.0 - p2) / 2.0            # eps^2 coefficient of 1 - u^{2-alpha}
+    R = alpha * (alpha + 1.0) / 2.0      # partial-sum state for the u-part
+    acc = np.zeros_like(e)
+    ek = e * e
+    for k in range(3, last + 1):
+        s = s * ((k - 1) - p2) / k
+        R_next = R * (alpha + k - 1) / k
+        ek *= e
+        acc += (alpha * s - p2 * (R_next - R)) * ek
+        R = R_next
+    return acc
 
 
 def theta(alpha: float) -> float:

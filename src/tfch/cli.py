@@ -222,7 +222,7 @@ def _apply_config(sub: argparse.ArgumentParser, values: dict, parser) -> None:
 def _write_meta(args, outputs, notes=()):
     """Rewrite run_meta.txt: command, resolved settings, outputs, notes."""
     skip = {"command", "out", "config"}
-    path = os.path.join(args.out, "run_meta.txt")
+    path = _out_path(args, "run_meta.txt")
     with open(path, "w") as f:
         f.write("command: %s\n" % args.command)
         for key in sorted(vars(args)):
@@ -527,7 +527,6 @@ def main(argv=None) -> int:
             print("usage error: %s" % exc, file=sys.stderr)
             return 2
     args = parser.parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
     try:
         return _DISPATCH[args.command](args)
     except UsageError as exc:

@@ -14,17 +14,29 @@ term lagged gives the fixed-point sweep
         = kappa D (u^{(s)})^3 + A (B_0 u^{n-1} - hist + g^n-interior part),
 
 started from u^{(0)} = u^{n-1} and stopped on a max-norm increment test.
-The left matrix changes only through B_0, so one LU factorization per time
-step serves every inner iteration.
+The left matrix L = B_0 A + K, K = kappa D + kappa eps^2 D A^{-1} D, changes
+only through B_0, so one LU factorization per time step serves every inner
+iteration.
+
+Each level copies K into L and writes fl(fl(A_ij B_0) + K_ij) on A's three
+diagonals only. That is bitwise the full B_0 * A + K: off the band
+fl(0 B_0 + K_ij) = K_ij, because K holds no -0.0 (the floor below writes
++0.0). K and L are Fortran-ordered, so getrf factors L in place instead of
+first copying it to Fortran order; the copy held the same values, so the
+factor is unchanged. Each sweep allocates nothing: D u^3 goes into one of two
+buffers taken in turn, because lu_solve with overwrite_b returns its
+right-hand side's buffer as the new iterate, and the next right-hand side
+must not overwrite that iterate while the increment is formed.
 
 The factorization and the per-sweep triangular solves call LAPACK getrf and
-getrs directly (lu_factor and lu_solve below). A sweep's solve is a few
-microseconds of LAPACK work on a small dense factor, so scipy.linalg's
-wrappers, with their finiteness scans, shape checks and batching dispatch,
-would cost more than the solve itself. No right-hand side is screened before
-LAPACK: a non-finite one (an overflowing cubic, a NaN source) comes back as a
-non-finite increment, and the sweep's residual test turns that into
-NonconvergenceError at the same level.
+getrs directly (lu_factor and lu_solve below), and solve looks both up as
+module globals, so a tracer that rebinds them sees every call. A sweep's
+solve is a few microseconds of LAPACK work on a small dense factor, so
+scipy.linalg's wrappers, with their finiteness scans, shape checks and
+batching dispatch, would cost more than the solve itself. No right-hand side
+is screened before LAPACK: a non-finite one (an overflowing cubic, a NaN
+source) comes back as a non-finite increment, and the sweep's residual test
+turns that into NonconvergenceError at the same level.
 
 A^{-1} decays like 0.1^|i-j|, so K = kappa D + kappa eps^2 D A^{-1} D has a
 dense tail that falls toward underflow: down to 2e-190 at M = 200, exact zeros
@@ -84,13 +96,14 @@ _K_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
-def lu_factor(a):
+def lu_factor(a, overwrite_a=False):
     """Pivoted LU of a finite float64 matrix as (lu, piv), as scipy.linalg's.
 
-    Calls LAPACK getrf without scipy's finiteness scan. Warns LinAlgWarning
-    when a pivot is exactly zero.
+    Calls LAPACK getrf without scipy's finiteness scan. With overwrite_a, a
+    Fortran-ordered a is factored in place and returned as lu. Warns
+    LinAlgWarning when a pivot is exactly zero.
     """
-    lu, piv, info = _getrf(a)
+    lu, piv, info = _getrf(a, overwrite_a=overwrite_a)
     if info < 0:
         raise ValueError("illegal value in %dth argument of internal getrf"
                          % -info)
@@ -350,10 +363,14 @@ def solve(config: SolverConfig) -> RunHistory:
     m = M - 1
     A = a_matrix(M)
     D = dxx_matrix(M, h)
-    lu_A = lu_factor(A)
-    K = kappa * D + kappa * eps ** 2 * (D @ lu_solve(lu_A, D))
+    K = np.empty((m, m), order="F")
+    np.add(kappa * D, kappa * eps ** 2 * (D @ lu_solve(lu_factor(A), D)),
+           out=K)
     K[np.abs(K) < _K_FLOOR] = 0.0
     D *= kappa  # only the sweep's kappa D u^3 term uses D from here on
+    A_flat = A.ravel(order="F")
+    band = np.flatnonzero(A_flat)  # A's three diagonals, in L's flat order
+    A_band, K_band = A_flat[band], K.ravel(order="F")[band]
 
     u0 = np.asarray(config.initial(x_full), dtype=float)
     if u0.shape != x_full.shape:
@@ -366,9 +383,11 @@ def solve(config: SolverConfig) -> RunHistory:
     iterations = np.zeros(N, dtype=int)
     residuals = np.zeros(N)
     violations = _step_violations(config)
-    L = np.empty((m, m))
+    L = np.empty((m, m), order="F")
+    L_flat = L.ravel(order="F")
     cube = np.empty(m)
     diff = np.empty(m)
+    rhs_bufs = (np.empty(m), np.empty(m))
 
     for row in kernel_rows(mesh, alpha):
         n, B = row.level, row.B
@@ -376,20 +395,21 @@ def solve(config: SolverConfig) -> RunHistory:
         hist = B[: n - 1] @ dU[: n - 1] if n > 1 else 0.0
         g_full = _source_values(config, x_full, mesh.nodes[n])
         const = A @ (B0 * U[n - 1] - hist) + _average(g_full)
-        np.multiply(A, B0, out=L)
-        L += K
-        lu_L = lu_factor(L)
+        L[...] = K
+        L_flat[band] = A_band * B0 + K_band
+        lu_L = lu_factor(L, overwrite_a=True)
 
         u_s = U[n - 1]
         converged = False
         for s in range(config.max_iterations):
             np.multiply(u_s, u_s, out=cube)
             cube *= u_s
-            rhs = D @ cube
+            # not u_s's buffer: lu_solve hands rhs back as u_next
+            rhs = np.matmul(D, cube, out=rhs_bufs[s % 2])
             rhs += const
             u_next = lu_solve(lu_L, rhs, overwrite_b=True)
             np.subtract(u_next, u_s, out=diff)
-            res = float(np.abs(diff, out=diff).max())
+            res = np.maximum.reduce(np.abs(diff, out=diff))
             u_s = u_next
             if res <= config.iteration_tol:
                 iterations[n - 1] = s + 1
@@ -401,7 +421,7 @@ def solve(config: SolverConfig) -> RunHistory:
                 # getrs passed it through to the increment
                 raise NonconvergenceError(n, math.inf, config.max_iterations)
         if not converged:
-            raise NonconvergenceError(n, res, config.max_iterations)
+            raise NonconvergenceError(n, float(res), config.max_iterations)
         U[n] = u_s
         dU[n - 1] = U[n] - U[n - 1]
 

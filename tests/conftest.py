@@ -6,7 +6,6 @@ from scipy.special import gamma
 
 from tfch.caputo_l2 import (
     KernelRow,
-    _cd_history,
     kernel_row,
     kernel_rows,
     rho_star,
@@ -35,17 +34,59 @@ def mixed_ratio_mesh():
     return build_custom(np.array(steps))
 
 
+def _frozen_cd_history(a, tau, alpha, g2, g3):
+    """(c, d) on history intervals with G's series summed to eps^34 for every
+    eps <= 0.25: the library's _cd_history before its series stopped early,
+    verbatim but for its two constants written out, kept as the bitwise
+    reference for it."""
+    eps = tau / a                       # in (0,1) strictly for k < n
+    p1 = 1.0 - alpha
+    p2 = 2.0 - alpha
+    lg = np.log1p(-eps)
+    c = a ** p1 * -np.expm1(p1 * lg) / (tau * g2)
+
+    G = np.empty(a.size)
+    direct = eps > 0.25
+    if direct.any():
+        u = 1.0 - eps[direct]
+        ld = lg[direct]
+        G[direct] = alpha * -np.expm1(p2 * ld) - p2 * u * np.expm1(-alpha * ld)
+    ser = ~direct
+    if ser.any():
+        e = eps[ser]
+        s = p2 * (1.0 - p2) / 2.0            # eps^2 coefficient of 1 - u^{2-alpha}
+        R = alpha * (alpha + 1.0) / 2.0      # partial-sum state for the u-part
+        acc = np.zeros_like(e)
+        ek = e * e
+        for k in range(3, 34 + 1):
+            s = s * ((k - 1) - p2) / k
+            R_next = R * (alpha + k - 1) / k
+            ek = ek * e
+            acc += (alpha * s - p2 * (R_next - R)) * ek
+            R = R_next
+        G[ser] = acc
+    d = a ** p2 * G / (tau * tau * g3)
+    return c, d
+
+
+@pytest.fixture(scope="session")
+def frozen_cd_history():
+    return _frozen_cd_history
+
+
 # Per-level reference evaluation of the kernel rows: one level's (c, d), then
 # its rows case by case (n = 1, n >= 2, n >= 3). The library builds every row
 # entrywise over blocks of levels instead; these three functions are the
-# per-level evaluation it replaced, kept as the bitwise reference.
+# per-level evaluation it replaced, kept as the bitwise reference. Its (c, d)
+# come from the frozen full series, so the oracle also sees a change to the
+# library's series.
 
 def _oracle_cd(n: int, mesh: TemporalMesh, alpha: float):
     nodes, steps = mesh.nodes, mesh.steps
     g2 = gamma(2.0 - alpha)
     g3 = gamma(3.0 - alpha)
-    c, d = _cd_history(nodes[n] - nodes[: n - 1], steps[: n - 1],
-                       alpha, g2, g3)
+    c, d = _frozen_cd_history(nodes[n] - nodes[: n - 1], steps[: n - 1],
+                              alpha, g2, g3)
     return _cd_row(c, d, steps[n - 1], alpha, g2, g3)
 
 

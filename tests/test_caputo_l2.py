@@ -165,6 +165,51 @@ def test_series_and_direct_branches_agree():
         assert abs(d[0] - float(od[0])) <= 1e-13 * abs(float(od[0]))
 
 
+_SERIES_ALPHAS = [0.01, 0.1, 0.3, 0.5, 0.82265, 0.99]
+
+
+def _bin_sweep_eps():
+    """eps through each series bin, densely near 0.25, plus the bin bounds
+    and their floating-point neighbours."""
+    sweep = [np.geomspace(1e-9, 0.25, 20000),
+             np.random.default_rng(7).uniform(0.0, 0.25, 20000)]
+    for bound in (1e-3, 1e-2, 0.25):
+        sweep.append([np.nextafter(bound, 0.0), bound,
+                      np.nextafter(bound, 1.0)])
+    return np.concatenate(sweep)
+
+
+def _assert_cd_bitwise(a, tau, alpha, frozen):
+    from scipy.special import gamma
+    g2, g3 = gamma(2.0 - alpha), gamma(3.0 - alpha)
+    got = caputo_l2._cd_history(a, tau, alpha, g2, g3)
+    want = frozen(a, tau, alpha, g2, g3)
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("alpha", _SERIES_ALPHAS)
+def test_series_bins_bitwise_equal_full_series_on_eps_sweep(
+        alpha, frozen_cd_history):
+    # a = 2^-j keeps tau / a equal to the target eps exactly
+    eps = _bin_sweep_eps()
+    for j in (0, 3, 17):
+        a = np.full(eps.size, 2.0 ** -j)
+        tau = eps * a
+        assert (tau / a).tobytes() == eps.tobytes()
+        _assert_cd_bitwise(a, tau, alpha, frozen_cd_history)
+
+
+@pytest.mark.parametrize("alpha", _SERIES_ALPHAS)
+def test_series_bins_bitwise_equal_full_series_on_graded_rows(
+        alpha, frozen_cd_history):
+    mesh = build_graded_cubic(4000, 1.0)
+    levels = sorted({*range(2, 4001, 37), 4000})
+    a = np.concatenate([mesh.nodes[n] - mesh.nodes[: n - 1] for n in levels])
+    tau = np.concatenate([mesh.steps[: n - 1] for n in levels])
+    _assert_cd_bitwise(a, tau, alpha, frozen_cd_history)
+
+
 def test_quadratic_histories_are_differentiated_exactly(graded_64):
     from scipy.special import gamma
     for alpha in (0.2, 0.5, 0.8):

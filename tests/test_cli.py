@@ -93,6 +93,18 @@ class TestRhoStar:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutputDirectory:
+    @pytest.mark.parametrize("argv", [
+        ["mesh", "--N", "0"],
+        ["tfch-run"],
+        ["rho-star", "--q3", "--q3-rhos=-1,0,2"],
+    ], ids=lambda argv: argv[0])
+    def test_usage_error_creates_no_out_directory(self, tmp_path, argv):
+        out = tmp_path / "new"
+        assert _run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestMesh:
     def test_table_and_meta(self, tmp_path):
         rc = _run(["mesh", "--N", "6", "--out", str(tmp_path)])
@@ -199,7 +211,7 @@ class TestMesh:
             rc = main(argv + ["--mesh", str(mesh_file), "--out", str(out)])
         assert rc == 1
         assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_garbage_mesh_file_exits_1(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -371,12 +383,14 @@ class TestManufactured:
 
 class TestVerifySubcommand:
     def test_battery_passes(self, tmp_path, capsys):
-        rc = _run(["verify", "--out", str(tmp_path)])
+        # run_meta.txt is verify's only output, so it creates --out
+        out_dir = tmp_path / "out"
+        rc = _run(["verify", "--out", str(out_dir)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "FAIL" not in out
-        meta = _read(tmp_path / "run_meta.txt")
+        meta = _read(out_dir / "run_meta.txt")
         assert meta.count("note: ") >= 10
         assert "PASS" in meta
 

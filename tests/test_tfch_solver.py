@@ -295,6 +295,13 @@ class TestLapackStepLoop:
         assert lu.tobytes() == lu_ref.tobytes()
         assert piv.tobytes() == piv_ref.tobytes()
 
+        # in place on a Fortran-ordered matrix, as solve factors its L
+        L_f = np.asfortranarray(L)
+        lu_f, piv_f = tfch_solver.lu_factor(L_f, overwrite_a=True)
+        assert lu_f is L_f
+        assert lu_f.tobytes() == lu_ref.tobytes()
+        assert piv_f.tobytes() == piv_ref.tobytes()
+
         b = np.random.default_rng(M).standard_normal(M - 1)
         x_ref = scipy_lu_solve((lu_ref, piv_ref), b)
         assert tfch_solver.lu_solve((lu, piv), b).tobytes() == x_ref.tobytes()
@@ -307,6 +314,21 @@ class TestLapackStepLoop:
         assert X.shape == D.shape
         assert X.tobytes() == scipy_lu_solve((lu_ref, piv_ref), D).tobytes()
         assert D.tobytes() == D_before.tobytes()
+
+    def test_lapack_calls_go_through_the_module_globals(self, monkeypatch):
+        # bench/spans.py counts the LAPACK layer by rebinding these names
+        calls = {"lu_factor": 0, "lu_solve": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(tfch_solver, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(tfch_solver, name, counted)
+        cfg = _phase_separation_config()
+        hist = _solve_quiet(cfg)
+        # A, then one step matrix per level; A^{-1} D, then one per sweep
+        assert calls["lu_factor"] == cfg.mesh.N + 1
+        assert calls["lu_solve"] == int(hist.iterations.sum()) + 1
 
     def test_exactly_singular_matrix_warns(self):
         a = np.eye(5)
@@ -329,9 +351,9 @@ def _factored_matrices(cfg, monkeypatch):
     seen = []
     real = tfch_solver.lu_factor
 
-    def spy(a):
-        seen.append(a.copy())
-        return real(a)
+    def spy(a, **kwargs):
+        seen.append(a.copy())  # before an in-place factorisation overwrites a
+        return real(a, **kwargs)
 
     monkeypatch.setattr(tfch_solver, "lu_factor", spy)
     _solve_quiet(cfg)
@@ -361,10 +383,22 @@ class TestUnderflowTail:
             small = np.abs(a) < 2.0 ** -511
             assert not np.any(small & (a != 0.0))
 
-    def test_coarsening_step_matrices_untouched(self, monkeypatch):
-        # at M = 128 min |K| is 1.25e-119: nothing is zeroed
-        cfg = _phase_separation_config(128)
+    @pytest.mark.parametrize("make_config, M, zeroed", [
+        (_phase_separation_config, 128, 0),
+        (_run_energy_config, 200, 1406),
+    ], ids=["coarsening", "run-energy"])
+    def test_step_matrices_bitwise_b0_a_plus_floored_k(self, monkeypatch,
+                                                        make_config, M,
+                                                        zeroed):
+        # at M = 128 min |K| is 1.25e-119: nothing is zeroed. solve writes
+        # only A's band on a copy of K, which equals the full B0 * A + K
+        # because the floor leaves no -0.0 in K
+        cfg = make_config(M)
         A, _, K = _scipy_operators(cfg)
+        small = np.abs(K) < 2.0 ** -511
+        assert np.count_nonzero(small) == zeroed
+        K[small] = 0.0
+        assert not np.any(np.signbit(K) & (K == 0.0))
         seen = _factored_matrices(cfg, monkeypatch)
         assert seen[0].tobytes() == A.tobytes()
         assert len(seen) == cfg.mesh.N + 1
