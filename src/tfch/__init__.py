@@ -30,7 +30,6 @@ from .caputo_l2 import (
     truncation_bound,
 )
 from .compact_spatial import (
-    GridFunction,
     apply_A,
     apply_A_inv,
     apply_H,
@@ -38,9 +37,9 @@ from .compact_spatial import (
     apply_negH_inv,
     inner,
     norm_l2,
-    sample,
 )
 from .tfch_solver import (
+    GridFunction,
     NonconvergenceError,
     RunHistory,
     SolverConfig,

@@ -24,6 +24,7 @@ Exit codes: 0 success, 1 runtime failure (including failed verification),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -56,6 +57,16 @@ class UsageError(ValueError):
     """Bad flag values or combinations; reported with exit code 2."""
 
 
+@contextlib.contextmanager
+def _flag_values():
+    """Report a ValueError raised inside as a UsageError: for checks that
+    the library makes on values taken from the flags."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _zero_initial(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -72,6 +83,13 @@ def _alpha_list(text: str):
     if not all(0.0 < a < 1.0 for a in items):
         raise argparse.ArgumentTypeError("every alpha must lie in (0,1)")
     return items
+
+
+def _nonnegative_int(text: str):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer")
+    return value
 
 
 def _int_list(text: str):
@@ -178,7 +196,7 @@ def build_parser():
     registry["manufactured"] = s
 
     s = subs.add_parser("verify", help="structural verification battery")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_nonnegative_int, default=0)
     _add_common(s)
     registry["verify"] = s
 
@@ -295,10 +313,8 @@ def _build_mesh(args):
     if spec in builders:
         if N is None:
             raise UsageError("--N is required for the %s mesh" % spec)
-        try:
+        with _flag_values():
             mesh = builders[spec](N, T)
-        except ValueError as exc:  # --N or --T out of range
-            raise UsageError(str(exc)) from None
     elif not os.path.exists(spec):
         raise UsageError("--mesh must be graded-cubic, uniform, or an "
                          "existing file path (got %r)" % spec)
@@ -340,6 +356,12 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
+def _graded_meshes(Ns, T) -> list:
+    """The graded cubic meshes on (0, T) with N steps for each N in Ns."""
+    with _flag_values():
+        return [temporal_mesh.build_graded_cubic(N, T) for N in Ns]
+
+
 def _caputo_error(alpha: float, N: int, T: float) -> float:
     """Worst nodal error of the marched benchmark w with (d/dt)^a w = rhs.
 
@@ -372,6 +394,9 @@ def _convergence_table(args, name: str, errors_by_alpha) -> int:
 
 
 def _cmd_caputo_convergence(args) -> int:
+    with _flag_values():
+        for N in args.Ns:
+            temporal_mesh._check_N_T(N, args.T)
     return _convergence_table(
         args, "caputo_convergence.csv",
         ((alpha, [_caputo_error(alpha, N, args.T) for N in args.Ns])
@@ -379,18 +404,21 @@ def _cmd_caputo_convergence(args) -> int:
 
 
 def _config(args, alpha, mesh, **fields) -> SolverConfig:
-    """The run's SolverConfig: the _add_physics flags plus the given fields."""
-    return SolverConfig(alpha=alpha, kappa=args.kappa, epsilon=args.epsilon,
-                        mesh=mesh, M=args.M, iteration_tol=args.tol, **fields)
+    """The run's SolverConfig: the _add_physics flags plus the given fields.
+
+    A value SolverConfig rejects is a usage error.
+    """
+    with _flag_values():
+        return SolverConfig(alpha=alpha, kappa=args.kappa,
+                            epsilon=args.epsilon, mesh=mesh, M=args.M,
+                            iteration_tol=args.tol, **fields)
 
 
-def _tfch_errors_for_alpha(alpha, args):
-    """Terminal-state errors against the N0 reference, one per N."""
-    def terminal(N):
-        mesh = temporal_mesh.build_graded_cubic(N, args.T)
-        return solve(_config(args, alpha, mesh, initial=quartic_bump)).U[-1]
-    ref = terminal(args.N0)
-    return [float(np.max(np.abs(terminal(N) - ref))) for N in args.Ns]
+def _tfch_errors(configs):
+    """Terminal-state errors of the runs configs[1:] against configs[0]'s."""
+    ref = solve(configs[0]).U[-1]
+    return [float(np.max(np.abs(solve(cfg).U[-1] - ref)))
+            for cfg in configs[1:]]
 
 
 def _cmd_tfch_convergence(args) -> int:
@@ -398,9 +426,11 @@ def _cmd_tfch_convergence(args) -> int:
         raise UsageError("--N0 must exceed every entry of --Ns")
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
+    meshes = _graded_meshes([args.N0] + args.Ns, args.T)
+    configs = [[_config(args, alpha, mesh, initial=quartic_bump)
+                for mesh in meshes] for alpha in args.alphas]
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        errors = pool.map(lambda alpha: _tfch_errors_for_alpha(alpha, args),
-                          args.alphas)
+        errors = pool.map(_tfch_errors, configs)
         return _convergence_table(args, "tfch_convergence.csv",
                                   zip(args.alphas, errors))
 
@@ -458,8 +488,7 @@ def _cmd_tfch_run(args) -> int:
 def _cmd_manufactured(args) -> int:
     outputs = []
     notes = []
-    for N in args.Ns:
-        mesh = temporal_mesh.build_graded_cubic(N, args.T)
+    for N, mesh in zip(args.Ns, _graded_meshes(args.Ns, args.T)):
         detail, summary = [], []
         for alpha in args.alphas:
             history = solve(_config(args, alpha, mesh, source="manufactured",

@@ -1,11 +1,14 @@
 """Fourth-order compact spatial operators on the unit interval.
 
-Grid functions live on x_i = i h, i = 0..M, h = 1/M, with zero Dirichlet
-values pinned at both ends. The compact average A = tridiag(1,10,1)/12 and the
-second difference D = tridiag(1,-2,1)/h^2 act on interior points; together
-H = A^{-1} D approximates the Laplacian to fourth order. A and D share
-eigenvectors (A = I + (h^2/12) D), so -H^{-1} is symmetric positive definite
-and induces the negative-order inner product used by the energy estimates.
+The grid is x_i = i h, i = 0..M, h = 1/M, with zero Dirichlet values pinned
+at both ends. Every operator takes the interior values u_1..u_{M-1} as an
+array and acts along its last axis, so one call serves a single state or a
+whole (N+1, M-1) run; h is read from that axis's length m as 1/(m+1). The
+compact average A = tridiag(1,10,1)/12 and the second difference
+D = tridiag(1,-2,1)/h^2 together give H = A^{-1} D, a fourth-order
+Laplacian. A and D share eigenvectors (A = I + (h^2/12) D), so -H^{-1} is
+symmetric positive definite and induces the negative-order inner product
+used by the energy estimates.
 
 A and D are symmetric Toeplitz tridiagonal, so the orthonormal DST-I (the
 sine basis sin(k pi i / M)) diagonalises both exactly. Every inverse goes
@@ -14,14 +17,10 @@ through that one basis: transform, divide by the eigenvalues, transform back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.fft import dst
 
 __all__ = [
-    "GridFunction",
-    "sample",
     "apply_A",
     "apply_A_inv",
     "apply_dxx",
@@ -35,55 +34,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Values on the closed grid of the unit interval, endpoints included.
-
-    values has length M+1, so h = 1/M; boundary entries are carried verbatim
-    (the operators treat them as pinned). eq is disabled: ndarray equality
-    is elementwise and would poison hashing/comparison semantics.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("values must be a 1-D array of at least 2 nodes")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def M(self) -> int:
-        return self.values.size - 1
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.M
-
-    @property
-    def domain(self) -> tuple:
-        return (0.0, 1.0)
-
-    def interior(self) -> np.ndarray:
-        return self.values[1:-1]
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.values, dtype=dtype)
+def _width(u: np.ndarray) -> float:
+    """Mesh width h = 1/M of interior values u, M-1 along the last axis."""
+    return 1.0 / (u.shape[-1] + 1)
 
 
-def sample(fn, M: int) -> GridFunction:
-    """Evaluate fn on the M+1 uniform nodes of the unit interval."""
-    if M < 2:
-        raise ValueError("M must be at least 2")
-    x = np.linspace(0.0, 1.0, M + 1)
-    return GridFunction(values=np.asarray(fn(x), dtype=float))
-
-
-def _interior(u) -> tuple[np.ndarray, float]:
-    """Interior values and mesh width of a GridFunction; TypeError otherwise."""
-    if isinstance(u, GridFunction):
-        return u.values[1:-1], u.h
-    raise TypeError("expected a GridFunction")
+def _pad(u: np.ndarray) -> np.ndarray:
+    """u with the zero boundary value added at both ends of its last axis."""
+    return np.pad(u, [(0, 0)] * (u.ndim - 1) + [(1, 1)])
 
 
 def _sine(v: np.ndarray) -> np.ndarray:
@@ -118,52 +76,42 @@ def _neg_h_inv_eigs(M: int) -> np.ndarray:
 
 
 def _average(full: np.ndarray) -> np.ndarray:
-    """(f_{i-1} + 10 f_i + f_{i+1})/12 inside full, along its last axis."""
+    """(f_{i-1} + 10 f_i + f_{i+1})/12 inside full, along its last axis.
+
+    full carries its boundary values. With a zero boundary, an edge node
+    whose value and neighbour are both -0.0 averages to +0.0 here, where the
+    two-term edge stencil (10 f_1 + f_2)/12 would give -0.0.
+    """
     return (full[..., :-2] + 10.0 * full[..., 1:-1] + full[..., 2:]) / 12.0
 
 
-def _neg_h_inv(full: np.ndarray, h: float) -> np.ndarray:
-    """Interior values of (-H)^{-1} applied along the last axis of full.
-
-    full holds grid values with the two boundary values included; the result
-    solves D w = -(A v) with D at unit scale, tridiag(1,-2,1) w = -h^2 A v.
-    """
-    return _solve_tridiag(1.0, -2.0, -_average(full) * h * h)
+def apply_A(u: np.ndarray) -> np.ndarray:
+    """Compact average (u_{i-1} + 10 u_i + u_{i+1})/12."""
+    return _average(_pad(u))
 
 
-def apply_A(u: GridFunction) -> GridFunction:
-    """Compact average: (u_{i-1} + 10 u_i + u_{i+1})/12 inside, boundary kept."""
-    _interior(u)  # TypeError unless u is a GridFunction
-    res = np.array(u.values, copy=True)
-    res[1:-1] = _average(u.values)
-    return GridFunction(values=res)
+def apply_A_inv(u: np.ndarray) -> np.ndarray:
+    """Inverse of the compact average."""
+    return _solve_tridiag(1.0 / 12.0, 10.0 / 12.0, u)
 
 
-def apply_A_inv(u: GridFunction) -> GridFunction:
-    """Inverse of the compact average on interior values, boundary kept."""
-    v, _ = _interior(u)
-    res = np.array(u.values, copy=True)
-    res[1:-1] = _solve_tridiag(1.0 / 12.0, 10.0 / 12.0, v)
-    return GridFunction(values=res)
+def apply_dxx(u: np.ndarray) -> np.ndarray:
+    """Second difference (u_{i-1} - 2 u_i + u_{i+1})/h^2."""
+    h = _width(u)
+    full = _pad(u)
+    return (full[..., :-2] - 2.0 * u + full[..., 2:]) / (h * h)
 
 
-def apply_dxx(u: GridFunction) -> GridFunction:
-    """Second difference (u_{i-1} - 2 u_i + u_{i+1})/h^2, zero at the ends."""
-    v, h = _interior(u)
-    full = u.values
-    out = (full[:-2] - 2.0 * v + full[2:]) / (h * h)
-    return GridFunction(values=np.pad(out, 1))
-
-
-def apply_H(u: GridFunction) -> GridFunction:
+def apply_H(u: np.ndarray) -> np.ndarray:
     """Compact Laplacian H u = A^{-1} (D u)."""
     return apply_A_inv(apply_dxx(u))
 
 
-def apply_negH_inv(u: GridFunction) -> GridFunction:
-    """Solve -H w = u, i.e. D w = -(A u), with zero boundary."""
-    _, h = _interior(u)
-    return GridFunction(values=np.pad(_neg_h_inv(u.values, h), 1))
+def apply_negH_inv(u: np.ndarray) -> np.ndarray:
+    """Solve -H w = u, i.e. D w = -(A u); at unit scale,
+    tridiag(1,-2,1) w = -h^2 A u."""
+    h = _width(u)
+    return _solve_tridiag(1.0, -2.0, -apply_A(u) * h * h)
 
 
 def a_matrix(M: int) -> np.ndarray:
@@ -186,18 +134,18 @@ def dxx_matrix(M: int, h: float) -> np.ndarray:
     return D
 
 
-def inner(u: GridFunction, v: GridFunction) -> float:
-    """Discrete L2 pairing h * sum over interior nodes."""
-    if u.values.size != v.values.size:
-        raise ValueError("grid functions live on different grids")
-    return float(u.h * np.dot(u.interior(), v.interior()))
+def inner(u: np.ndarray, v: np.ndarray):
+    """Discrete L2 pairing h sum_i u_i v_i; ValueError on different grids."""
+    return _width(u) * np.vecdot(u, v)
 
 
-def norm_l2(u: GridFunction) -> float:
-    return float(np.sqrt(max(inner(u, u), 0.0)))
+def norm_l2(u: np.ndarray):
+    return np.sqrt(np.maximum(inner(u, u), 0.0))
 
 
-def quad_negH(u: GridFunction) -> float:
-    """Quadratic form (-H u, u)."""
-    w = apply_H(u)
-    return -inner(w, u)
+def quad_negH(u: np.ndarray):
+    """Quadratic form (-H u, u) = h sum_k y_k^2 / lam_k, with y = S u the
+    sine coefficients and lam the eigenvalues of (-H)^{-1}."""
+    y = _sine(u)
+    lam = _neg_h_inv_eigs(u.shape[-1] + 1)
+    return _width(u) * np.einsum("...j,...j,j->...", y, y, 1.0 / lam)

@@ -1,13 +1,14 @@
 """Energy, mass, and kernel-structure diagnostics.
 
-The discrete free energy uses the compact negative Laplacian for its gradient
-part; the modified energy augments it with a weighted history of negative-order
-norms of increments, built from the auxiliary J kernels. (-H)^{-1} is
-diagonal in the orthonormal sine basis with positive eigenvalues lam, so
-energy_series reads each negative-order norm as the Euclidean norm of a
-difference of the scaled transformed states w^j = sqrt(lam) S u^j. Such a
-norm is nonnegative by construction, so none is clamped. The same basis
-gives the gradient part of every free energy, sum_k (S u)_k^2 / lam_k. The
+mass and free_energy take interior values, one state or a (N+1, M-1) run,
+and reduce along the last axis. The gradient part of the free energy is
+(-H u, u), which quad_negH evaluates in the sine basis: (-H)^{-1} is
+diagonal there with positive eigenvalues lam, so (-H u, u) is
+h sum_k (S u)_k^2 / lam_k. The modified energy augments the free energy with
+a weighted history of negative-order norms of increments, built from the
+auxiliary J kernels; energy_series reads each such norm as the Euclidean
+norm of a difference of the scaled transformed states w^j = sqrt(lam) S u^j.
+Such a norm is nonnegative by construction, so none is clamped. The
 dissipation estimate states exactly that the modified energy never
 increases, so these routines are both the experiment observables and the
 acceptance instruments.
@@ -23,7 +24,7 @@ from scipy.special import gamma
 
 from ._fmt import write_csv
 from .caputo_l2 import kernel_row_J, kernel_rows
-from .compact_spatial import GridFunction, _neg_h_inv_eigs, _sine, quad_negH
+from .compact_spatial import _neg_h_inv_eigs, _sine, _width, quad_negH
 from .temporal_mesh import TemporalMesh
 
 __all__ = [
@@ -41,17 +42,20 @@ __all__ = [
 ]
 
 
-def mass(u: GridFunction) -> float:
-    """Trapezoid integral over the whole interval, boundary halves included."""
-    v = u.values
-    return float(u.h * (0.5 * v[0] + v[1:-1].sum() + 0.5 * v[-1]))
+def mass(u: np.ndarray):
+    """h sum_i u_i along the last axis: the trapezoid rule with the zero
+    boundary values. Adding 0.0 turns a -0.0 sum into 0.0."""
+    return _width(u) * (u.sum(axis=-1) + 0.0)
 
 
-def free_energy(u: GridFunction, epsilon: float) -> float:
-    """(eps^2/2) (-H u, u) + (1/4) ||u.^2 - 1||^2 with the interior product."""
-    w = u.interior()
-    double_well = 0.25 * u.h * np.sum((w * w - 1.0) ** 2)
-    return float(0.5 * epsilon ** 2 * quad_negH(u) + double_well)
+def free_energy(u: np.ndarray, epsilon: float):
+    """(eps^2/2) (-H u, u) + (h/4) sum_i (u_i^2 - 1)^2 along the last axis."""
+    gradient = quad_negH(u)
+    work = np.multiply(u, u)
+    work -= 1.0
+    np.square(work, out=work)
+    return 0.5 * epsilon ** 2 * gradient \
+        + 0.25 * _width(u) * work.sum(axis=-1)
 
 
 def _g_weights(J: np.ndarray, mesh: TemporalMesh,
@@ -116,36 +120,29 @@ def energy_series(history) -> EnergySeries:
                           + 1/2 J_{n-1} |u^n - u^0|^2 ],
 
     every |.|^2 the negative-order norm (v, (-H)^{-1} v). Its level-0 entry
-    is nan: the history functional needs at least one increment.
+    is nan: the history functional needs at least one increment. The free
+    energies and masses are free_energy(history.U, epsilon) and
+    mass(history.U).
 
     (-H)^{-1} = S diag(lam) S with S the orthonormal DST-I and lam > 0, so
-    each state is transformed once along its last axis, y^j = S u^j, and the
+    each state is transformed once along its last axis, and the
     negative-order norm (v, (-H)^{-1} v) is h |w^n - w^j|^2 with
-    w^j = sqrt(lam) y^j. Level n needs it for j < n: one difference per
+    w^j = sqrt(lam) S u^j. Level n needs it for j < n: one difference per
     level, written into one reused buffer, then a row sum of squares,
     O(N^2 M) in all. The difference is taken before squaring, so the norms
     keep their accuracy (no |w^n|^2 - 2 w^n.w^j + |w^j|^2 cancellation) and
-    are nonnegative by construction. The gradient part of each free energy
-    is (-H u, u) = h sum_k y_k^2 / lam_k, so free energies agree with
-    free_energy to rounding.
+    are nonnegative by construction.
     """
     cfg = history.config
     mesh = cfg.mesh
     N = mesh.N
     h = cfg.h
-    lam = _neg_h_inv_eigs(cfg.M)
-
     U = history.U
-    masses = h * (U.sum(axis=1) + 0.0)  # as mass(): -0.0 sums become 0.0
-    Y = _sine(U)                                  # row j holds y^j = S u^j
-    gradient = np.einsum("ij,ij,j->i", Y, Y, 1.0 / lam)
-    work = np.multiply(U, U)
-    work -= 1.0
-    np.square(work, out=work)
-    free = 0.5 * cfg.epsilon ** 2 * (h * gradient) \
-        + 0.25 * h * work.sum(axis=1)
+    free = free_energy(U, cfg.epsilon)
 
-    W = np.multiply(Y, np.sqrt(lam), out=Y)       # row j holds w^j
+    W = _sine(U)
+    W *= np.sqrt(_neg_h_inv_eigs(cfg.M))          # row j holds w^j
+    work = np.empty((N, U.shape[1]))
     modified = np.empty(N + 1)
     modified[0] = np.nan
     for row in kernel_rows(mesh, cfg.alpha):
@@ -159,7 +156,7 @@ def energy_series(history) -> EnergySeries:
         times=mesh.nodes.copy(),
         free_energy=free,
         modified_energy=modified,
-        mass=masses,
+        mass=mass(U),
     )
 
 

@@ -70,11 +70,12 @@ from scipy.special import gamma
 
 # kernel_row_B is unused here but stays importable: bench/spans.py wraps it.
 from .caputo_l2 import kernel_row_B, kernel_rows, q  # noqa: F401
-from .compact_spatial import GridFunction, _average, a_matrix, dxx_matrix
+from .compact_spatial import _average, a_matrix, dxx_matrix
 from .temporal_mesh import TemporalMesh, validate_ratio_bound
 
 __all__ = [
     "SolverConfig",
+    "GridFunction",
     "RunHistory",
     "NonconvergenceError",
     "solve",
@@ -186,6 +187,21 @@ class SolverConfig:
     @property
     def h(self) -> float:
         return 1.0 / self.M
+
+
+@dataclass(frozen=True, eq=False)
+class GridFunction:
+    """One level of a run on the closed grid of the unit interval: values
+    holds its M+1 nodal values, the two zero boundary values included.
+
+    eq is disabled: ndarray equality is elementwise.
+    """
+
+    values: np.ndarray
+
+    @property
+    def domain(self) -> tuple:
+        return (0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,13 +404,19 @@ def solve(config: SolverConfig) -> RunHistory:
     cube = np.empty(m)
     diff = np.empty(m)
     rhs_bufs = (np.empty(m), np.empty(m))
+    # A g of the zero source, built once. It is +0.0, and adding it turns
+    # a -0.0 in const into +0.0, as adding an averaged source term does.
+    no_source = np.zeros(m)
 
     for row in kernel_rows(mesh, alpha):
         n, B = row.level, row.B
         B0 = B[n - 1]
         hist = B[: n - 1] @ dU[: n - 1] if n > 1 else 0.0
-        g_full = _source_values(config, x_full, mesh.nodes[n])
-        const = A @ (B0 * U[n - 1] - hist) + _average(g_full)
+        if config.source is None:
+            ag = no_source
+        else:
+            ag = _average(_source_values(config, x_full, mesh.nodes[n]))
+        const = A @ (B0 * U[n - 1] - hist) + ag
         L[...] = K
         L_flat[band] = A_band * B0 + K_band
         lu_L = lu_factor(L, overwrite_a=True)

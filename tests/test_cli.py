@@ -294,20 +294,18 @@ class TestTfchRun:
         assert names == ["state_0000.csv", "state_0005.csv",
                          "state_0010.csv"]
 
-    def test_invalid_spatial_resolution_exits_1(self, tmp_path):
-        assert _run(["tfch-run", "--alpha", "0.5", "--M", "3", "--N", "8",
-                     "--out", str(tmp_path)]) == 1
-
     @pytest.mark.parametrize("flag, field, value", [
         ("--tol", "iteration_tol", "nan"),
         ("--kappa", "kappa", "nan"),
         ("--epsilon", "epsilon", "inf"),
     ])
-    def test_non_finite_parameter_exits_1(self, tmp_path, capsys, flag,
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, flag,
                                           field, value):
+        out = tmp_path / "out"
         assert _run(["tfch-run", "--alpha", "0.5", "--N", "8", flag, value,
-                     "--out", str(tmp_path)]) == 1
+                     "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRelaxedRatioBand:
@@ -443,6 +441,55 @@ class TestSweepLists:
         assert _exit_code(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tfch-run", "--alpha", "0.5", "--N", "10", "--M", "3"],
+     "M must be at least 4"),
+    (["tfch-run", "--alpha", "0.5", "--N", "10", "--kappa", "-1"],
+     "kappa and epsilon must be positive"),
+    (["tfch-run", "--alpha", "0.5", "--N", "10", "--tol", "0"],
+     "iteration_tol must be positive"),
+    (["tfch-run", "--alpha", "0.5", "--N", "10", "--max-iterations", "0"],
+     "max_iterations must be at least 1"),
+    (["tfch-run", "--alpha", "1.5", "--N", "10"], "alpha must lie in (0,1)"),
+    (["tfch-convergence", "--alphas", "0.5", "--Ns", "6", "--N0", "8",
+      "--M", "2"], "M must be at least 4"),
+    (["tfch-convergence", "--alphas", "0.5", "--Ns", "6", "--N0", "8",
+      "--M", "8", "--T", "0"], "T must be finite and positive"),
+    (["caputo-convergence", "--alphas", "0.5", "--Ns", "8", "--T", "-1"],
+     "T must be finite and positive"),
+    (["manufactured", "--alphas", "0.5", "--Ns", "8", "--M", "8",
+      "--T", "-2"], "T must be finite and positive"),
+    (["manufactured", "--alphas", "0.5", "--Ns", "8", "--M", "3"],
+     "M must be at least 4"),
+], ids=["run-M", "run-kappa", "run-tol", "run-max-iterations", "run-alpha",
+        "convergence-M", "convergence-T", "caputo-T", "manufactured-T",
+        "manufactured-M"])
+def test_bad_solver_flag_values_exit_2_before_output(tmp_path, capsys, argv,
+                                                     message):
+    # SolverConfig's and the mesh builders' own checks, reported as usage
+    # errors before a table header, a row or a file is written
+    out = tmp_path / "out"
+    rc = _run(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "usage error: " + message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exits_2_before_output(tmp_path, capsys, source):
+    out = tmp_path / "out"
+    if source == "flag":
+        argv = ["verify", "--seed", "-1"]
+    else:
+        (tmp_path / "run.conf").write_text("seed = -1\n")
+        argv = ["verify", "--config", str(tmp_path / "run.conf")]
+    assert _exit_code(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 class TestConfigFiles:

@@ -1,7 +1,8 @@
 """Compact spatial operators on the unit interval.
 
-The averaging operator and second difference are small enough to check
-against dense linear algebra directly; the fourth-order claim is checked by
+The operators take interior values and act along the last axis. The
+averaging operator and second difference are small enough to check against
+dense linear algebra directly; the fourth-order claim is checked by
 Richardson ratios on a smooth eigenfunction.
 """
 
@@ -11,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from tfch.compact_spatial import (
-    GridFunction,
+    _average,
     _tridiag_eigs,
     a_matrix,
     apply_A,
@@ -23,65 +24,80 @@ from tfch.compact_spatial import (
     inner,
     norm_l2,
     quad_negH,
-    sample,
 )
 
 
 def _rand(M, seed=0):
-    rng = np.random.default_rng(seed)
-    v = np.zeros(M + 1)
-    v[1:-1] = rng.standard_normal(M - 1)
-    return GridFunction(values=v)
+    """Standard normal interior values on M intervals."""
+    return np.random.default_rng(seed).standard_normal(M - 1)
 
 
-class TestGridFunction:
-    def test_sample_evaluates_on_closed_grid(self):
-        g = sample(lambda x: x * (1.0 - x), 10)
-        assert g.M == 10
-        assert g.h == pytest.approx(0.1)
-        assert g.values[0] == 0.0 and g.values[-1] == 0.0
-        assert g.values[5] == pytest.approx(0.25)
+def _interior(fn, M):
+    """fn at the interior nodes i/M, i = 1..M-1."""
+    return fn(np.linspace(0.0, 1.0, M + 1)[1:-1])
 
-    def test_interior_and_array_views(self):
-        g = _rand(8)
-        assert g.interior().shape == (7,)
-        assert np.array_equal(np.asarray(g), g.values)
 
-    def test_rejects_degenerate_values(self):
-        with pytest.raises(ValueError):
-            GridFunction(values=np.array([1.0]))
-
+class TestArrayInputs:
     def test_mismatched_grids_raise(self):
         with pytest.raises(ValueError):
             inner(_rand(8), _rand(10))
+
+    def test_mesh_width_comes_from_the_last_axis(self):
+        # the second difference of x(1-x) is -2 at every interior node
+        for M in (5, 16, 37):
+            got = apply_dxx(_interior(lambda x: x * (1.0 - x), M))
+            assert got == pytest.approx(np.full(M - 1, -2.0), rel=1e-9)
+
+    @pytest.mark.parametrize("op", [apply_A, apply_A_inv, apply_dxx, apply_H,
+                                    apply_negH_inv, norm_l2, quad_negH])
+    def test_batched_rows_equal_single_states_bitwise(self, op):
+        U = np.random.default_rng(2).standard_normal((5, 23))
+        batched = op(U)
+        for n in range(len(U)):
+            assert batched[n].tobytes() == np.asarray(op(U[n])).tobytes()
+
+    def test_batched_inner_equals_single_states_bitwise(self):
+        rng = np.random.default_rng(3)
+        U, V = rng.standard_normal((2, 5, 23))
+        batched = inner(U, V)
+        for n in range(len(U)):
+            assert batched[n].tobytes() == inner(U[n], V[n]).tobytes()
 
 
 class TestAveraging:
     def test_matches_dense_matrix(self):
         M = 12
-        g = _rand(M, seed=1)
-        dense = a_matrix(M) @ g.interior()
-        assert apply_A(g).interior() == pytest.approx(dense, rel=1e-14)
+        u = _rand(M, seed=1)
+        assert apply_A(u) == pytest.approx(a_matrix(M) @ u, rel=1e-14)
 
     def test_interior_stencil(self):
         M = 9
-        g = sample(lambda x: np.cos(3.0 * x) + 2.0, M)
-        u = g.values
-        out = apply_A(g).values
+        u = _interior(lambda x: np.cos(3.0 * x) + 2.0, M)
+        full = np.pad(u, 1)
+        out = apply_A(u)
         for i in range(1, M):
-            assert out[i] == pytest.approx(
-                (u[i - 1] + 10.0 * u[i] + u[i + 1]) / 12.0, rel=1e-14)
+            assert out[i - 1] == pytest.approx(
+                (full[i - 1] + 10.0 * full[i] + full[i + 1]) / 12.0,
+                rel=1e-14)
 
-    def test_boundary_values_pass_through(self):
-        g = sample(lambda x: np.cos(3.0 * x) + 2.0, 8)
-        out = apply_A(g)
-        assert out.values[0] == g.values[0]
-        assert out.values[-1] == g.values[-1]
+    def test_bitwise_padded_average_with_signed_zeros(self):
+        # adding the +0.0 boundary value turns an edge of -0.0 into +0.0;
+        # a two-term edge stencil would keep -0.0 there
+        rows = np.array([
+            [-0.0, -0.0, 1.5, 0.0, -0.0, -0.0],
+            [0.0, -0.0, -0.0, -2.0, -0.0, 0.0],
+            [-0.0, 3.0, -0.0, -0.0, 0.25, -0.0],
+            [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+        ])
+        expected = _average(np.pad(rows, ((0, 0), (1, 1))))
+        assert apply_A(rows).tobytes() == expected.tobytes()
+        for row, want in zip(rows, expected):
+            assert apply_A(row).tobytes() == want.tobytes()
+        assert not np.signbit(apply_A(rows[3])[[0, -1]]).any()
 
     def test_inverse_roundtrip(self):
-        g = _rand(16, seed=3)
-        back = apply_A_inv(apply_A(g))
-        assert back.interior() == pytest.approx(g.interior(), rel=1e-12)
+        u = _rand(16, seed=3)
+        assert apply_A_inv(apply_A(u)) == pytest.approx(u, rel=1e-12)
 
     def test_inverse_norm_bound(self):
         # eigenvalues of the averaging matrix live in (2/3, 1)
@@ -100,33 +116,31 @@ class TestAveraging:
 class TestSecondDifference:
     def test_matches_dense_matrix(self):
         M = 12
-        g = _rand(M, seed=4)
-        dense = dxx_matrix(M, g.h) @ g.interior()
-        assert apply_dxx(g).interior() == pytest.approx(dense, rel=1e-13)
+        u = _rand(M, seed=4)
+        dense = dxx_matrix(M, 1.0 / M) @ u
+        assert apply_dxx(u) == pytest.approx(dense, rel=1e-13)
 
-    def test_stencil_values_and_zero_ends(self):
+    def test_stencil_values(self):
         M = 7
-        g = _rand(M, seed=5)
-        u = g.values
-        out = apply_dxx(g).values
-        h2 = g.h ** 2
-        assert out[0] == 0.0 and out[-1] == 0.0
+        u = _rand(M, seed=5)
+        full = np.pad(u, 1)
+        out = apply_dxx(u)
+        h2 = (1.0 / M) ** 2
         for i in range(1, M):
-            assert out[i] == pytest.approx(
-                (u[i - 1] - 2.0 * u[i] + u[i + 1]) / h2, rel=1e-12)
+            assert out[i - 1] == pytest.approx(
+                (full[i - 1] - 2.0 * full[i] + full[i + 1]) / h2, rel=1e-12)
 
 
 class TestCompactLaplacian:
     def test_H_is_A_inverse_D(self):
         M = 10
-        g = _rand(M, seed=6)
-        dense = np.linalg.solve(a_matrix(M), dxx_matrix(M, g.h) @ g.interior())
-        assert apply_H(g).interior() == pytest.approx(dense, rel=1e-12)
+        u = _rand(M, seed=6)
+        dense = np.linalg.solve(a_matrix(M), dxx_matrix(M, 1.0 / M) @ u)
+        assert apply_H(u) == pytest.approx(dense, rel=1e-12)
 
     def test_negH_inverse_roundtrip(self):
-        g = _rand(14, seed=7)
-        back = apply_H(apply_negH_inv(g))
-        assert back.interior() == pytest.approx(-g.interior(), rel=1e-11)
+        u = _rand(14, seed=7)
+        assert apply_H(apply_negH_inv(u)) == pytest.approx(-u, rel=1e-11)
 
     def test_dense_H_is_symmetric_negative_definite(self):
         # A and D share eigenvectors on the Dirichlet grid, so A^{-1} D is
@@ -139,20 +153,18 @@ class TestCompactLaplacian:
 
     def test_thomas_solve_matches_dense(self):
         M = 18
-        g = _rand(M, seed=8)
-        H = np.linalg.solve(a_matrix(M), dxx_matrix(M, g.h))
-        dense = np.linalg.solve(-H, g.interior())
-        assert apply_negH_inv(g).interior() == pytest.approx(dense, rel=1e-10)
+        u = _rand(M, seed=8)
+        H = np.linalg.solve(a_matrix(M), dxx_matrix(M, 1.0 / M))
+        dense = np.linalg.solve(-H, u)
+        assert apply_negH_inv(u) == pytest.approx(dense, rel=1e-10)
 
     def test_fourth_order_on_sine(self):
         # consistency error of the compact laplacian on sin(pi x) shrinks
         # about sixteenfold per mesh doubling
         errs = []
         for M in (16, 32, 64, 128):
-            g = sample(lambda x: np.sin(np.pi * x), M)
-            resid = apply_H(g).values[1:-1] \
-                + np.pi ** 2 * np.sin(np.pi * np.linspace(0, 1, M + 1))[1:-1]
-            errs.append(np.max(np.abs(resid)))
+            s = _interior(lambda x: np.sin(np.pi * x), M)
+            errs.append(np.max(np.abs(apply_H(s) + np.pi ** 2 * s)))
         ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
         for r in ratios:
             assert 14.0 <= r <= 18.0
@@ -185,18 +197,18 @@ class TestInnerProductsAndNorms:
     def test_inner_is_h_weighted_interior_sum(self):
         a = _rand(10, seed=9)
         b = _rand(10, seed=10)
-        want = (1.0 / 10.0) * float(a.interior() @ b.interior())
+        want = (1.0 / 10.0) * float(a @ b)
         assert inner(a, b) == pytest.approx(want, rel=1e-14)
 
     def test_sandwich_between_gradient_energies(self):
         # h (A u, -D u) is pinched between 2/3 and 1 times the squared
         # forward-difference seminorm
+        h = 1.0 / 20
         for seed in range(6):
-            g = _rand(20, seed=seed + 20)
-            du = np.diff(g.values) / g.h
-            grad2 = g.h * float(du @ du)
-            neg_dxx = GridFunction(values=-apply_dxx(g).values)
-            pairing = inner(apply_A(g), neg_dxx)
+            u = _rand(20, seed=seed + 20)
+            du = np.diff(np.pad(u, 1)) / h
+            grad2 = h * float(du @ du)
+            pairing = inner(apply_A(u), -apply_dxx(u))
             assert (2.0 / 3.0) * grad2 - 1e-12 * grad2 <= pairing
             assert pairing <= grad2 * (1 + 1e-12)
 
@@ -206,3 +218,11 @@ class TestInnerProductsAndNorms:
         assert quad_negH(a) >= 0.0
         assert inner(a, apply_negH_inv(b)) == pytest.approx(
             inner(b, apply_negH_inv(a)), rel=1e-11)
+
+    def test_quad_negH_matches_the_stencil_form(self):
+        # the sine-basis sum against -(H u, u) through the stencil and the
+        # tridiagonal solve
+        for M in (8, 37, 128):
+            u = _rand(M, seed=M)
+            assert quad_negH(u) == pytest.approx(-inner(apply_H(u), u),
+                                                 rel=1e-12, abs=0)

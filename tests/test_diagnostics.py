@@ -20,8 +20,9 @@ import pytest
 import scipy.linalg
 from scipy.special import gamma
 
+from tfch import diagnostics
 from tfch.caputo_l2 import kernel_row_J
-from tfch.compact_spatial import a_matrix, dxx_matrix, sample
+from tfch.compact_spatial import a_matrix, dxx_matrix, quad_negH
 from tfch.diagnostics import (
     G_functional,
     convergence_order,
@@ -39,6 +40,11 @@ from tfch.tfch_solver import RunHistory, SolverConfig, quartic_bump, solve
 # continuum E[u] = (eps^2/2) int u_x^2 + (1/4) int (u^2-1)^2 for the quartic
 # bump at eps = 0.1, quadrature at 30 digits
 _CONTINUUM_BUMP_ENERGY = 0.24999815871664462
+
+
+def _interior(fn, M):
+    """fn at the interior nodes i/M, i = 1..M-1."""
+    return fn(np.linspace(0.0, 1.0, M + 1)[1:-1])
 
 
 def _small_run(alpha=0.4, N=12, M=12):
@@ -80,33 +86,43 @@ np.savez(sys.argv[2], free_energy=series.free_energy,
 
 
 class TestMassAndEnergy:
-    def test_mass_includes_boundary_halves(self):
-        g = sample(lambda x: np.ones_like(x), 60)
-        assert mass(g) == pytest.approx(1.0, rel=1e-14)
+    def test_mass_is_h_times_the_interior_sum(self):
+        assert mass(np.ones(59)) == pytest.approx(59.0 / 60.0, rel=1e-14)
+
+    def test_mass_of_negative_zeros_is_positive_zero(self):
+        assert np.float64(mass(np.full(7, -0.0))).tobytes() \
+            == np.float64(0.0).tobytes()
 
     def test_mass_of_parabola_matches_closed_form(self):
         # trapezoid rule on x(1-x) has the exact value 1/6 - h^2/6
-        g = sample(lambda x: x * (1.0 - x), 60)
+        u = _interior(lambda x: x * (1.0 - x), 60)
         h = 1.0 / 60.0
-        assert mass(g) == pytest.approx(1.0 / 6.0 - h * h / 6.0, rel=1e-13)
-        assert abs(mass(g) - 1.0 / 6.0) < 5e-5
+        assert mass(u) == pytest.approx(1.0 / 6.0 - h * h / 6.0, rel=1e-13)
+        assert abs(mass(u) - 1.0 / 6.0) < 5e-5
 
     def test_bump_free_energy_frozen_value(self):
-        g = sample(quartic_bump, 60)
-        E0 = free_energy(g, 0.1)
+        E0 = free_energy(_interior(quartic_bump, 60), 0.1)
         assert E0 == pytest.approx(0.24583149204930882, rel=1e-12)
 
     def test_bump_free_energy_consistent_with_continuum(self):
-        g = sample(quartic_bump, 60)
-        E0 = free_energy(g, 0.1)
-        assert E0 + 0.25 * g.h == pytest.approx(_CONTINUUM_BUMP_ENERGY,
-                                                abs=1e-9)
+        E0 = free_energy(_interior(quartic_bump, 60), 0.1)
+        assert E0 + 0.25 / 60 == pytest.approx(_CONTINUUM_BUMP_ENERGY,
+                                               abs=1e-9)
 
     def test_free_energy_of_zero_state(self):
         M = 10
-        g = sample(lambda x: np.zeros_like(x), M)
-        assert free_energy(g, 0.3) == pytest.approx(0.25 * g.h * (M - 1),
-                                                    rel=1e-14)
+        assert free_energy(np.zeros(M - 1), 0.3) == pytest.approx(
+            0.25 / M * (M - 1), rel=1e-14)
+
+    @pytest.mark.parametrize("M", [5, 16, 129, 513])
+    def test_batched_calls_equal_per_state_calls_bitwise(self, M):
+        U = np.random.default_rng(M).uniform(-1.0, 1.0, (9, M - 1))
+        U[3] = -0.0
+        masses, free, grad = mass(U), free_energy(U, 0.07), quad_negH(U)
+        for n, u in enumerate(U):
+            assert masses[n].tobytes() == mass(u).tobytes()
+            assert free[n].tobytes() == free_energy(u, 0.07).tobytes()
+            assert grad[n].tobytes() == quad_negH(u).tobytes()
 
 
 class TestHistoryFunctional:
@@ -170,16 +186,19 @@ class TestModifiedEnergy:
         assert series.free_energy.shape == (N + 1,)
         assert series.mass.shape == (N + 1,)
         for n in (0, N // 2, N):
-            assert series.mass[n] == pytest.approx(mass(hist.state(n)),
+            assert series.mass[n] == pytest.approx(mass(hist.U[n]),
                                                    rel=1e-14)
 
     def test_matches_dense_negative_norm_oracle(self):
         # On the solver run the history term is ~1e-7 of E; the same run with
         # random states makes it comparable to E, so both are checked.
+        # The free energy is formed from the dense matrices too, so the
+        # oracle shares no code with energy_series.
         hist = _small_run(alpha=0.5, N=24, M=16)
         cfg, mesh, alpha = hist.config, hist.mesh, hist.config.alpha
-        neg_h_inv = -scipy.linalg.solve(dxx_matrix(cfg.M, cfg.h),
-                                        a_matrix(cfg.M))
+        A, D = a_matrix(cfg.M), dxx_matrix(cfg.M, cfg.h)
+        neg_h_inv = -scipy.linalg.solve(D, A)
+        neg_h = -scipy.linalg.solve(A, D)
         rng = np.random.default_rng(7)
         noisy = rng.uniform(-1.0, 1.0, hist.U.shape)
         for run in (hist, dataclasses.replace(hist, U=noisy)):
@@ -196,8 +215,10 @@ class TestModifiedEnergy:
                 history_term = lead * Q[n - 1] + 0.5 * J[0] * Q[0]
                 for j in range(1, n):
                     history_term += 0.5 * (J[j] - J[j - 1]) * Q[j]
-                expected = free_energy(run.state(n), cfg.epsilon) \
-                    + history_term / cfg.kappa
+                u = S[n]
+                free = 0.5 * cfg.epsilon ** 2 * cfg.h * (u @ neg_h @ u) \
+                    + 0.25 * cfg.h * np.sum((u * u - 1.0) ** 2)
+                expected = free + history_term / cfg.kappa
                 assert series.modified_energy[n] == pytest.approx(
                     expected, rel=1e-13, abs=0)
 
@@ -243,11 +264,29 @@ class TestModifiedEnergy:
             series = energy_series(run)
             eps = run.config.epsilon
             for n in range(run.mesh.N + 1):
-                u = run.state(n)
-                assert series.free_energy[n] == pytest.approx(
-                    free_energy(u, eps), rel=1e-13, abs=0)
-                assert series.mass[n].tobytes() == \
-                    np.float64(mass(u)).tobytes()
+                u = run.U[n]
+                assert series.free_energy[n].tobytes() == \
+                    free_energy(u, eps).tobytes()
+                assert series.mass[n].tobytes() == mass(u).tobytes()
+
+    def test_gradient_term_goes_through_the_module_global(self,
+                                                         monkeypatch):
+        # a tracer that rebinds diagnostics.quad_negH sees the free-energy
+        # layer: one batched call per series, and the same bytes
+        run = _small_run(alpha=0.5, N=24, M=16)
+        plain = energy_series(run)
+        calls = []
+
+        def counted(u):
+            calls.append(u.shape)
+            return quad_negH(u)
+
+        monkeypatch.setattr(diagnostics, "quad_negH", counted)
+        traced = energy_series(run)
+        assert calls == [run.U.shape]
+        for name in ("free_energy", "modified_energy", "mass"):
+            assert getattr(traced, name).tobytes() == \
+                getattr(plain, name).tobytes(), name
 
     def test_leaves_the_run_states_unchanged(self):
         for run in (_small_run(), _random_history(_graded_config(40, 16), 5)):
