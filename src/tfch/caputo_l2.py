@@ -288,6 +288,9 @@ def _block(mesh: TemporalMesh, alpha: float, first: int, last: int):
     B[cur] = c[cur] + P[cur] + now
     J = ct.copy()
     J[cur] *= 2.0
+    # the rows view c, d, B, ct and J only; the generator frame outlives
+    # the rest while the rows are consumed
+    del j, hist, jh, r, P, Q
 
     for arr in (c, d, B, ct, J):
         arr.flags.writeable = False

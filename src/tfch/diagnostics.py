@@ -41,6 +41,12 @@ __all__ = [
     "write_mass_csv",
 ]
 
+# Entries of energy_series's difference buffer (512 KiB). A chunk is the
+# history rows that fit: 516 at M = 128, 329 at M = 200. Each chunk costs a
+# few numpy calls, so much smaller chunks would slow a long run's late
+# levels, which take several.
+_NORM_ENTRIES = 1 << 16
+
 
 def mass(u: np.ndarray):
     """h sum_i u_i along the last axis: the trapezoid rule with the zero
@@ -127,11 +133,15 @@ def energy_series(history) -> EnergySeries:
     (-H)^{-1} = S diag(lam) S with S the orthonormal DST-I and lam > 0, so
     each state is transformed once along its last axis, and the
     negative-order norm (v, (-H)^{-1} v) is h |w^n - w^j|^2 with
-    w^j = sqrt(lam) S u^j. Level n needs it for j < n: one difference per
-    level, written into one reused buffer, then a row sum of squares,
-    O(N^2 M) in all. The difference is taken before squaring, so the norms
-    keep their accuracy (no |w^n|^2 - 2 w^n.w^j + |w^j|^2 cancellation) and
-    are nonnegative by construction.
+    w^j = sqrt(lam) S u^j. Level n needs it for j < n: the differences
+    w^j - w^n go through one buffer of _NORM_ENTRIES entries (or one
+    row, if longer), a chunk of history rows at a time, each chunk then reduced to its rows'
+    sums of squares, O(N^2 M) in all. Each row's sum is the one the whole
+    level in one buffer would give, so the chunking moves no bit, and the
+    pass holds one array the size of the run, W, whatever N is. The
+    difference is taken before squaring, so the norms keep their accuracy
+    (no |w^n|^2 - 2 w^n.w^j + |w^j|^2 cancellation) and are nonnegative by
+    construction.
     """
     cfg = history.config
     mesh = cfg.mesh
@@ -142,15 +152,19 @@ def energy_series(history) -> EnergySeries:
 
     W = _sine(U)
     W *= np.sqrt(_neg_h_inv_eigs(cfg.M))          # row j holds w^j
-    work = np.empty((N, U.shape[1]))
+    rows = max(1, _NORM_ENTRIES // U.shape[1])
+    work = np.empty((min(rows, N), U.shape[1]))
+    Q = np.empty(N)
     modified = np.empty(N + 1)
     modified[0] = np.nan
     for row in kernel_rows(mesh, cfg.alpha):
         n = row.level
-        X = np.subtract(W[:n], W[n], out=work[:n])  # row j holds w^j - w^n
-        Q = h * np.einsum("ij,ij->i", X, X)
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            X = np.subtract(W[a:b], W[n], out=work[:b - a])  # w^j - w^n
+            np.einsum("ij,ij->i", X, X, out=Q[a:b])
         w = _g_weights(row.J, mesh, cfg.alpha)
-        modified[n] = free[n] + w @ Q / cfg.kappa
+        modified[n] = free[n] + w @ (h * Q[:n]) / cfg.kappa
     return EnergySeries(
         levels=np.arange(N + 1),
         times=mesh.nodes.copy(),

@@ -52,6 +52,13 @@ below an ulp of the sums they join. With kappa = 0.01, eps = 0.1 the states
 are bitwise those of the untruncated K at M = 128, 200, 256, 512 and 1024; at
 M = 128 the smallest entry of K is about 1e-119, and nothing is zeroed.
 
+A run holds two arrays the size of the run, the states U and the
+increments dU that the history sum B @ dU reads, beside the four (M-1)^2
+matrices A, D, K and L. K is assembled in the buffer of A^{-1} D with one
+more (M-1)^2 temporary, and the post-run Lipschitz constant is a max over
+fixed-size chunks of U (_lipschitz), so neither pass allocates anything the
+size of the run. Both give the bits of their whole-array forms.
+
 Step-size validators (fixed-point solvability, energy dissipation, first
 step, post-run Lipschitz) are evaluated and reported as warnings; they never
 abort a run.
@@ -93,6 +100,9 @@ _BOUND_SLACK = 1e-12
 # Entries of K below sqrt(tiny) = 2^-511 are set to exactly 0.0 (module
 # docstring): any product of two survivors is a normal number.
 _K_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
+
+# Entries per chunk of _lipschitz's pass over the states (64 KiB).
+_LIP_ENTRIES = 8192
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
@@ -357,6 +367,27 @@ def _step_violations(config: SolverConfig) -> dict:
     }
 
 
+def _lipschitz(U: np.ndarray) -> float:
+    """max |f'(u)| = max |3u^2 - 1| over the states U.
+
+    Bitwise np.max(np.abs(3.0 * U ** 2 - 1.0)), each entry by the same
+    operations in the same order, but taken in place over chunks of rows in
+    one buffer of _LIP_ENTRIES entries (or one row, if longer), where the
+    whole-array expression would allocate two temporaries the size of U. max is exact,
+    so the chunking moves no bit, and a nan anywhere still gives nan.
+    """
+    rows = max(1, _LIP_ENTRIES // U.shape[1])
+    buf = np.empty((min(rows, len(U)), U.shape[1]))
+    peaks = []
+    for a in range(0, len(U), rows):
+        chunk = U[a:a + rows]
+        x = np.square(chunk, out=buf[:len(chunk)])
+        x *= 3.0
+        x -= 1.0
+        peaks.append(np.max(np.abs(x, out=x)))
+    return float(np.max(peaks))
+
+
 def solve(config: SolverConfig) -> RunHistory:
     """March the scheme over the whole mesh and collect diagnostics.
 
@@ -379,12 +410,18 @@ def solve(config: SolverConfig) -> RunHistory:
     m = M - 1
     A = a_matrix(M)
     D = dxx_matrix(M, h)
-    K = np.empty((m, m), order="F")
-    np.add(kappa * D, kappa * eps ** 2 * (D @ lu_solve(lu_factor(A), D)),
-           out=K)
+    # K = kappa D + kappa eps^2 D (A^{-1} D) in A^{-1} D's Fortran-ordered
+    # buffer, with one more (M-1)^2 temporary
+    K = lu_solve(lu_factor(A), D)
+    DAD = D @ K
+    DAD *= kappa * eps ** 2
+    np.multiply(D, kappa, out=K)
+    K += DAD
+    del DAD
     K[np.abs(K) < _K_FLOOR] = 0.0
     D *= kappa  # only the sweep's kappa D u^3 term uses D from here on
-    A_flat = A.ravel(order="F")
+    # A is symmetric: its C order is L's Fortran order, and ravel is a view.
+    A_flat = A.ravel()
     band = np.flatnonzero(A_flat)  # A's three diagonals, in L's flat order
     A_band, K_band = A_flat[band], K.ravel(order="F")[band]
 
@@ -447,7 +484,7 @@ def solve(config: SolverConfig) -> RunHistory:
         U[n] = u_s
         dU[n - 1] = U[n] - U[n - 1]
 
-    lip = float(np.max(np.abs(3.0 * U ** 2 - 1.0)))
+    lip = _lipschitz(U)
     lip_limit = lipschitz_step_bound(alpha, kappa, eps, lip)
     violations["lipschitz"] = _levels(
         mesh.steps > lip_limit * (1.0 + _BOUND_SLACK), 1)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -175,3 +176,35 @@ def band_jump_steps():
         s = np.repeat(ratio ** np.arange(5), 40)
         return 0.1 * s / s.sum()
     return steps
+
+
+def _traced_peak(fn):
+    """fn()'s peak traced allocation above what was allocated when it
+    started, in bytes."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """Measurer: traced_peak(fn) is fn()'s tracemalloc peak in bytes."""
+    return _traced_peak
+
+
+@pytest.fixture(scope="session")
+def row_stream_peak():
+    """Measurer: row_stream_peak(mesh, alpha) is the tracemalloc peak of
+    walking kernel_rows(mesh, alpha) to its end, the block workspace (about
+    1.2 MiB on a long mesh, whatever N and M are)."""
+    def peak(mesh, alpha):
+        return _traced_peak(lambda: sum(1 for _ in kernel_rows(mesh, alpha)))
+    return peak

@@ -500,6 +500,68 @@ class TestValidators:
         assert hist.lipschitz_limit > 0.0
 
 
+def _lipschitz_reference(U):
+    return float(np.max(np.abs(3.0 * U ** 2 - 1.0)))
+
+
+class TestLipschitzPass:
+    """solve's Lipschitz constant is taken over chunks of the states, bitwise
+    the whole-run expression."""
+
+    def _shapes(self):
+        # N+1 a multiple of the chunk's rows and not; one row; and a
+        # state longer than a chunk, one row per chunk
+        rows = tfch_solver._LIP_ENTRIES // 99
+        return [(3 * rows, 99), (3 * rows + 5, 99), (1, 99), (rows - 1, 99),
+                (4, tfch_solver._LIP_ENTRIES + 3)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("amplitude, zeros", [(0.5, True), (0.5, False),
+                                                  (1.7, False)])
+    def test_bitwise_whole_run_expression(self, seed, amplitude, zeros):
+        # amplitude 0.5: |f'| peaks at the smallest |u|, where 1 - 3u^2
+        # wins, and at exactly 1 where the states hold +-0.0; amplitude
+        # 1.7: it peaks at the largest |u|
+        rng = np.random.default_rng(seed)
+        for shape in self._shapes():
+            U = rng.uniform(-amplitude, amplitude, shape)
+            if zeros:
+                U.flat[rng.integers(0, U.size, 5)] = 0.0
+                U.flat[rng.integers(0, U.size, 5)] = -0.0
+            got = tfch_solver._lipschitz(U)
+            if amplitude < 0.5 ** 0.5:
+                assert got == 1.0 - 3.0 * np.min(np.abs(U)) ** 2
+            else:
+                assert got == 3.0 * np.max(np.abs(U)) ** 2 - 1.0
+            assert np.float64(got).tobytes() == \
+                np.float64(_lipschitz_reference(U)).tobytes(), shape
+
+    def test_nan_state_gives_nan(self):
+        U = np.zeros((tfch_solver._LIP_ENTRIES // 7 + 3, 7))
+        U[-1, 2] = np.nan
+        assert math.isnan(tfch_solver._lipschitz(U))
+
+    def test_solve_reports_the_whole_run_expression(self):
+        hist = _solve_quiet(_phase_separation_config())
+        assert hist.lipschitz_constant == _lipschitz_reference(hist.U)
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("N, M", [(1000, 100), (200, 512)])
+    def test_two_state_arrays_and_fixed_workspace(self, N, M, traced_peak,
+                                                  row_stream_peak):
+        # U and dU are the only arrays the size of the N+1 states, and the
+        # (M-1)^2 arrays are A, D, K and L. The kernel row stream's block
+        # workspace is measured on the same mesh; 128 KiB covers the
+        # length-N and length-(M-1) vectors. N >> M in the first case and
+        # M is large in the second.
+        cfg = _config(mesh=build_graded_cubic(N, 1.0), M=M)
+        peak = traced_peak(lambda: _solve_quiet(cfg))
+        bound = (2 * 8 * (N + 1) * (M - 1) + 4 * 8 * (M - 1) ** 2
+                 + row_stream_peak(cfg.mesh, cfg.alpha) + 128 * 1024)
+        assert peak <= bound
+
+
 class TestRelaxedRatioBand:
     """Runs whose step ratios lie in the band (4.660, rho_star(alpha)] that
     the relaxed threshold admits beyond Liao et al.'s older bound."""
