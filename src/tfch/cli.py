@@ -15,7 +15,9 @@ Every subcommand accepts --out DIR (default .) and --config FILE, where the
 file holds `key = value` lines using the flag names (dashes or underscores);
 explicit command-line flags override file values. Each run rewrites
 run_meta.txt in the output directory with the resolved settings, with no
-timestamps, so reruns on identical inputs are byte-identical.
+timestamps, so reruns on identical inputs are byte-identical. The exception
+is verify, whose results go to standard output: it has no default --out and
+writes run_meta.txt only when one is given.
 
 Exit codes: 0 success, 1 runtime failure (including failed verification),
 2 usage error.
@@ -198,6 +200,7 @@ def build_parser():
     s = subs.add_parser("verify", help="structural verification battery")
     s.add_argument("--seed", type=_nonnegative_int, default=0)
     _add_common(s)
+    s.set_defaults(out=None)
     registry["verify"] = s
 
     return parser, registry
@@ -527,7 +530,8 @@ def _cmd_verify(args) -> int:
         line = "%s %s: %s" % (tag, r.name, r.detail)
         lines.append(line)
         print(line)
-    _write_meta(args, [], lines)
+    if args.out is not None:
+        _write_meta(args, [], lines)
     print("%d/%d checks passed" % (len(results) - failed, len(results)))
     return 1 if failed else 0
 

@@ -6,10 +6,11 @@ and reduce along the last axis. The gradient part of the free energy is
 diagonal there with positive eigenvalues lam, so (-H u, u) is
 h sum_k (S u)_k^2 / lam_k. The modified energy augments the free energy with
 a weighted history of negative-order norms of increments, built from the
-auxiliary J kernels; energy_series reads each such norm as the Euclidean
-norm of a difference of the scaled transformed states w^j = sqrt(lam) S u^j.
-Such a norm is nonnegative by construction, so none is clamped. The
-dissipation estimate states exactly that the modified energy never
+auxiliary J kernels; energy_series carries each such norm from one level to
+the next as a sum of products of transformed increments
+d^k = sqrt(lam) S (u^k - u^{k-1}). Rounding can take a norm that is zero in
+exact arithmetic slightly below zero; none is clamped. The dissipation
+estimate states exactly that the modified energy never
 increases, so these routines are both the experiment observables and the
 acceptance instruments.
 """
@@ -41,10 +42,9 @@ __all__ = [
     "write_mass_csv",
 ]
 
-# Entries of energy_series's difference buffer (512 KiB). A chunk is the
-# history rows that fit: 516 at M = 128, 329 at M = 200. Each chunk costs a
-# few numpy calls, so much smaller chunks would slow a long run's late
-# levels, which take several.
+# Entries of the chunk in which energy_series transforms the increments
+# (512 KiB): 516 rows at M = 128, 329 at M = 200. The transform's output is
+# the only temporary of that size, and it is freed before the level loop.
 _NORM_ENTRIES = 1 << 16
 
 
@@ -131,17 +131,30 @@ def energy_series(history) -> EnergySeries:
     mass(history.U).
 
     (-H)^{-1} = S diag(lam) S with S the orthonormal DST-I and lam > 0, so
-    each state is transformed once along its last axis, and the
-    negative-order norm (v, (-H)^{-1} v) is h |w^n - w^j|^2 with
-    w^j = sqrt(lam) S u^j. Level n needs it for j < n: the differences
-    w^j - w^n go through one buffer of _NORM_ENTRIES entries (or one
-    row, if longer), a chunk of history rows at a time, each chunk then reduced to its rows'
-    sums of squares, O(N^2 M) in all. Each row's sum is the one the whole
-    level in one buffer would give, so the chunking moves no bit, and the
-    pass holds one array the size of the run, W, whatever N is. The
-    difference is taken before squaring, so the norms keep their accuracy
-    (no |w^n|^2 - 2 w^n.w^j + |w^j|^2 cancellation) and are nonnegative by
-    construction.
+    the negative-order norm (v, (-H)^{-1} v) is h |sqrt(lam) S v|^2. The
+    increments are transformed once, _NORM_ENTRIES entries at a time, into
+    D, row k-1 holding d^k = sqrt(lam) S (u^k - u^{k-1}), the pass's one
+    array the size of the run. With
+    Q_n[j] = |w^n - w^j|^2 and w^j = sqrt(lam) S u^j, the recurrence
+
+        Q_n[j] = Q_{n-1}[j] + 2 sum_{k=j+1}^{n-1} d^k . d^n + |d^n|^2,
+        Q_n[n-1] = |d^n|^2,
+
+    updates every norm of level n from one matrix-vector product
+    p_k = d^k . d^n over D[:n] and a reversed cumulative sum of p, O(N^2 M)
+    in all. The product is an einsum, not a BLAS matmul, so the bits do
+    not depend on the BLAS thread count.
+
+    The recurrence only sums products of increments; it never forms the
+    |w^n|^2 - 2 w^n.w^j + |w^j|^2 expansion, whose terms cancel. Its
+    rounding is relative to the path from w^j to w^n, not to the states,
+    so in a slowly moving run each norm keeps a few ulps of relative
+    accuracy; a difference of separately transformed states would lose
+    the ratio of the states to the increment. The rounding grows with the
+    number of levels when the path is long and its end near its start: on
+    uniform random states at N = 1000 the history terms move by up to
+    5e-14 relative, and a norm can round slightly below zero. None is
+    clamped, since a clamp would hide that rounding, not remove it.
     """
     cfg = history.config
     mesh = cfg.mesh
@@ -150,19 +163,25 @@ def energy_series(history) -> EnergySeries:
     U = history.U
     free = free_energy(U, cfg.epsilon)
 
-    W = _sine(U)
-    W *= np.sqrt(_neg_h_inv_eigs(cfg.M))          # row j holds w^j
+    D = np.empty((N, U.shape[1]))
     rows = max(1, _NORM_ENTRIES // U.shape[1])
-    work = np.empty((min(rows, N), U.shape[1]))
+    for a in range(0, N, rows):
+        b = min(a + rows, N)
+        np.subtract(U[a + 1:b + 1], U[a:b], out=D[a:b])
+        D[a:b] = _sine(D[a:b])
+    D *= np.sqrt(_neg_h_inv_eigs(cfg.M))
+    p = np.empty(N)
     Q = np.empty(N)
     modified = np.empty(N + 1)
     modified[0] = np.nan
     for row in kernel_rows(mesh, cfg.alpha):
         n = row.level
-        for a in range(0, n, rows):
-            b = min(a + rows, n)
-            X = np.subtract(W[a:b], W[n], out=work[:b - a])  # w^j - w^n
-            np.einsum("ij,ij->i", X, X, out=Q[a:b])
+        np.einsum("ij,j->i", D[:n], D[n - 1], out=p[:n])  # d^k . d^n
+        c = np.cumsum(p[:n - 1][::-1])[::-1]  # sum_{k=j+1}^{n-1} d^k . d^n
+        c *= 2.0
+        c += p[n - 1]
+        Q[:n - 1] += c
+        Q[n - 1] = p[n - 1]
         w = _g_weights(row.J, mesh, cfg.alpha)
         modified[n] = free[n] + w @ (h * Q[:n]) / cfg.kappa
     return EnergySeries(

@@ -392,6 +392,14 @@ class TestVerifySubcommand:
         assert meta.count("note: ") >= 10
         assert "PASS" in meta
 
+    def test_writes_nothing_without_out(self, tmp_path, monkeypatch, capsys):
+        # the results go to standard output; with no --out there is no
+        # directory to put run_meta.txt in, so none is written
+        monkeypatch.chdir(tmp_path)
+        assert _run(["verify"]) == 0
+        assert "checks passed" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestResolutionLists:
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -72,6 +72,20 @@ def _graded_config(N, M):
                         initial=quartic_bump)
 
 
+def _longdouble_negative_norms(X, M):
+    """h (X_r, (-H)^{-1} X_r) for each row X_r of X, in longdouble.
+
+    (-H)^{-1} = -D^{-1} A = h^2 G A with G_ij = min(i,j) (M - max(i,j))/M,
+    the Green's function of the second difference.
+    """
+    i = np.arange(1, M, dtype=np.longdouble)
+    G = np.minimum.outer(i, i) * (M - np.maximum.outer(i, i)) / M
+    h = np.longdouble(1) / M
+    AX = np.pad(X, [(0, 0), (1, 1)])
+    AX = (AX[:, :-2] + 10 * AX[:, 1:-1] + AX[:, 2:]) / 12
+    return h ** 3 * np.einsum("ij,ij->i", X, AX @ G)
+
+
 # Runs in a child process: energy_series of a pickled history, saved as npz.
 _SERIES_PROBE = """
 import pickle, sys
@@ -224,23 +238,18 @@ class TestModifiedEnergy:
 
     @pytest.mark.parametrize("M", [128, 512])
     def test_increment_norms_match_longdouble_closed_form(self, M):
-        # (-H)^{-1} = -D^{-1} A = h^2 G A, G_ij = min(i,j) (M - max(i,j))/M,
-        # evaluated in longdouble. Each one-step history holds a pair of
-        # near-equal random states, so its level-1 modified energy carries
-        # one negative-order norm of an increment of size ~1e-3. A tiny
-        # kappa makes that term dominate E, so subtracting E loses nothing.
-        # Each state is transformed on its own, so the transform's rounding
-        # is amplified ~1e3 in the difference: over 60 draws the relative
-        # error has median 1.4e-13 and reaches 7e-13 (one of the draws
-        # below reaches 1.0e-12).
+        # Each one-step history holds a pair of near-equal random states, so
+        # its level-1 modified energy carries one negative-order norm of an
+        # increment of size ~1e-3. A tiny kappa makes that term dominate E,
+        # so subtracting E loses nothing. The increment is formed before
+        # the transform, so the norm carries only the transform's own
+        # relative rounding: the draws below reach 1.3e-15, where
+        # transforming each state on its own would reach 1.0e-12.
         kappa = 1e-12
         cfg = SolverConfig(alpha=0.5, kappa=kappa, epsilon=0.1,
                            mesh=build_custom([0.01]), M=M,
                            initial=quartic_bump)
         weight = G_functional([0.0, 1.0], cfg.mesh, cfg.alpha)
-        i = np.arange(1, M, dtype=np.longdouble)
-        G = np.minimum.outer(i, i) * (M - np.maximum.outer(i, i)) / M
-        h = np.longdouble(1) / M
         rng = np.random.default_rng(M)
         for _ in range(4):
             u0 = rng.uniform(-1.0, 1.0, M - 1)
@@ -251,10 +260,37 @@ class TestModifiedEnergy:
             Q = (series.modified_energy[1] - series.free_energy[1]) \
                 * kappa / weight
             d = u1.astype(np.longdouble) - u0
-            Ad = np.pad(d, 1)
-            Ad = (Ad[:-2] + 10 * Ad[1:-1] + Ad[2:]) / 12
-            exact = float(h ** 3 * (d @ (G @ Ad)))
-            assert abs(Q - exact) <= 2e-12 * exact
+            exact = float(_longdouble_negative_norms(d[None], M)[0])
+            assert abs(Q - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("base", ["bump", "uniform"])
+    def test_history_term_matches_longdouble_closed_form(self, base):
+        # A random walk of 1e-7 steps from a smooth or a rough state: every
+        # norm |u^n - u^j| is ~1e-7 of the states, the regime of a slowly
+        # moving run. The history term (E_mod - E) kappa is checked at every
+        # level against the same weights applied to longdouble norms; kappa
+        # is small enough that subtracting E costs nothing. Differencing
+        # separately transformed states would lose the states' size over
+        # the increment's to cancellation, 1.2e-10 and 2.4e-9 here; summing
+        # products of transformed increments gives 6.6e-16.
+        N, M, kappa = 40, 64, 1e-20
+        cfg = dataclasses.replace(_graded_config(N, M), kappa=kappa)
+        rng = np.random.default_rng(11)
+        U = np.empty((N + 1, M - 1))
+        U[0] = (_interior(quartic_bump, M) if base == "bump"
+                else rng.uniform(-1.0, 1.0, M - 1))
+        for n in range(1, N + 1):
+            U[n] = U[n - 1] + 1e-7 * rng.uniform(-1.0, 1.0, M - 1)
+        run = dataclasses.replace(_random_history(cfg, 0), U=U)
+        series = energy_series(run)
+        for n in range(1, N + 1):
+            Q = _longdouble_negative_norms(
+                U[n].astype(np.longdouble) - U[:n], M)
+            w = diagnostics._g_weights(kernel_row_J(n, cfg.mesh, cfg.alpha),
+                                       cfg.mesh, cfg.alpha)
+            exact = float(w.astype(np.longdouble) @ Q)
+            got = (series.modified_energy[n] - series.free_energy[n]) * kappa
+            assert abs(got - exact) <= 1e-13 * exact, n
 
     def test_free_energies_and_masses_match_per_state_functions(self):
         hist = _small_run(alpha=0.5, N=24, M=16)
@@ -296,8 +332,8 @@ class TestModifiedEnergy:
     @pytest.mark.parametrize("N, M", [(1000, 100), (200, 512)])
     def test_peak_memory_is_one_state_array_and_a_bounded_chunk(
             self, N, M, traced_peak, row_stream_peak):
-        # W is the only new array the size of the N+1 states: the
-        # increment differences go through a buffer of at most
+        # The transformed increments are the only new array the size of
+        # the run: they are transformed through a chunk of at most
         # _NORM_ENTRIES entries, and no (M-1)^2 array may appear. N >> M
         # in the first case and M is large in the second. The kernel row
         # stream's block workspace is measured on the same mesh; 64 KiB
