@@ -288,9 +288,6 @@ def _block(mesh: TemporalMesh, alpha: float, first: int, last: int):
     B[cur] = c[cur] + P[cur] + now
     J = ct.copy()
     J[cur] *= 2.0
-    # the rows view c, d, B, ct and J only; the generator frame outlives
-    # the rest while the rows are consumed
-    del j, hist, jh, r, P, Q
 
     for arr in (c, d, B, ct, J):
         arr.flags.writeable = False
@@ -341,7 +338,7 @@ def solve_linear_fode(mesh: TemporalMesh, alpha: float, rhs) -> np.ndarray:
     dw = np.empty(N)
     for row in kernel_rows(mesh, alpha):
         n, B = row.level, row.B
-        acc = B[: n - 1] @ dw[: n - 1] if n > 1 else 0.0
+        acc = B[: n - 1] @ dw[: n - 1]
         dw[n - 1] = (rhs(mesh.nodes[n]) - acc) / B[n - 1]
         w[n] = w[n - 1] + dw[n - 1]
     return w

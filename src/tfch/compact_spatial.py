@@ -44,9 +44,13 @@ def _pad(u: np.ndarray) -> np.ndarray:
     return np.pad(u, [(0, 0)] * (u.ndim - 1) + [(1, 1)])
 
 
-def _sine(v: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along the last axis of v; it is its own inverse."""
-    return dst(v, type=1, norm="ortho")
+def _sine(v: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Orthonormal DST-I along the last axis of v; it is its own inverse.
+
+    With overwrite, v's buffer may be used for the result (scipy.fft's
+    overwrite_x): pass it only for a v that nothing reads afterwards.
+    """
+    return dst(v, type=1, norm="ortho", overwrite_x=overwrite)
 
 
 def _tridiag_eigs(off: float, diag: float, m: int) -> np.ndarray:

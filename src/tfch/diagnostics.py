@@ -42,12 +42,6 @@ __all__ = [
     "write_mass_csv",
 ]
 
-# Entries of the chunk in which energy_series transforms the increments
-# (512 KiB): 516 rows at M = 128, 329 at M = 200. The transform's output is
-# the only temporary of that size, and it is freed before the level loop.
-_NORM_ENTRIES = 1 << 16
-
-
 def mass(u: np.ndarray):
     """h sum_i u_i along the last axis: the trapezoid rule with the zero
     boundary values. Adding 0.0 turns a -0.0 sum into 0.0."""
@@ -132,9 +126,9 @@ def energy_series(history) -> EnergySeries:
 
     (-H)^{-1} = S diag(lam) S with S the orthonormal DST-I and lam > 0, so
     the negative-order norm (v, (-H)^{-1} v) is h |sqrt(lam) S v|^2. The
-    increments are transformed once, _NORM_ENTRIES entries at a time, into
-    D, row k-1 holding d^k = sqrt(lam) S (u^k - u^{k-1}), the pass's one
-    array the size of the run. With
+    increments are transformed once, in place, into D, row k-1 holding
+    d^k = sqrt(lam) S (u^k - u^{k-1}), the pass's one array the size of
+    the run. With
     Q_n[j] = |w^n - w^j|^2 and w^j = sqrt(lam) S u^j, the recurrence
 
         Q_n[j] = Q_{n-1}[j] + 2 sum_{k=j+1}^{n-1} d^k . d^n + |d^n|^2,
@@ -163,12 +157,7 @@ def energy_series(history) -> EnergySeries:
     U = history.U
     free = free_energy(U, cfg.epsilon)
 
-    D = np.empty((N, U.shape[1]))
-    rows = max(1, _NORM_ENTRIES // U.shape[1])
-    for a in range(0, N, rows):
-        b = min(a + rows, N)
-        np.subtract(U[a + 1:b + 1], U[a:b], out=D[a:b])
-        D[a:b] = _sine(D[a:b])
+    D = _sine(np.subtract(U[1:], U[:-1]), overwrite=True)
     D *= np.sqrt(_neg_h_inv_eigs(cfg.M))
     p = np.empty(N)
     Q = np.empty(N)
@@ -222,48 +211,41 @@ def dgs_identity_check(chi_rows, sigma: float, phis) -> float:
     n = phis.size
     if len(chi_rows) < n:
         raise ValueError("need a kernel row for every level")
-    a_rows = []
-    for m in range(1, n + 1):
-        row = np.asarray(chi_rows[m - 1], dtype=float)
-        if row.size != m:
-            raise ValueError("level-%d row must have length %d" % (m, m))
-        a = row.copy()
-        a[m - 1] = (2.0 - sigma) * row[m - 1]
-        a_rows.append(a)
-
     bad = set()
     if sigma < 0.0:
         bad.add("sigma")
     worst = 0.0
     prev_Y = 0.0
     for m in range(1, n + 1):
-        a = a_rows[m - 1]
         chi = np.asarray(chi_rows[m - 1], dtype=float)
+        if chi.size != m:
+            raise ValueError("level-%d row must have length %d" % (m, m))
+        a = chi.copy()
+        a[m - 1] = (2.0 - sigma) * chi[m - 1]
         # suffix sums T[j] = sum_{l=j+1}^{m} phi_l, j = 0..m-1
         T = np.cumsum(phis[:m][::-1])[::-1]
-        coeff = np.diff(a)                     # Y weight for j = 1..m-1
-        if (coeff < 0.0).any() or a[0] < 0.0:
+        da = np.diff(a)                        # Y weight for j = 1..m-1
+        if (da < 0.0).any() or a[0] < 0.0:
             bad.add("Y")
-        Y = float(np.dot(coeff, T[1:] ** 2) + a[0] * T[0] ** 2)
+        Y = float(np.dot(da, T[1:] ** 2) + a[0] * T[0] ** 2)
 
         YR = 0.0
         if m >= 2:
-            a_prev = a_rows[m - 2]
-            Tp = np.cumsum(phis[: m - 1][::-1])[::-1]
-            last = a_prev[0] - a[0]
+            # a0_prev, da_prev and T_prev are level m-1's a[0], da and T
+            last = a0_prev - a[0]
             if last < 0.0:
                 bad.add("YR")
-            YR = last * Tp[0] ** 2
+            YR = last * T_prev[0] ** 2
             if m >= 3:
-                rc = np.diff(a_prev) - np.diff(a[: m - 1])
+                rc = da_prev - da[: m - 2]
                 if (rc < 0.0).any():
                     bad.add("YR")
-                YR += float(np.dot(rc, Tp[1:] ** 2))
+                YR += float(np.dot(rc, T_prev[1:] ** 2))
 
         lhs = 2.0 * phis[m - 1] * float(np.dot(chi, phis[:m]))
         rhs = Y - prev_Y + sigma * chi[m - 1] * phis[m - 1] ** 2 + YR
         worst = max(worst, abs(lhs - rhs))
-        prev_Y = Y
+        prev_Y, a0_prev, da_prev, T_prev = Y, a[0], da, T
     if bad:
         warnings.warn(
             "nonnegativity precondition violated for: %s; identity residual "

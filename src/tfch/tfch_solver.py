@@ -55,9 +55,10 @@ M = 128 the smallest entry of K is about 1e-119, and nothing is zeroed.
 A run holds two arrays the size of the run, the states U and the
 increments dU that the history sum B @ dU reads, beside the four (M-1)^2
 matrices A, D, K and L. K is assembled in the buffer of A^{-1} D with one
-more (M-1)^2 temporary, and the post-run Lipschitz constant is a max over
-fixed-size chunks of U (_lipschitz), so neither pass allocates anything the
-size of the run. Both give the bits of their whole-array forms.
+more (M-1)^2 temporary. The post-run Lipschitz constant is taken in buffers
+the march is done with (_peak): dU holds the work on U[1:] and the cube
+buffer the work on U[0], so neither pass allocates anything the size of the
+run. Both give the bits of their whole-array forms.
 
 Step-size validators (fixed-point solvability, energy dissipation, first
 step, post-run Lipschitz) are evaluated and reported as warnings; they never
@@ -100,9 +101,6 @@ _BOUND_SLACK = 1e-12
 # Entries of K below sqrt(tiny) = 2^-511 are set to exactly 0.0 (module
 # docstring): any product of two survivors is a normal number.
 _K_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
-
-# Entries per chunk of _lipschitz's pass over the states (64 KiB).
-_LIP_ENTRIES = 8192
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
@@ -158,9 +156,10 @@ class SolverConfig:
     unit-interval run with (kappa / L^2, epsilon / L), L = b - a, and with
     initial and source composed with x = a + L y. source may be None
     (homogeneous), the string "manufactured" (benchmark forcing), or a
-    callable (x_array, t) -> values. initial is a callable x_array -> values
-    on the M+1 nodes; only its interior entries are read, and u^0's boundary
-    values are zero, as the scheme pins them.
+    callable (x_array, t) -> values on the M+1 nodes x_array; solve raises
+    ValueError on values of any other shape. initial is a callable
+    x_array -> values on the M+1 nodes; only its interior entries are read,
+    and u^0's boundary values are zero, as the scheme pins them.
     """
 
     alpha: float
@@ -332,7 +331,10 @@ def _source_values(config: SolverConfig, x_full: np.ndarray, t: float) -> np.nda
     if config.source == "manufactured":
         return manufactured_source(x_full, t, config.alpha, config.kappa,
                                    config.epsilon)
-    return np.asarray(config.source(x_full, t), dtype=float)
+    g = np.asarray(config.source(x_full, t), dtype=float)
+    if g.shape != x_full.shape:
+        raise ValueError("source values have wrong shape")
+    return g
 
 
 def _levels(over: np.ndarray, first: int) -> list:
@@ -367,25 +369,18 @@ def _step_violations(config: SolverConfig) -> dict:
     }
 
 
-def _lipschitz(U: np.ndarray) -> float:
-    """max |f'(u)| = max |3u^2 - 1| over the states U.
+def _peak(u: np.ndarray, out: np.ndarray) -> float:
+    """max |f'(u)| = max |3u^2 - 1| over u, worked out in out, an array of
+    u's shape that it overwrites.
 
-    Bitwise np.max(np.abs(3.0 * U ** 2 - 1.0)), each entry by the same
-    operations in the same order, but taken in place over chunks of rows in
-    one buffer of _LIP_ENTRIES entries (or one row, if longer), where the
-    whole-array expression would allocate two temporaries the size of U. max is exact,
-    so the chunking moves no bit, and a nan anywhere still gives nan.
+    Bitwise np.max(np.abs(3.0 * u ** 2 - 1.0)), each entry by the same
+    operations in the same order, without that expression's two temporaries
+    the size of u. A nan in u gives nan.
     """
-    rows = max(1, _LIP_ENTRIES // U.shape[1])
-    buf = np.empty((min(rows, len(U)), U.shape[1]))
-    peaks = []
-    for a in range(0, len(U), rows):
-        chunk = U[a:a + rows]
-        x = np.square(chunk, out=buf[:len(chunk)])
-        x *= 3.0
-        x -= 1.0
-        peaks.append(np.max(np.abs(x, out=x)))
-    return float(np.max(peaks))
+    np.square(u, out=out)
+    out *= 3.0
+    out -= 1.0
+    return float(np.max(np.abs(out, out=out)))
 
 
 def solve(config: SolverConfig) -> RunHistory:
@@ -441,18 +436,15 @@ def solve(config: SolverConfig) -> RunHistory:
     cube = np.empty(m)
     diff = np.empty(m)
     rhs_bufs = (np.empty(m), np.empty(m))
-    # A g of the zero source, built once. It is +0.0, and adding it turns
-    # a -0.0 in const into +0.0, as adding an averaged source term does.
-    no_source = np.zeros(m)
 
     for row in kernel_rows(mesh, alpha):
         n, B = row.level, row.B
         B0 = B[n - 1]
-        hist = B[: n - 1] @ dU[: n - 1] if n > 1 else 0.0
-        if config.source is None:
-            ag = no_source
-        else:
-            ag = _average(_source_values(config, x_full, mesh.nodes[n]))
+        hist = B[: n - 1] @ dU[: n - 1]
+        # the zero source's A g is +0.0: adding it turns a -0.0 in const
+        # into +0.0, as adding an averaged source term does
+        ag = 0.0 if config.source is None else _average(
+            _source_values(config, x_full, mesh.nodes[n]))
         const = A @ (B0 * U[n - 1] - hist) + ag
         L[...] = K
         L_flat[band] = A_band * B0 + K_band
@@ -484,7 +476,8 @@ def solve(config: SolverConfig) -> RunHistory:
         U[n] = u_s
         dU[n - 1] = U[n] - U[n - 1]
 
-    lip = _lipschitz(U)
+    # dU and cube are dead once the march is over
+    lip = max(_peak(U[0], cube), _peak(U[1:], dU))
     lip_limit = lipschitz_step_bound(alpha, kappa, eps, lip)
     violations["lipschitz"] = _levels(
         mesh.steps > lip_limit * (1.0 + _BOUND_SLACK), 1)

@@ -34,6 +34,7 @@ from tfch.caputo_l2 import (
     write_q3_csv,
     write_rho_star_csv,
 )
+from tfch.diagnostics import convergence_order
 from tfch.temporal_mesh import build_custom, build_graded_cubic, build_uniform
 
 
@@ -466,6 +467,28 @@ def test_linear_fode_benchmark_accuracy():
     err = np.max(np.abs(mesh.nodes ** (3.0 + alpha) - w))
     assert err <= 5e-3
     assert w[0] == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("build, rate", [
+    (build_graded_cubic, lambda alpha: min(4.0 * alpha, 3.0 - alpha)),
+    (build_uniform, lambda alpha: alpha),
+], ids=["graded", "uniform"])
+def test_mesh_grading_sets_the_rate_on_a_weakly_singular_solution(
+        alpha, build, rate):
+    # w = t^alpha solves (d/dt)^alpha w = Gamma(1+alpha), and its derivative
+    # is unbounded at t = 0. Uniform steps converge at order alpha only; the
+    # graded mesh's t_k ~ (k/N)^4 restores min(4 alpha, 3 - alpha).
+    from scipy.special import gamma
+    Ns = [64, 128, 256, 512]
+    g = gamma(1.0 + alpha)
+    errors = []
+    for N in Ns:
+        mesh = build(N, 1.0)
+        w = solve_linear_fode(mesh, alpha, lambda t: g)
+        errors.append(np.max(np.abs(w - mesh.nodes ** alpha)))
+    orders = convergence_order(errors, Ns)
+    assert np.all(np.abs(orders - rate(alpha)) <= 0.1), orders
 
 
 def test_kernel_row_csv(tmp_path, graded_24):

@@ -154,6 +154,19 @@ class TestSolveBasics:
         with pytest.raises(ValueError):
             _solve_quiet(cfg)
 
+    @pytest.mark.parametrize("values", [lambda x: np.ones(3),
+                                        lambda x: 1.0,
+                                        lambda x: np.ones_like(x)[1:-1]])
+    def test_wrong_source_shape_raises(self, values):
+        # a short array would broadcast its average over the whole grid, a
+        # scalar would fail on indexing and interior values on adding the
+        # average; each must be refused by name
+        cfg = _config(source=lambda x, t: values(x))
+        with pytest.raises(ValueError, match="source values have wrong shape"):
+            _solve_quiet(cfg)
+        with pytest.raises(ValueError, match="source values have wrong shape"):
+            longdouble_sweep(cfg)
+
     def test_iteration_cap_raises_nonconvergence(self):
         cfg = _config(max_iterations=1, iteration_tol=1e-16)
         with pytest.raises(NonconvergenceError) as exc:
@@ -505,15 +518,14 @@ def _lipschitz_reference(U):
 
 
 class TestLipschitzPass:
-    """solve's Lipschitz constant is taken over chunks of the states, bitwise
-    the whole-run expression."""
+    """solve's Lipschitz constant is taken in buffers it already owns,
+    bitwise the whole-run expression."""
 
-    def _shapes(self):
-        # N+1 a multiple of the chunk's rows and not; one row; and a
-        # state longer than a chunk, one row per chunk
-        rows = tfch_solver._LIP_ENTRIES // 99
-        return [(3 * rows, 99), (3 * rows + 5, 99), (1, 99), (rows - 1, 99),
-                (4, tfch_solver._LIP_ENTRIES + 3)]
+    _SHAPES = [(246, 99), (251, 99), (1, 99), (81, 99), (4, 8195), (99,)]
+
+    @staticmethod
+    def _peak(U):
+        return tfch_solver._peak(U, np.empty_like(U))
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("amplitude, zeros", [(0.5, True), (0.5, False),
@@ -523,12 +535,12 @@ class TestLipschitzPass:
         # wins, and at exactly 1 where the states hold +-0.0; amplitude
         # 1.7: it peaks at the largest |u|
         rng = np.random.default_rng(seed)
-        for shape in self._shapes():
+        for shape in self._SHAPES:
             U = rng.uniform(-amplitude, amplitude, shape)
             if zeros:
                 U.flat[rng.integers(0, U.size, 5)] = 0.0
                 U.flat[rng.integers(0, U.size, 5)] = -0.0
-            got = tfch_solver._lipschitz(U)
+            got = self._peak(U)
             if amplitude < 0.5 ** 0.5:
                 assert got == 1.0 - 3.0 * np.min(np.abs(U)) ** 2
             else:
@@ -537,9 +549,9 @@ class TestLipschitzPass:
                 np.float64(_lipschitz_reference(U)).tobytes(), shape
 
     def test_nan_state_gives_nan(self):
-        U = np.zeros((tfch_solver._LIP_ENTRIES // 7 + 3, 7))
+        U = np.zeros((1173, 7))
         U[-1, 2] = np.nan
-        assert math.isnan(tfch_solver._lipschitz(U))
+        assert math.isnan(self._peak(U))
 
     def test_solve_reports_the_whole_run_expression(self):
         hist = _solve_quiet(_phase_separation_config())
