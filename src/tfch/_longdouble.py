@@ -1,11 +1,13 @@
-"""The lagged-cubic sweep of tfch_solver.solve, carried out in np.longdouble.
+"""The lagged-cubic sweep of tfch_solver.solve's scheme, in np.longdouble.
 
 An accuracy reference for solve: the same scheme, kernel rows, initial data,
 source and stop rule, with A, D, K, every right-hand side and every LU solve
-in extended precision. The LU (partial pivoting) and the triangular solves
-are numpy loops, not LAPACK, so nothing here shares rounding with solve's
-float64 getrf/getrs. Where np.longdouble is no wider than float64 the result
-is only another float64 run, not a reference.
+in extended precision. Each level factors its step matrix B_0 A + K and each
+sweep solves it, where solve corrects the sweep's residual in the sine
+basis; the two maps agree in exact arithmetic. The LU (partial pivoting) and
+the triangular solves are numpy loops, not LAPACK, so nothing here shares
+rounding with solve's float64 work. Where np.longdouble is no wider than
+float64 the result is only another float64 run, not a reference.
 
 x86-64 longdouble arithmetic is slow: the coarsening workload's M=128,
 N=1000 run takes about 25 s on a 2-vCPU host.
@@ -16,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .caputo_l2 import kernel_rows
-from .tfch_solver import NonconvergenceError, SolverConfig, _source_values
+from .tfch_solver import (NonconvergenceError, SolverConfig, _initial_values,
+                          _source_values)
 
 __all__ = ["longdouble_sweep"]
 
@@ -70,7 +73,7 @@ def longdouble_sweep(config: SolverConfig) -> np.ndarray:
     D = _tridiag(m, 1 / (h * h), -2 / (h * h))
     K = kappa * D + kappa * eps ** 2 * (D @ _lu_solve(*_lu(A), D))
 
-    u0 = np.asarray(config.initial(x_full), dtype=float)
+    u0 = _initial_values(config, x_full)
     U = np.empty((mesh.N + 1, m), dtype=_LD)
     U[0] = u0[1:-1]
     dU = np.empty((mesh.N, m), dtype=_LD)

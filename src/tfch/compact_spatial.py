@@ -53,6 +53,24 @@ def _sine(v: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return dst(v, type=1, norm="ortho", overwrite_x=overwrite)
 
 
+def _sine_matrix(out: np.ndarray) -> np.ndarray:
+    """The m x m matrix of _sine, S_jk = sqrt(2/(m+1)) sin(pi j k / (m+1))
+    for j, k = 1..m, written into out and returned; S is symmetric and its
+    own inverse.
+
+    j k is reduced modulo 2(m+1) before scaling (exact in float64), so each
+    sine is taken of an angle in [0, 2 pi) rather than one up to pi m.
+    """
+    m = out.shape[-1]
+    k = np.arange(1.0, m + 1)
+    np.multiply.outer(k, k, out=out)
+    np.fmod(out, 2.0 * (m + 1), out=out)
+    out *= np.pi / (m + 1)
+    np.sin(out, out=out)
+    out *= np.sqrt(2.0 / (m + 1))
+    return out
+
+
 def _tridiag_eigs(off: float, diag: float, m: int) -> np.ndarray:
     """Eigenvalues of the m x m matrix tridiag(off, diag, off), in the order
     of _sine's coefficients k = 1..m.

@@ -10,52 +10,58 @@ derivative with the compact spatial operators:
 with zero Dirichlet values for u and v. Eliminating v and keeping the cubic
 term lagged gives the fixed-point sweep
 
-    (B_0 A + kappa D + kappa eps^2 D A^{-1} D) u^{(s+1)}
-        = kappa D (u^{(s)})^3 + A (B_0 u^{n-1} - hist + g^n-interior part),
+    L u^{(s+1)} = b(u^{(s)}),   L = B_0 A + K,
+    K = kappa D + kappa eps^2 D A^{-1} D,
+    b(u) = kappa D u^3 + A (B_0 u^{n-1} - hist + g^n-interior part),
 
 started from u^{(0)} = u^{n-1} and stopped on a max-norm increment test.
-The left matrix L = B_0 A + K, K = kappa D + kappa eps^2 D A^{-1} D, changes
-only through B_0, so one LU factorization per time step serves every inner
-iteration.
 
-Each level copies K into L and writes fl(fl(A_ij B_0) + K_ij) on A's three
-diagonals only. That is bitwise the full B_0 * A + K: off the band
+Each sweep is a residual correction in the sine basis:
+
+    r = b(u^{(s)}) - L u^{(s)},   u^{(s+1)} = u^{(s)} + S (w * (S r)),
+
+with S the orthonormal DST-I matrix (sin(k pi i / M), symmetric and its own
+inverse) and w_k = 1 / (B_0 a_k + kappa d_k + kappa eps^2 d_k^2 / a_k), where
+a_k and d_k are the eigenvalues of A and D. A and D are diagonal in that
+basis, so S diag(1 / w) S equals L in exact arithmetic, and the update is the
+sweep u^{(s+1)} = L^{-1} b(u^{(s)}) up to a relative perturbation of L near
+roundoff. The residual is taken against L itself, the dense fl(B_0 A + K)
+with K from LAPACK, so a converged level solves that matrix's equation to
+roundoff: the fixed point is the one an LU solve of L reaches, not that of
+the sine-basis operator, which differs from L by rounding. Nothing is
+factored per level: w follows from B_0 in O(M), and a sweep is four
+matrix-vector products, D u^3, L u and two with S.
+
+K is built once. A^{-1} D comes from LAPACK getrf and getrs, called directly
+(lu_factor and lu_solve below); solve looks both up as module globals, so a
+tracer that rebinds them sees both calls. K's buffer then becomes L: each
+level writes fl(fl(A_ij B_0) + K_ij) on A's three diagonals only, from K's
+band saved once. That is bitwise the full B_0 * A + K: off the band
 fl(0 B_0 + K_ij) = K_ij, because K holds no -0.0 (the floor below writes
-+0.0). K and L are Fortran-ordered, so getrf factors L in place instead of
-first copying it to Fortran order; the copy held the same values, so the
-factor is unchanged. Each sweep allocates nothing: D u^3 goes into one of two
-buffers taken in turn, because lu_solve with overwrite_b returns its
-right-hand side's buffer as the new iterate, and the next right-hand side
-must not overwrite that iterate while the increment is formed.
-
-The factorization and the per-sweep triangular solves call LAPACK getrf and
-getrs directly (lu_factor and lu_solve below), and solve looks both up as
-module globals, so a tracer that rebinds them sees every call. A sweep's
-solve is a few microseconds of LAPACK work on a small dense factor, so
-scipy.linalg's wrappers, with their finiteness scans, shape checks and
-batching dispatch, would cost more than the solve itself. No right-hand side
-is screened before LAPACK: a non-finite one (an overflowing cubic, a NaN
++0.0). Each sweep allocates nothing; the new iterate goes into one of two
+buffers taken in turn, so the increment can still read the old one. No
+right-hand side is screened: a non-finite one (an overflowing cubic, a NaN
 source) comes back as a non-finite increment, and the sweep's residual test
 turns that into NonconvergenceError at the same level.
 
-A^{-1} decays like 0.1^|i-j|, so K = kappa D + kappa eps^2 D A^{-1} D has a
-dense tail that falls toward underflow: down to 2e-190 at M = 200, exact zeros
-and subnormals from M = 400 on. getrf's trailing updates multiply pairs of
-these entries into the subnormal range, where Intel x86 cores take a slow
-microcode assist per operation. solve therefore sets every entry of K below
-2^-511 = sqrt(tiny) to exactly 0.0, so no product of two entries left is
-subnormal; A is tridiagonal, so these are the only such entries of any step
-matrix. No output moves: a zeroed entry either meets a far larger term in
-getrf's updates, which rounding to nearest keeps unchanged, or stays in the
-factor's tiny tail, whose products with state-sized values in getrs lie far
-below an ulp of the sums they join. With kappa = 0.01, eps = 0.1 the states
-are bitwise those of the untruncated K at M = 128, 200, 256, 512 and 1024; at
-M = 128 the smallest entry of K is about 1e-119, and nothing is zeroed.
+A^{-1} decays like 0.1^|i-j|, so K has a dense tail that falls toward
+underflow: down to 2e-190 at M = 200, exact zeros and subnormals from M = 400
+on. Each sweep's L u multiplies that tail by the state, and products below
+the normal range take a slow microcode assist per operation on Intel x86
+cores. solve therefore sets every entry of K below 2^-511 = sqrt(tiny) to
+exactly 0.0; A is tridiagonal, so these are the only such entries of L. With
+kappa = 0.01, eps = 0.1, a run at M = 1024, N = 100 took 0.56-0.60 s with
+the floor and 0.67-0.69 s without it (AVX-512 Xeon, one BLAS thread). No
+output moves: a zeroed entry's products with state-sized values lie far
+below an ulp of the sums they join. The states are bitwise those of the
+untruncated K at M = 200, 256 and 512; at M = 128 the smallest entry of K is
+about 1e-119, and nothing is zeroed.
 
 A run holds two arrays the size of the run, the states U and the
 increments dU that the history sum B @ dU reads, beside the four (M-1)^2
-matrices A, D, K and L. K is assembled in the buffer of A^{-1} D with one
-more (M-1)^2 temporary. The post-run Lipschitz constant is taken in buffers
+matrices A, D, L and S. K is assembled in the buffer of A^{-1} D, which
+becomes L; the one (M-1)^2 temporary, D A^{-1} D, holds |K| for the floor
+and then becomes S. The post-run Lipschitz constant is taken in buffers
 the march is done with (_peak): dU holds the work on U[1:] and the cube
 buffer the work on U[0], so neither pass allocates anything the size of the
 run. Both give the bits of their whole-array forms.
@@ -78,7 +84,8 @@ from scipy.special import gamma
 
 # kernel_row_B is unused here but stays importable: bench/spans.py wraps it.
 from .caputo_l2 import kernel_row_B, kernel_rows, q  # noqa: F401
-from .compact_spatial import _average, a_matrix, dxx_matrix
+from .compact_spatial import (_average, _sine_matrix, _tridiag_eigs, a_matrix,
+                              dxx_matrix)
 from .temporal_mesh import TemporalMesh, validate_ratio_bound
 
 __all__ = [
@@ -99,20 +106,19 @@ __all__ = [
 _BOUND_SLACK = 1e-12
 
 # Entries of K below sqrt(tiny) = 2^-511 are set to exactly 0.0 (module
-# docstring): any product of two survivors is a normal number.
+# docstring): their products with the states in L u would be subnormal.
 _K_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
-def lu_factor(a, overwrite_a=False):
+def lu_factor(a):
     """Pivoted LU of a finite float64 matrix as (lu, piv), as scipy.linalg's.
 
-    Calls LAPACK getrf without scipy's finiteness scan. With overwrite_a, a
-    Fortran-ordered a is factored in place and returned as lu. Warns
-    LinAlgWarning when a pivot is exactly zero.
+    Calls LAPACK getrf without scipy's finiteness scan. Warns LinAlgWarning
+    when a pivot is exactly zero.
     """
-    lu, piv, info = _getrf(a, overwrite_a=overwrite_a)
+    lu, piv, info = _getrf(a)
     if info < 0:
         raise ValueError("illegal value in %dth argument of internal getrf"
                          % -info)
@@ -122,14 +128,13 @@ def lu_factor(a, overwrite_a=False):
     return lu, piv
 
 
-def lu_solve(lu_piv, b, overwrite_b=False):
+def lu_solve(lu_piv, b):
     """Solve a x = b from lu_factor's (lu, piv); b is a vector or a matrix.
 
     Calls LAPACK getrs without scipy's finiteness scan, so b must be finite.
-    With overwrite_b, a contiguous vector b is solved in place and returned.
     """
     lu, piv = lu_piv
-    x, info = _getrs(lu, piv, b, overwrite_b=overwrite_b)
+    x, info = _getrs(lu, piv, b)
     if info < 0:
         raise ValueError("illegal value in %dth argument of internal getrs"
                          % -info)
@@ -158,8 +163,9 @@ class SolverConfig:
     (homogeneous), the string "manufactured" (benchmark forcing), or a
     callable (x_array, t) -> values on the M+1 nodes x_array; solve raises
     ValueError on values of any other shape. initial is a callable
-    x_array -> values on the M+1 nodes; only its interior entries are read,
-    and u^0's boundary values are zero, as the scheme pins them.
+    x_array -> values on the M+1 nodes, refused like a source's otherwise;
+    only its interior entries are read, and u^0's boundary values are zero,
+    as the scheme pins them.
     """
 
     alpha: float
@@ -337,6 +343,13 @@ def _source_values(config: SolverConfig, x_full: np.ndarray, t: float) -> np.nda
     return g
 
 
+def _initial_values(config: SolverConfig, x_full: np.ndarray) -> np.ndarray:
+    u0 = np.asarray(config.initial(x_full), dtype=float)
+    if u0.shape != x_full.shape:
+        raise ValueError("initial data has wrong shape")
+    return u0
+
+
 def _levels(over: np.ndarray, first: int) -> list:
     """Levels where over is true, over[0] standing for level first."""
     return [int(n) for n in np.nonzero(over)[0] + first]
@@ -402,27 +415,26 @@ def solve(config: SolverConfig) -> RunHistory:
 
     M, h = config.M, config.h
     x_full = np.linspace(0.0, 1.0, M + 1)
+    u0 = _initial_values(config, x_full)
     m = M - 1
     A = a_matrix(M)
     D = dxx_matrix(M, h)
-    # K = kappa D + kappa eps^2 D (A^{-1} D) in A^{-1} D's Fortran-ordered
-    # buffer, with one more (M-1)^2 temporary
-    K = lu_solve(lu_factor(A), D)
-    DAD = D @ K
-    DAD *= kappa * eps ** 2
-    np.multiply(D, kappa, out=K)
-    K += DAD
-    del DAD
-    K[np.abs(K) < _K_FLOOR] = 0.0
+    # K = kappa D + kappa eps^2 D (A^{-1} D) in A^{-1} D's buffer, which
+    # becomes the step matrix L; the one (M-1)^2 temporary becomes S
+    L = lu_solve(lu_factor(A), D)
+    S = D @ L
+    S *= kappa * eps ** 2
+    np.multiply(D, kappa, out=L)
+    L += S
+    L[np.abs(L, out=S) < _K_FLOOR] = 0.0
+    _sine_matrix(S)
     D *= kappa  # only the sweep's kappa D u^3 term uses D from here on
-    # A is symmetric: its C order is L's Fortran order, and ravel is a view.
-    A_flat = A.ravel()
-    band = np.flatnonzero(A_flat)  # A's three diagonals, in L's flat order
-    A_band, K_band = A_flat[band], K.ravel(order="F")[band]
-
-    u0 = np.asarray(config.initial(x_full), dtype=float)
-    if u0.shape != x_full.shape:
-        raise ValueError("initial data has wrong shape")
+    band = np.nonzero(A)  # A's three diagonals
+    A_band, K_band = A[band], L[band]
+    # S diag(1 / (B0 a + k)) S is the inverse of B0 A + K in exact arithmetic
+    a = _tridiag_eigs(1.0 / 12.0, 10.0 / 12.0, m)
+    d = _tridiag_eigs(1.0, -2.0, m) / (h * h)
+    k = kappa * d + kappa * eps ** 2 * (d * d / a)
 
     N = mesh.N
     U = np.empty((N + 1, m))
@@ -431,11 +443,10 @@ def solve(config: SolverConfig) -> RunHistory:
     iterations = np.zeros(N, dtype=int)
     residuals = np.zeros(N)
     violations = _step_violations(config)
-    L = np.empty((m, m), order="F")
-    L_flat = L.ravel(order="F")
-    cube = np.empty(m)
-    diff = np.empty(m)
-    rhs_bufs = (np.empty(m), np.empty(m))
+    cube = np.empty(m)  # u^3, then the correction, then the increment
+    r = np.empty(m)
+    y = np.empty(m)     # L u, then the sine coefficients of the correction
+    u_bufs = (np.empty(m), np.empty(m))
 
     for row in kernel_rows(mesh, alpha):
         n, B = row.level, row.B
@@ -446,21 +457,24 @@ def solve(config: SolverConfig) -> RunHistory:
         ag = 0.0 if config.source is None else _average(
             _source_values(config, x_full, mesh.nodes[n]))
         const = A @ (B0 * U[n - 1] - hist) + ag
-        L[...] = K
-        L_flat[band] = A_band * B0 + K_band
-        lu_L = lu_factor(L, overwrite_a=True)
+        L[band] = A_band * B0 + K_band
+        w = 1.0 / (B0 * a + k)
 
         u_s = U[n - 1]
         converged = False
         for s in range(config.max_iterations):
             np.multiply(u_s, u_s, out=cube)
             cube *= u_s
-            # not u_s's buffer: lu_solve hands rhs back as u_next
-            rhs = np.matmul(D, cube, out=rhs_bufs[s % 2])
-            rhs += const
-            u_next = lu_solve(lu_L, rhs, overwrite_b=True)
-            np.subtract(u_next, u_s, out=diff)
-            res = np.maximum.reduce(np.abs(diff, out=diff))
+            np.matmul(D, cube, out=r)
+            r += const
+            r -= np.matmul(L, u_s, out=y)
+            np.matmul(S, r, out=y)
+            y *= w
+            np.matmul(S, y, out=cube)
+            # not u_s's buffer: the increment below reads u_s
+            u_next = np.add(u_s, cube, out=u_bufs[s % 2])
+            np.subtract(u_next, u_s, out=cube)
+            res = np.maximum.reduce(np.abs(cube, out=cube))
             u_s = u_next
             if res <= config.iteration_tol:
                 iterations[n - 1] = s + 1
@@ -468,8 +482,8 @@ def solve(config: SolverConfig) -> RunHistory:
                 converged = True
                 break
             if not res < math.inf:
-                # NaN or inf: the cubic overflowed or the data is not finite;
-                # getrs passed it through to the increment
+                # NaN or inf: the cubic overflowed or the data is not finite,
+                # and the residual carried it through to the increment
                 raise NonconvergenceError(n, math.inf, config.max_iterations)
         if not converged:
             raise NonconvergenceError(n, float(res), config.max_iterations)

@@ -13,6 +13,8 @@ import scipy.linalg
 
 from tfch.compact_spatial import (
     _average,
+    _sine,
+    _sine_matrix,
     _tridiag_eigs,
     a_matrix,
     apply_A,
@@ -191,6 +193,36 @@ class TestSineBasis:
             exact = float(-4 * mpmath.sin(mpmath.pi / (2 * M)) ** 2 * M * M)
         got = _tridiag_eigs(1.0 / (h * h), -2.0 / (h * h), M - 1)[0]
         assert abs(got - exact) <= 1e-14 * abs(exact)
+
+
+    @pytest.mark.parametrize("M", [8, 128, 1024])
+    def test_sine_matrix_is_the_transform(self, M):
+        # S is the matrix of _sine: bitwise symmetric, its own inverse, and
+        # it diagonalises A
+        m = M - 1
+        S = _sine_matrix(np.empty((m, m)))
+        assert S.tobytes() == S.T.copy().tobytes()
+        assert np.abs(S @ S - np.eye(m)).max() <= 1e-14
+        v = _rand(M)
+        assert np.abs(S @ v - _sine(v)).max() <= 1e-14
+        a = _tridiag_eigs(1.0 / 12.0, 10.0 / 12.0, m)
+        assert np.abs(S @ a_matrix(M) @ S - np.diag(a)).max() <= 1e-14
+
+    @pytest.mark.parametrize("M", [128, 1024])
+    def test_sine_matrix_entries_to_a_few_ulps(self, M):
+        # j k is reduced modulo 2M before scaling; sin(pi j k / M) taken
+        # directly is off by up to 7.0e-15 at M = 1024, 1000 ulps of the
+        # entries' scale sqrt(2/M), and the reduced form by under 4 ulps
+        m = M - 1
+        S = _sine_matrix(np.empty((m, m)))
+        picks = np.random.default_rng(M).integers(1, m + 1, size=(200, 2))
+        picks[:3] = [(m, m), (m, m - 1), (1, 1)]
+        ulp = np.spacing(np.sqrt(2.0 / M))
+        with mpmath.workdps(40):
+            for j, k in picks:
+                exact = mpmath.sqrt(mpmath.mpf(2) / M) * mpmath.sin(
+                    mpmath.pi * int(j) * int(k) / M)
+                assert abs(S[j - 1, k - 1] - float(exact)) <= 8 * ulp
 
 
 class TestInnerProductsAndNorms:

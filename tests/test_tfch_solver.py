@@ -21,7 +21,8 @@ from scipy.linalg import lu_solve as scipy_lu_solve
 from tfch import tfch_solver
 from tfch._longdouble import longdouble_sweep
 from tfch.caputo_l2 import kernel_row_B
-from tfch.compact_spatial import a_matrix, dxx_matrix
+from tfch.compact_spatial import (_sine_matrix, _tridiag_eigs, a_matrix,
+                                  dxx_matrix)
 from tfch.diagnostics import energy_series, mass
 from tfch.temporal_mesh import (
     build_custom,
@@ -149,10 +150,15 @@ class TestSolveBasics:
         with pytest.raises(ValueError):
             hist.U[1, 0] = 1.0
 
-    def test_wrong_initial_shape_raises(self):
-        cfg = _config(initial=lambda x: np.zeros(3))
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("values", [lambda x: np.zeros(3),
+                                        lambda x: np.full(3, 0.1)])
+    def test_wrong_initial_shape_raises(self, values):
+        # a short array's one interior value would broadcast over the row
+        cfg = _config(initial=values)
+        with pytest.raises(ValueError, match="initial data has wrong shape"):
             _solve_quiet(cfg)
+        with pytest.raises(ValueError, match="initial data has wrong shape"):
+            longdouble_sweep(cfg)
 
     @pytest.mark.parametrize("values", [lambda x: np.ones(3),
                                         lambda x: 1.0,
@@ -225,12 +231,15 @@ def _scipy_operators(cfg):
 
 
 def _scipy_sweep_oracle(cfg, legacy_rhs=False):
-    """The step loop of solve on scipy.linalg's lu_factor/lu_solve.
+    """The lagged sweep solved by LU: every level factors its step matrix
+    B0 A + K with scipy.linalg's lu_factor, and every sweep solves it with
+    lu_solve for u_next = (B0 A + K)^{-1} (kappa D u^3 + const).
 
     The right-hand side is solve's, (kappa D) @ (u u u) + const; with
     legacy_rhs it is kappa * (D @ u**3) + const, the unfolded form, which
-    rounds differently. Homogeneous source only, validators left out. Returns the
-    (N+1, M-1) interior states.
+    rounds differently. K keeps its underflow tail. Homogeneous source only,
+    validators left out. Returns the (N+1, M-1) interior states and each
+    level's sweep count.
     """
     assert cfg.source is None
     mesh, alpha, kappa, M = cfg.mesh, cfg.alpha, cfg.kappa, cfg.M
@@ -240,6 +249,7 @@ def _scipy_sweep_oracle(cfg, legacy_rhs=False):
     U = np.empty((mesh.N + 1, M - 1))
     U[0] = np.asarray(cfg.initial(x_full), dtype=float)[1:-1]
     dU = np.empty((mesh.N, M - 1))
+    iterations = np.zeros(mesh.N, dtype=int)
     ag = np.zeros(M - 1)  # A g of the zero source
     for n in range(1, mesh.N + 1):
         B = kernel_row_B(n, mesh, alpha)
@@ -248,7 +258,7 @@ def _scipy_sweep_oracle(cfg, legacy_rhs=False):
         const = A @ (B0 * U[n - 1] - hist) + ag
         lu_L = scipy_lu_factor(B0 * A + K)
         u_s = U[n - 1].copy()
-        for _ in range(cfg.max_iterations):
+        for s in range(cfg.max_iterations):
             if legacy_rhs:
                 rhs = kappa * (D @ (u_s ** 3)) + const
             else:
@@ -257,49 +267,95 @@ def _scipy_sweep_oracle(cfg, legacy_rhs=False):
             res = float(np.max(np.abs(u_next - u_s)))
             u_s = u_next
             if res <= cfg.iteration_tol:
+                iterations[n - 1] = s + 1
                 break
         else:
             raise AssertionError("oracle sweep did not converge at %d" % n)
         U[n] = u_s
         dU[n - 1] = U[n] - U[n - 1]
-    return U
+    return U, iterations
 
 
-class TestLapackStepLoop:
-    """solve factors and solves through LAPACK getrf/getrs directly; the
-    discrete solution must stay bitwise what scipy.linalg's wrappers give."""
+def _sine_operator(cfg, B0):
+    """S diag(B0 a + k) S: the step matrix B0 A + K built from the sine
+    basis and the eigenvalues a of A and k of K, as solve's correction
+    inverts it; equal to B0 A + K in exact arithmetic."""
+    m, kappa, eps = cfg.M - 1, cfg.kappa, cfg.epsilon
+    S = _sine_matrix(np.empty((m, m)))
+    a = _tridiag_eigs(1.0 / 12.0, 10.0 / 12.0, m)
+    d = _tridiag_eigs(1.0, -2.0, m) / (cfg.h * cfg.h)
+    k = kappa * d + kappa * eps ** 2 * (d * d / a)
+    return (S * (B0 * a + k)) @ S
 
-    def test_states_bitwise_equal_scipy_sweep_oracle(self):
+
+class TestStepSweep:
+    """solve's sweep corrects the residual of the dense step matrix
+    L = B0 A + K in the sine basis, where it once solved L by LU. The two
+    maps agree up to roundoff, so solve must take the LU sweep's sweeps and
+    reach its fixed point."""
+
+    def test_same_sweeps_and_states_as_lu_sweep_oracle(self):
+        # the states differ by at most 4.8e-15 (max |u| 0.89); the bound is
+        # about 10x that
         cfg = _phase_separation_config()
         hist = _solve_quiet(cfg)
         assert hist.iterations.min() >= 9 and hist.iterations.max() >= 40
-        assert (hist.U.tobytes()
-                == _scipy_sweep_oracle(cfg).tobytes())
+        U, iterations = _scipy_sweep_oracle(cfg)
+        assert np.array_equal(hist.iterations, iterations)
+        assert np.max(np.abs(hist.U - U)) <= 5e-14
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
-    def test_zero_data_states_bitwise_equal_scipy_sweep_oracle(self, zero):
-        # the homogeneous source adds one +0.0 vector at every level; these
-        # runs hold signed zeros, and the oracle pins each one
+    def test_zero_data_stays_exactly_zero(self, zero):
+        # at a zero state each residual is +0.0 (the homogeneous source adds
+        # +0.0 to const), so is its correction, and u + (+0.0) turns -0.0
+        # into +0.0: U[0] keeps the sign of the data, and every later level
+        # is +0.0
         cfg = _config(M=16, initial=lambda x: np.full_like(x, zero))
         U = _solve_quiet(cfg).U
-        assert not U.any() and np.signbit(U).any()
-        assert U.tobytes() == _scipy_sweep_oracle(cfg).tobytes()
+        assert U[0].tobytes() == np.full(15, zero).tobytes()
+        assert U[1:].tobytes() == np.zeros_like(U[1:]).tobytes()
+
+    def test_every_level_solves_the_step_equation(self):
+        # U[n] solves fl(B0 A + floored K) u = kappa D u^3 + const to within
+        # 2.1e-16 of the size of its terms at every level. The same states
+        # leave 7.9e-16 against the sine-basis operator, which equals L in
+        # exact arithmetic: the bound, 2 eps, tells the two apart
+        cfg = _run_energy_config(200)
+        U = _solve_quiet(cfg).U
+        A, D, K = _scipy_operators(cfg)
+        K[np.abs(K) < 2.0 ** -511] = 0.0
+        kD = cfg.kappa * D
+        dU = np.diff(U, axis=0)
+        worst = {"L": 0.0, "sine": 0.0}
+        for n in range(1, cfg.mesh.N + 1):
+            B = kernel_row_B(n, cfg.mesh, cfg.alpha)
+            B0 = B[n - 1]
+            const = A @ (B0 * U[n - 1] - B[: n - 1] @ dU[: n - 1])
+            u = U[n]
+            f = kD @ (u * u * u) + const
+            L = B0 * A + K
+            size = np.max(np.abs(L) @ np.abs(u) + np.abs(kD) @ np.abs(u ** 3)
+                          + np.abs(const))
+            for name, op in (("L", L), ("sine", _sine_operator(cfg, B0))):
+                worst[name] = max(worst[name],
+                                  np.max(np.abs(op @ u - f)) / size)
+        assert worst["L"] <= 2 * np.finfo(float).eps < worst["sine"]
 
     def test_states_close_to_legacy_rhs_oracle(self):
-        # folding kappa into D and cubing by multiplication round
-        # differently from kappa * (D @ u**3); on this run the states differ
-        # by at most 1.15e-15 (max |u| 0.89), and the bound is 10x that
+        # the LU sweep on the unfolded kappa * (D @ u**3) is 4.7e-15 from
+        # solve on this run (max |u| 0.89); it is 1.15e-15 from the LU sweep
+        # on solve's (kappa D) @ (u u u), and the bound is 10x that
         cfg = _phase_separation_config()
         gap = np.max(np.abs(_solve_quiet(cfg).U
-                            - _scipy_sweep_oracle(cfg, legacy_rhs=True)))
+                            - _scipy_sweep_oracle(cfg, legacy_rhs=True)[0]))
         assert gap <= 1.15e-14
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="np.longdouble is no wider than float64")
     def test_states_close_to_longdouble_sweep(self):
-        # the same sweep in extended precision, with a numpy LU in place of
-        # LAPACK: solve is 1.74e-14 from it on this run (the legacy
-        # right-hand side 1.76e-14); the bound is about 6x that
+        # the LU sweep in extended precision, with a numpy LU in place of
+        # LAPACK: solve is 1.78e-14 from it on this run (the float64 LU
+        # sweep 1.74e-14); the bound is about 6x that
         cfg = _phase_separation_config()
         gap = np.max(np.abs(_solve_quiet(cfg).U
                             - longdouble_sweep(cfg)))
@@ -316,19 +372,9 @@ class TestLapackStepLoop:
         assert lu.tobytes() == lu_ref.tobytes()
         assert piv.tobytes() == piv_ref.tobytes()
 
-        # in place on a Fortran-ordered matrix, as solve factors its L
-        L_f = np.asfortranarray(L)
-        lu_f, piv_f = tfch_solver.lu_factor(L_f, overwrite_a=True)
-        assert lu_f is L_f
-        assert lu_f.tobytes() == lu_ref.tobytes()
-        assert piv_f.tobytes() == piv_ref.tobytes()
-
         b = np.random.default_rng(M).standard_normal(M - 1)
         x_ref = scipy_lu_solve((lu_ref, piv_ref), b)
         assert tfch_solver.lu_solve((lu, piv), b).tobytes() == x_ref.tobytes()
-        b_in = b.copy()
-        x = tfch_solver.lu_solve((lu, piv), b_in, overwrite_b=True)
-        assert x is b_in and x.tobytes() == x_ref.tobytes()
 
         D_before = D.copy()
         X = tfch_solver.lu_solve((lu, piv), D)
@@ -345,11 +391,9 @@ class TestLapackStepLoop:
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(tfch_solver, name, counted)
-        cfg = _phase_separation_config()
-        hist = _solve_quiet(cfg)
-        # A, then one step matrix per level; A^{-1} D, then one per sweep
-        assert calls["lu_factor"] == cfg.mesh.N + 1
-        assert calls["lu_solve"] == int(hist.iterations.sum()) + 1
+        _solve_quiet(_phase_separation_config())
+        # A's factor and A^{-1} D, once per run; no level factors anything
+        assert calls == {"lu_factor": 1, "lu_solve": 1}
 
     def test_exactly_singular_matrix_warns(self):
         a = np.eye(5)
@@ -367,42 +411,67 @@ def _run_energy_config(M):
                         mesh=build_graded_cubic(40, 1.0), initial=quartic_bump)
 
 
-def _factored_matrices(cfg, monkeypatch):
-    """Copies of every matrix solve hands to tfch_solver.lu_factor."""
-    seen = []
-    real = tfch_solver.lu_factor
+def _step_matrices(cfg, monkeypatch):
+    """Copies of the step matrix L that solve(cfg) applies at each level.
 
-    def spy(a, **kwargs):
-        seen.append(a.copy())  # before an in-place factorisation overwrites a
-        return real(a, **kwargs)
+    L is the buffer lu_solve returns for A^{-1} D, rewritten in place at
+    every level; it holds level n's matrix when the march asks the kernel
+    row stream for the row after n's.
+    """
+    buffers, seen = [], []
+    real_solve, real_rows = tfch_solver.lu_solve, tfch_solver.kernel_rows
 
-    monkeypatch.setattr(tfch_solver, "lu_factor", spy)
+    def spy_solve(*args):
+        buffers.append(real_solve(*args))
+        return buffers[-1]
+
+    def spy_rows(mesh, alpha):
+        for row in real_rows(mesh, alpha):
+            yield row
+            seen.append(buffers[0].copy())
+
+    monkeypatch.setattr(tfch_solver, "lu_solve", spy_solve)
+    monkeypatch.setattr(tfch_solver, "kernel_rows", spy_rows)
     _solve_quiet(cfg)
     return seen
 
 
 class TestUnderflowTail:
-    """solve zeroes the entries of K below 2^-511, whose products in getrf
-    would be subnormal; no state may move by a bit."""
+    """solve zeroes the entries of K below 2^-511: their products with the
+    states in each sweep's L u would be subnormal, and on Intel x86 cores
+    each such product takes a slow microcode assist. No state may move by
+    a bit."""
 
     def test_floor_is_two_to_minus_511(self):
         assert tfch_solver._K_FLOOR == 2.0 ** -511
 
-    @pytest.mark.parametrize("M, tail", [(200, 1406), (256, 8556)])
-    def test_states_bitwise_equal_oracle_with_the_tail(self, M, tail):
+    @pytest.mark.parametrize("M, tail, gap", [(200, 1406, 7.6e-14),
+                                              (256, 8556, 2.9e-13)])
+    def test_same_sweeps_and_states_as_oracle_with_the_tail(self, M, tail,
+                                                            gap):
+        # the LU sweep keeps K's tail; gap is the largest state difference
+        # measured on this run, and the bound is 10x that
         cfg = _run_energy_config(M)
         K = _scipy_operators(cfg)[2]
         assert np.count_nonzero(np.abs(K) < 2.0 ** -511) == tail
-        assert (_solve_quiet(cfg).U.tobytes()
-                == _scipy_sweep_oracle(cfg).tobytes())
+        hist = _solve_quiet(cfg)
+        U, iterations = _scipy_sweep_oracle(cfg)
+        assert np.array_equal(hist.iterations, iterations)
+        assert np.max(np.abs(hist.U - U)) <= 10 * gap
 
-    def test_no_factored_matrix_has_entries_below_the_floor(self,
-                                                            monkeypatch):
-        seen = _factored_matrices(_run_energy_config(200), monkeypatch)
-        assert len(seen) == 41  # A, then one step matrix per level
-        for a in seen:
-            small = np.abs(a) < 2.0 ** -511
-            assert not np.any(small & (a != 0.0))
+    @pytest.mark.parametrize("M", [200, 256, 512])
+    def test_floor_moves_no_state(self, monkeypatch, M):
+        cfg = _run_energy_config(M)
+        floored = _solve_quiet(cfg).U
+        monkeypatch.setattr(tfch_solver, "_K_FLOOR", 0.0)
+        assert _solve_quiet(cfg).U.tobytes() == floored.tobytes()
+
+    def test_no_step_matrix_has_entries_below_the_floor(self, monkeypatch):
+        seen = _step_matrices(_run_energy_config(200), monkeypatch)
+        assert len(seen) == 40  # one per level
+        for L in seen:
+            small = np.abs(L) < 2.0 ** -511
+            assert not np.any(small & (L != 0.0))
 
     @pytest.mark.parametrize("make_config, M, zeroed", [
         (_phase_separation_config, 128, 0),
@@ -411,8 +480,8 @@ class TestUnderflowTail:
     def test_step_matrices_bitwise_b0_a_plus_floored_k(self, monkeypatch,
                                                         make_config, M,
                                                         zeroed):
-        # at M = 128 min |K| is 1.25e-119: nothing is zeroed. solve writes
-        # only A's band on a copy of K, which equals the full B0 * A + K
+        # at M = 128 min |K| is 1.25e-119: nothing is zeroed. solve rewrites
+        # only A's band of K's buffer, which equals the full B0 * A + K
         # because the floor leaves no -0.0 in K
         cfg = make_config(M)
         A, _, K = _scipy_operators(cfg)
@@ -420,10 +489,9 @@ class TestUnderflowTail:
         assert np.count_nonzero(small) == zeroed
         K[small] = 0.0
         assert not np.any(np.signbit(K) & (K == 0.0))
-        seen = _factored_matrices(cfg, monkeypatch)
-        assert seen[0].tobytes() == A.tobytes()
-        assert len(seen) == cfg.mesh.N + 1
-        for n, L in enumerate(seen[1:], start=1):
+        seen = _step_matrices(cfg, monkeypatch)
+        assert len(seen) == cfg.mesh.N
+        for n, L in enumerate(seen, start=1):
             B0 = kernel_row_B(n, cfg.mesh, cfg.alpha)[n - 1]
             assert L.tobytes() == (B0 * A + K).tobytes()
 
@@ -563,10 +631,10 @@ class TestPeakMemory:
     def test_two_state_arrays_and_fixed_workspace(self, N, M, traced_peak,
                                                   row_stream_peak):
         # U and dU are the only arrays the size of the N+1 states, and the
-        # (M-1)^2 arrays are A, D, K and L. The kernel row stream's block
-        # workspace is measured on the same mesh; 128 KiB covers the
-        # length-N and length-(M-1) vectors. N >> M in the first case and
-        # M is large in the second.
+        # (M-1)^2 arrays are A, D, L (in K's buffer) and S. The kernel row
+        # stream's block workspace is measured on the same mesh; 128 KiB
+        # covers the length-N and length-(M-1) vectors. N >> M in the first
+        # case and M is large in the second.
         cfg = _config(mesh=build_graded_cubic(N, 1.0), M=M)
         peak = traced_peak(lambda: _solve_quiet(cfg))
         bound = (2 * 8 * (N + 1) * (M - 1) + 4 * 8 * (M - 1) ** 2
