@@ -151,7 +151,7 @@ def _check_h_symmetric_nsd(rng) -> CheckResult:
     worst_sym = 0.0
     worst_eig = -np.inf
     for M in (8, 16, 37, 60, 128):
-        H = solve(a_matrix(M), dxx_matrix(M, 1.0 / M))
+        H = solve(a_matrix(M), dxx_matrix(M))
         scale = float(np.max(np.abs(H)))
         worst_sym = max(worst_sym, float(np.max(np.abs(H - H.T))) / scale)
         worst_eig = max(worst_eig, float(eigvalsh(H).max()) / scale)

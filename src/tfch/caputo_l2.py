@@ -82,6 +82,8 @@ def _check_alpha_open(alpha: float) -> None:
 
 
 def _check_level(n: int, mesh: TemporalMesh) -> None:
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError("level n=%r is not an integer" % (n,))
     if not 1 <= n <= mesh.N:
         raise ValueError("level n=%r outside 1..%d" % (n, mesh.N))
 

@@ -39,7 +39,6 @@ from ._fmt import fmt, write_csv
 from ._verification import run_verification_suite
 from .caputo_l2 import (
     rho_bar,
-    rho_star,
     solve_linear_fode,
     write_kernel_row_csv,
     write_q3_csv,

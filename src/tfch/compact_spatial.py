@@ -146,9 +146,11 @@ def a_matrix(M: int) -> np.ndarray:
     return A
 
 
-def dxx_matrix(M: int, h: float) -> np.ndarray:
-    """Dense interior matrix of the second difference ((M-1) x (M-1))."""
+def dxx_matrix(M: int) -> np.ndarray:
+    """Dense interior matrix of the second difference ((M-1) x (M-1)), with
+    h = 1/M."""
     m = M - 1
+    h = 1.0 / M
     D = np.eye(m) * (-2.0 / (h * h))
     idx = np.arange(m - 1)
     D[idx, idx + 1] = 1.0 / (h * h)

@@ -32,17 +32,17 @@ the sine-basis operator, which differs from L by rounding. Nothing is
 factored per level: w follows from B_0 in O(M), and a sweep is four
 matrix-vector products, D u^3, L u and two with S.
 
-K is built once. A^{-1} D comes from LAPACK getrf and getrs, called directly
-(lu_factor and lu_solve below); solve looks both up as module globals, so a
-tracer that rebinds them sees both calls. K's buffer then becomes L: each
-level writes fl(fl(A_ij B_0) + K_ij) on A's three diagonals only, from K's
-band saved once. That is bitwise the full B_0 * A + K: off the band
-fl(0 B_0 + K_ij) = K_ij, because K holds no -0.0 (the floor below writes
-+0.0). Each sweep allocates nothing; the new iterate goes into one of two
-buffers taken in turn, so the increment can still read the old one. No
-right-hand side is screened: a non-finite one (an overflowing cubic, a NaN
-source) comes back as a non-finite increment, and the sweep's residual test
-turns that into NonconvergenceError at the same level.
+K is built once. A^{-1} D comes from scipy.linalg's lu_factor and lu_solve
+(LAPACK getrf and getrs), the run's one factorisation; solve looks both up
+as module globals, so a tracer that rebinds them sees both calls. K's buffer
+then becomes L: each level writes fl(fl(A_ij B_0) + K_ij) on A's three
+diagonals only, from K's band saved once. That is bitwise the full
+B_0 * A + K: off the band fl(0 B_0 + K_ij) = K_ij, because K holds no -0.0
+(the floor below writes +0.0). Each sweep allocates nothing; the new iterate
+goes into one of two buffers taken in turn, so the increment can still read
+the old one. No right-hand side is screened: a non-finite one (an overflowing
+cubic, a NaN source) comes back as a non-finite increment, and the sweep's
+residual test turns that into NonconvergenceError at the same level.
 
 A^{-1} decays like 0.1^|i-j|, so K has a dense tail that falls toward
 underflow: down to 2e-190 at M = 200, exact zeros and subnormals from M = 400
@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs
+from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma
 
 # kernel_row_B is unused here but stays importable: bench/spans.py wraps it.
@@ -108,37 +108,6 @@ _BOUND_SLACK = 1e-12
 # Entries of K below sqrt(tiny) = 2^-511 are set to exactly 0.0 (module
 # docstring): their products with the states in L u would be subnormal.
 _K_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
-
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
-
-
-def lu_factor(a):
-    """Pivoted LU of a finite float64 matrix as (lu, piv), as scipy.linalg's.
-
-    Calls LAPACK getrf without scipy's finiteness scan. Warns LinAlgWarning
-    when a pivot is exactly zero.
-    """
-    lu, piv, info = _getrf(a)
-    if info < 0:
-        raise ValueError("illegal value in %dth argument of internal getrf"
-                         % -info)
-    if info > 0:
-        warnings.warn("Diagonal number %d is exactly zero. Singular matrix."
-                      % info, LinAlgWarning, stacklevel=2)
-    return lu, piv
-
-
-def lu_solve(lu_piv, b):
-    """Solve a x = b from lu_factor's (lu, piv); b is a vector or a matrix.
-
-    Calls LAPACK getrs without scipy's finiteness scan, so b must be finite.
-    """
-    lu, piv = lu_piv
-    x, info = _getrs(lu, piv, b)
-    if info < 0:
-        raise ValueError("illegal value in %dth argument of internal getrs"
-                         % -info)
-    return x
 
 
 class NonconvergenceError(RuntimeError):
@@ -188,6 +157,9 @@ class SolverConfig:
             raise ValueError("kappa and epsilon must be positive")
         if not isinstance(self.mesh, TemporalMesh):
             raise TypeError("mesh must be a TemporalMesh")
+        for name in ("M", "max_iterations"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError("%s must be an integer" % name)
         if self.M < 4:
             raise ValueError("M must be at least 4")
         if self.iteration_tol <= 0.0:
@@ -418,7 +390,7 @@ def solve(config: SolverConfig) -> RunHistory:
     u0 = _initial_values(config, x_full)
     m = M - 1
     A = a_matrix(M)
-    D = dxx_matrix(M, h)
+    D = dxx_matrix(M)
     # K = kappa D + kappa eps^2 D (A^{-1} D) in A^{-1} D's buffer, which
     # becomes the step matrix L; the one (M-1)^2 temporary becomes S
     L = lu_solve(lu_factor(A), D)

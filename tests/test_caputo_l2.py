@@ -458,6 +458,19 @@ def test_truncation_bound_validation(graded_24):
         truncation_bound(0, graded_24, 0.5, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0])
+def test_non_integer_level_raises(graded_24, n):
+    with pytest.raises(ValueError, match="not an integer"):
+        truncation_bound(n, graded_24, 0.5, 1.0, 1.0)
+    with pytest.raises(ValueError, match="not an integer"):
+        kernel_row(n, graded_24, 0.5)
+
+
+def test_numpy_integer_level_accepted(graded_24):
+    row = kernel_row(np.int64(3), graded_24, 0.5)
+    assert row.B.tobytes() == kernel_row(3, graded_24, 0.5).B.tobytes()
+
+
 def test_linear_fode_benchmark_accuracy():
     from scipy.special import gamma
     alpha = 0.5

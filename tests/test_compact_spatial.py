@@ -119,7 +119,7 @@ class TestSecondDifference:
     def test_matches_dense_matrix(self):
         M = 12
         u = _rand(M, seed=4)
-        dense = dxx_matrix(M, 1.0 / M) @ u
+        dense = dxx_matrix(M) @ u
         assert apply_dxx(u) == pytest.approx(dense, rel=1e-13)
 
     def test_stencil_values(self):
@@ -137,7 +137,7 @@ class TestCompactLaplacian:
     def test_H_is_A_inverse_D(self):
         M = 10
         u = _rand(M, seed=6)
-        dense = np.linalg.solve(a_matrix(M), dxx_matrix(M, 1.0 / M) @ u)
+        dense = np.linalg.solve(a_matrix(M), dxx_matrix(M) @ u)
         assert apply_H(u) == pytest.approx(dense, rel=1e-12)
 
     def test_negH_inverse_roundtrip(self):
@@ -148,7 +148,7 @@ class TestCompactLaplacian:
         # A and D share eigenvectors on the Dirichlet grid, so A^{-1} D is
         # symmetric with strictly negative eigenvalues
         M = 16
-        H = np.linalg.solve(a_matrix(M), dxx_matrix(M, 1.0 / M))
+        H = np.linalg.solve(a_matrix(M), dxx_matrix(M))
         assert H == pytest.approx(H.T, rel=1e-10)
         eig = np.linalg.eigvalsh(0.5 * (H + H.T))
         assert eig.max() < 0.0
@@ -156,7 +156,7 @@ class TestCompactLaplacian:
     def test_thomas_solve_matches_dense(self):
         M = 18
         u = _rand(M, seed=8)
-        H = np.linalg.solve(a_matrix(M), dxx_matrix(M, 1.0 / M))
+        H = np.linalg.solve(a_matrix(M), dxx_matrix(M))
         dense = np.linalg.solve(-H, u)
         assert apply_negH_inv(u) == pytest.approx(dense, rel=1e-10)
 
@@ -178,7 +178,7 @@ class TestSineBasis:
         h = 1.0 / M
         for off, diag, dense in (
                 (1.0 / 12.0, 10.0 / 12.0, a_matrix(M)),
-                (1.0 / (h * h), -2.0 / (h * h), dxx_matrix(M, h))):
+                (1.0 / (h * h), -2.0 / (h * h), dxx_matrix(M))):
             eigs = np.sort(_tridiag_eigs(off, diag, M - 1))
             expected = scipy.linalg.eigvalsh(dense)
             assert np.abs(eigs - expected).max() \

@@ -209,7 +209,7 @@ class TestModifiedEnergy:
         # oracle shares no code with energy_series.
         hist = _small_run(alpha=0.5, N=24, M=16)
         cfg, mesh, alpha = hist.config, hist.mesh, hist.config.alpha
-        A, D = a_matrix(cfg.M), dxx_matrix(cfg.M, cfg.h)
+        A, D = a_matrix(cfg.M), dxx_matrix(cfg.M)
         neg_h_inv = -scipy.linalg.solve(D, A)
         neg_h = -scipy.linalg.solve(A, D)
         rng = np.random.default_rng(7)

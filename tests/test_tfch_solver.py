@@ -14,7 +14,6 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning
 from scipy.linalg import lu_factor as scipy_lu_factor
 from scipy.linalg import lu_solve as scipy_lu_solve
 
@@ -79,15 +78,23 @@ class TestConfigValidation:
         with pytest.raises(TypeError):
             _config(mesh=np.linspace(0, 1, 5))
 
-    def test_minimum_spatial_resolution(self):
-        with pytest.raises(ValueError):
-            _config(M=3)
+    @pytest.mark.parametrize("bad", [3, 8.5, 8.0])
+    def test_minimum_spatial_resolution(self, bad):
+        with pytest.raises(ValueError, match="M must be"):
+            _config(M=bad)
 
-    def test_iteration_controls(self):
-        with pytest.raises(ValueError):
-            _config(iteration_tol=0.0)
-        with pytest.raises(ValueError):
-            _config(max_iterations=0)
+    def test_numpy_integer_controls_accepted(self):
+        _config(M=np.int64(8), max_iterations=np.int32(5))
+
+    @pytest.mark.parametrize("field, bad", [
+        ("iteration_tol", 0.0),
+        ("max_iterations", 0),
+        ("max_iterations", 2.5),
+        ("max_iterations", 500.0),
+    ])
+    def test_iteration_controls(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            _config(**{field: bad})
 
     def test_source_spelling(self):
         with pytest.raises(ValueError):
@@ -188,14 +195,14 @@ class TestSolveBasics:
         cfg = _config(initial=lambda x: x + 1.0)
         with pytest.raises(NonconvergenceError) as exc:
             _solve_quiet(cfg)
-        # the overflow passes through getrs into the increment; the sweep's
-        # residual test, not a scan of each right-hand side, reports it
+        # the overflow passes through the residual into the increment; the
+        # sweep's residual test, not a scan of each right-hand side, reports it
         assert exc.value.level == 1
         assert exc.value.residual == float("inf")
         assert exc.value.cap == 500
 
     def test_nan_source_raises_at_its_first_level(self):
-        # a NaN right-hand side reaches getrs unscreened, like an overflow;
+        # a NaN right-hand side reaches the sweep unscreened, like an overflow;
         # the residual test must catch NaN as well as inf
         cfg = _config()
         k = 3
@@ -224,7 +231,7 @@ def _phase_separation_config(M=32):
 def _scipy_operators(cfg):
     """A, D and K = kappa D + kappa eps^2 D A^{-1} D, via scipy.linalg."""
     A = a_matrix(cfg.M)
-    D = dxx_matrix(cfg.M, cfg.h)
+    D = dxx_matrix(cfg.M)
     K = cfg.kappa * D + cfg.kappa * cfg.epsilon ** 2 * (
         D @ scipy_lu_solve(scipy_lu_factor(A), D))
     return A, D, K
@@ -361,27 +368,6 @@ class TestStepSweep:
                             - longdouble_sweep(cfg)))
         assert gap <= 1e-13
 
-    @pytest.mark.parametrize("M", [16, 128])
-    def test_wrappers_bitwise_equal_scipy_on_step_matrix(self, M):
-        cfg = _phase_separation_config(M)
-        A, D, K = _scipy_operators(cfg)
-        n = 7
-        L = kernel_row_B(n, cfg.mesh, cfg.alpha)[n - 1] * A + K
-        lu, piv = tfch_solver.lu_factor(L)
-        lu_ref, piv_ref = scipy_lu_factor(L)
-        assert lu.tobytes() == lu_ref.tobytes()
-        assert piv.tobytes() == piv_ref.tobytes()
-
-        b = np.random.default_rng(M).standard_normal(M - 1)
-        x_ref = scipy_lu_solve((lu_ref, piv_ref), b)
-        assert tfch_solver.lu_solve((lu, piv), b).tobytes() == x_ref.tobytes()
-
-        D_before = D.copy()
-        X = tfch_solver.lu_solve((lu, piv), D)
-        assert X.shape == D.shape
-        assert X.tobytes() == scipy_lu_solve((lu_ref, piv_ref), D).tobytes()
-        assert D.tobytes() == D_before.tobytes()
-
     def test_lapack_calls_go_through_the_module_globals(self, monkeypatch):
         # bench/spans.py counts the LAPACK layer by rebinding these names
         calls = {"lu_factor": 0, "lu_solve": 0}
@@ -395,13 +381,9 @@ class TestStepSweep:
         # A's factor and A^{-1} D, once per run; no level factors anything
         assert calls == {"lu_factor": 1, "lu_solve": 1}
 
-    def test_exactly_singular_matrix_warns(self):
-        a = np.eye(5)
-        a[2] = 0.0
-        with pytest.warns(LinAlgWarning,
-                          match=r"Diagonal number 3 is exactly zero\. "
-                                r"Singular matrix\."):
-            tfch_solver.lu_factor(a)
+    def test_lapack_layer_is_scipy_linalg(self):
+        assert tfch_solver.lu_factor is scipy_lu_factor
+        assert tfch_solver.lu_solve is scipy_lu_solve
 
 
 def _run_energy_config(M):
@@ -749,7 +731,7 @@ class TestMassBalance:
         mesh, alpha = cfg.mesh, cfg.alpha
         M, h = cfg.M, cfg.h
         A = a_matrix(M)
-        D = dxx_matrix(M, h)
+        D = dxx_matrix(M)
         Ainv_D = np.linalg.solve(A, D)
         U = hist.U
         masses = mass(U)
