@@ -24,9 +24,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from ._fmt import write_csv
+from ._gamma import gamma
 from .temporal_mesh import RATIO_SLACK, TemporalMesh
 
 __all__ = [
@@ -211,7 +211,7 @@ def kernel_row(n: int, mesh: TemporalMesh, alpha: float) -> KernelRow:
     """Every kernel row at level n, from a block of that one level."""
     _check_alpha_open(alpha)
     _check_level(n, mesh)
-    return next(_block(mesh, alpha, n, n))
+    return next(_block(mesh, alpha, n, n, _gammas(alpha)))
 
 
 def kernel_rows(mesh: TemporalMesh, alpha: float):
@@ -223,6 +223,7 @@ def kernel_rows(mesh: TemporalMesh, alpha: float):
     generator.
     """
     _check_alpha_open(alpha)
+    gammas = _gammas(alpha)
     N = mesh.N
     first = 1
     while first <= N:
@@ -230,11 +231,16 @@ def kernel_rows(mesh: TemporalMesh, alpha: float):
         while last < N and total + last <= _BLOCK_ENTRIES:
             last += 1
             total += last - 1
-        yield from _block(mesh, alpha, first, last)
+        yield from _block(mesh, alpha, first, last, gammas)
         first = last + 1
 
 
-def _block(mesh: TemporalMesh, alpha: float, first: int, last: int):
+def _gammas(alpha: float):
+    """(Gamma(2-alpha), Gamma(3-alpha)), the kernels' two constants."""
+    return gamma(2.0 - alpha), gamma(3.0 - alpha)
+
+
+def _block(mesh: TemporalMesh, alpha: float, first: int, last: int, gammas):
     """Yield the KernelRows of levels first..last from one entrywise pass.
 
     Each level's n entries lie end to end, entry j on interval k = j + 1;
@@ -249,11 +255,11 @@ def _block(mesh: TemporalMesh, alpha: float, first: int, last: int):
     takes lagged off c_tilde's k = n-1 entry and has its own k = n entry; J
     doubles c_tilde's k = n entry. Powers of per-level scalars stay scalar:
     numpy's array power is not libm's pow and moves some rows by an ulp. The
-    mesh is read up to t_last only.
+    mesh is read up to t_last only. gammas is _gammas(alpha), taken once
+    per pass over the levels.
     """
     nodes, steps, rho = mesh.nodes, mesh.steps, mesh.ratios
-    g2 = gamma(2.0 - alpha)
-    g3 = gamma(3.0 - alpha)
+    g2, g3 = gammas
     th = theta(alpha)
     levels = np.arange(first, last + 1)
     ends = np.cumsum(levels)

@@ -32,10 +32,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import gamma
 
 from . import diagnostics, temporal_mesh
 from ._fmt import fmt, write_csv
+from ._gamma import gamma
 from ._verification import run_verification_suite
 from .caputo_l2 import (
     rho_bar,
@@ -289,17 +289,24 @@ def _cmd_rho_star(args) -> int:
 
 
 def _mesh_from_file(path: str):
-    """Load a mesh from mesh.csv layout (node column) or raw step sizes."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines:
-        raise UsageError("mesh file %r is empty" % path)
-    if lines[0].startswith("k,"):
-        nodes = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
-        if nodes.size < 2 or nodes[0] != 0.0:
-            raise UsageError("mesh file must start at t_0 = 0 with N >= 1")
-        return temporal_mesh._finalize(nodes)
-    return temporal_mesh.build_custom([float(ln) for ln in lines])
+    """Load a mesh from mesh.csv layout (node column) or raw step sizes.
+
+    A file that cannot be read or parsed, or whose mesh the library
+    rejects, is a usage error.
+    """
+    try:
+        with open(path) as f:
+            lines = [ln.strip() for ln in f if ln.strip()]
+        if not lines:
+            raise ValueError("the file is empty")
+        if lines[0].startswith("k,"):
+            nodes = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
+            if nodes.size < 2 or nodes[0] != 0.0:
+                raise ValueError("the mesh must start at t_0 = 0 with N >= 1")
+            return temporal_mesh._finalize(nodes)
+        return temporal_mesh.build_custom([float(ln) for ln in lines])
+    except (OSError, ValueError, IndexError) as exc:
+        raise UsageError("mesh file %r: %s" % (path, exc)) from None
 
 
 def _build_mesh(args):

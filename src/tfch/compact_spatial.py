@@ -18,7 +18,6 @@ through that one basis: transform, divide by the eigenvalues, transform back.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dst
 
 __all__ = [
     "apply_A",
@@ -44,13 +43,45 @@ def _pad(u: np.ndarray) -> np.ndarray:
     return np.pad(u, [(0, 0)] * (u.ndim - 1) + [(1, 1)])
 
 
+# Entries of the odd extensions that _sine transforms per chunk of rows: a
+# fixed workspace (256 KiB, and about as much for their spectra) whatever
+# the number of rows.
+_SINE_WORK = 1 << 15
+
+
 def _sine(v: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Orthonormal DST-I along the last axis of v; it is its own inverse.
 
-    With overwrite, v's buffer may be used for the result (scipy.fft's
-    overwrite_x): pass it only for a v that nothing reads afterwards.
+    The DST-I of v_1..v_m is, up to sign and scale, the imaginary part of
+    the real FFT of its odd extension [0, v, 0, -v reversed], of length
+    n = 2(m+1): y_k = -Im(X_k) / sqrt(n), k = 1..m. This is how pocketfft
+    computes its DST-I, and with the factor 1/sqrt(n) rounded from long
+    double as pocketfft rounds it, the result is bitwise that of
+    scipy.fft.dst(v, type=1, norm="ortho") (numpy's own "ortho" factor
+    differs in the last bit when m+1 is a power of two). Rows go through
+    the FFT a chunk at a time, in a workspace of _SINE_WORK entries.
+
+    With overwrite, a C-contiguous float64 v receives the result in its own
+    buffer and is returned: pass it only for a v that nothing reads
+    afterwards.
     """
-    return dst(v, type=1, norm="ortho", overwrite_x=overwrite)
+    m = v.shape[-1]
+    n = 2 * (m + 1)
+    scale = -np.float64(1.0 / np.sqrt(np.longdouble(n)))
+    in_place = overwrite and v.dtype == np.float64 and v.flags.c_contiguous
+    out = v if in_place else np.empty(v.shape)
+    rows, rows_out = v.reshape(-1, m), out.reshape(-1, m)
+    chunk = max(1, min(_SINE_WORK // n, len(rows)))
+    ext = np.zeros((chunk, n))  # columns 0 and m+1 stay zero
+    spec = np.empty((chunk, m + 2), dtype=np.complex128)
+    for s in range(0, len(rows), chunk):
+        block = rows[s:s + chunk]
+        r = len(block)
+        ext[:r, 1:m + 1] = block
+        np.negative(block[:, ::-1], out=ext[:r, m + 2:])
+        np.fft.rfft(ext[:r], out=spec[:r])
+        np.multiply(spec.imag[:r, 1:m + 1], scale, out=rows_out[s:s + r])
+    return out
 
 
 def _sine_matrix(out: np.ndarray) -> np.ndarray:

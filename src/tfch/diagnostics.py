@@ -21,9 +21,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from ._fmt import write_csv
+from ._gamma import gamma
 from .caputo_l2 import kernel_row_J, kernel_rows
 from .compact_spatial import _neg_h_inv_eigs, _sine, _width, quad_negH
 from .temporal_mesh import TemporalMesh
@@ -58,10 +58,10 @@ def free_energy(u: np.ndarray, epsilon: float):
         + 0.25 * _width(u) * work.sum(axis=-1)
 
 
-def _g_weights(J: np.ndarray, mesh: TemporalMesh,
-               alpha: float) -> np.ndarray:
+def _g_weights(J: np.ndarray, mesh: TemporalMesh, alpha: float,
+               g3) -> np.ndarray:
     """Weights w of the level-n history functional sum_j w_j |u^n - u^j|^2,
-    from the level-n J row (n = len(J)).
+    from the level-n J row (n = len(J)); g3 = Gamma(3 - alpha).
 
     In interval order, w_0 = J_0/2 and w_j = (J_j - J_{j-1})/2 for j >= 1,
     plus the leading weight at j = n-1. rho_{N+1} is taken as 1: the
@@ -75,7 +75,7 @@ def _g_weights(J: np.ndarray, mesh: TemporalMesh,
     w[1:] -= J[:-1]
     w *= 0.5
     w[n - 1] += alpha * rho_next ** (2.0 - 0.5 * alpha) \
-        / (2.0 * (1.0 + rho_next) * tau_n ** alpha * gamma(3.0 - alpha))
+        / (2.0 * (1.0 + rho_next) * tau_n ** alpha * g3)
     return w
 
 
@@ -93,8 +93,9 @@ def G_functional(history, mesh: TemporalMesh, alpha: float):
     n = len(W) - 1
     if n < 1:
         raise ValueError("history must contain at least two levels")
-    out = np.tensordot(_g_weights(kernel_row_J(n, mesh, alpha), mesh, alpha),
-                       (W[n] - W[:n]) ** 2, axes=1)
+    w = _g_weights(kernel_row_J(n, mesh, alpha), mesh, alpha,
+                   gamma(3.0 - alpha))
+    out = np.tensordot(w, (W[n] - W[:n]) ** 2, axes=1)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -163,6 +164,7 @@ def energy_series(history) -> EnergySeries:
     Q = np.empty(N)
     modified = np.empty(N + 1)
     modified[0] = np.nan
+    g3 = gamma(3.0 - cfg.alpha)
     for row in kernel_rows(mesh, cfg.alpha):
         n = row.level
         np.einsum("ij,j->i", D[:n], D[n - 1], out=p[:n])  # d^k . d^n
@@ -171,7 +173,7 @@ def energy_series(history) -> EnergySeries:
         c += p[n - 1]
         Q[:n - 1] += c
         Q[n - 1] = p[n - 1]
-        w = _g_weights(row.J, mesh, cfg.alpha)
+        w = _g_weights(row.J, mesh, cfg.alpha, g3)
         modified[n] = free[n] + w @ (h * Q[:n]) / cfg.kappa
     return EnergySeries(
         levels=np.arange(N + 1),

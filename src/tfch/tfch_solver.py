@@ -32,9 +32,13 @@ the sine-basis operator, which differs from L by rounding. Nothing is
 factored per level: w follows from B_0 in O(M), and a sweep is four
 matrix-vector products, D u^3, L u and two with S.
 
-K is built once. A^{-1} D comes from scipy.linalg's lu_factor and lu_solve
-(LAPACK getrf and getrs), the run's one factorisation; solve looks both up
-as module globals, so a tracer that rebinds them sees both calls. K's buffer
+K is built once. A^{-1} D is the run's one factorisation: LAPACK gesv
+(getrf, then getrs) through numpy.linalg.solve. Its result is bitwise that
+of scipy.linalg's lu_solve(lu_factor(A), D) (M = 8 to 1024, one and two
+BLAS threads), and it is copied to Fortran order, the order getrs leaves,
+so every product with it keeps its bits. solve calls it as
+lu_solve(lu_factor(A), D) on module globals, so a tracer that rebinds them
+sees both calls, though gesv does all the work inside lu_solve. K's buffer
 then becomes L: each level writes fl(fl(A_ij B_0) + K_ij) on A's three
 diagonals only, from K's band saved once. That is bitwise the full
 B_0 * A + K: off the band fl(0 B_0 + K_ij) = K_ij, because K holds no -0.0
@@ -79,9 +83,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.special import gamma
 
+from ._gamma import gamma
 # kernel_row_B is unused here but stays importable: bench/spans.py wraps it.
 from .caputo_l2 import kernel_row_B, kernel_rows, q  # noqa: F401
 from .compact_spatial import (_average, _sine_matrix, _tridiag_eigs, a_matrix,
@@ -301,6 +304,26 @@ def lipschitz_step_bound(alpha: float, kappa: float, epsilon: float,
         raise ValueError("lipschitz constant must be positive")
     return (2.0 * epsilon ** 2
             / (kappa * lipschitz ** 2 * gamma(2.0 - alpha))) ** (1.0 / alpha)
+
+
+def lu_factor(a: np.ndarray) -> np.ndarray:
+    """The factorisation handle lu_solve takes: a itself.
+
+    No work happens here: gesv inside lu_solve factors a and solves in one
+    LAPACK call. The pair stays so that solve's one factorisation is seen
+    as a factor call and a solve call.
+    """
+    return a
+
+
+def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^{-1} b for a from lu_factor, in Fortran order.
+
+    gesv does all the work (getrf, then getrs, via numpy.linalg.solve); the
+    result is bitwise scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+    and, like that, Fortran-ordered.
+    """
+    return np.asfortranarray(np.linalg.solve(a, b))
 
 
 def _source_values(config: SolverConfig, x_full: np.ndarray, t: float) -> np.ndarray:

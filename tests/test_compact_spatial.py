@@ -9,6 +9,7 @@ Richardson ratios on a smooth eigenfunction.
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 from tfch.compact_spatial import (
@@ -207,6 +208,27 @@ class TestSineBasis:
         assert np.abs(S @ v - _sine(v)).max() <= 1e-14
         a = _tridiag_eigs(1.0 / 12.0, 10.0 / 12.0, m)
         assert np.abs(S @ a_matrix(M) @ S - np.diag(a)).max() <= 1e-14
+
+    @pytest.mark.parametrize("overwrite", [False, True],
+                             ids=["copy", "overwrite"])
+    @pytest.mark.parametrize("rows", [None, 1, 5, 1000])
+    def test_sine_is_scipy_dst_bitwise(self, rows, overwrite):
+        # the real-FFT DST-I has every bit of scipy.fft's orthonormal DST-I,
+        # at every width (m + 1 = 512 and 1024 are where numpy's own "ortho"
+        # factor would differ) and however many rows share a chunk
+        rng = np.random.default_rng(rows or 0)
+        for m in list(range(3, 301)) + [511, 1023]:
+            shape = (m,) if rows is None else (rows, m)
+            v = rng.standard_normal(shape)
+            want = scipy.fft.dst(v, type=1, norm="ortho")
+            given = v.copy()
+            got = _sine(given, overwrite=overwrite)
+            assert got.shape == shape
+            assert got.tobytes() == want.tobytes(), m
+            if overwrite:
+                assert got is given
+            else:
+                assert given.tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("M", [128, 1024])
     def test_sine_matrix_entries_to_a_few_ulps(self, M):

@@ -287,7 +287,8 @@ class TestModifiedEnergy:
             Q = _longdouble_negative_norms(
                 U[n].astype(np.longdouble) - U[:n], M)
             w = diagnostics._g_weights(kernel_row_J(n, cfg.mesh, cfg.alpha),
-                                       cfg.mesh, cfg.alpha)
+                                       cfg.mesh, cfg.alpha,
+                                       gamma(3.0 - cfg.alpha))
             exact = float(w.astype(np.longdouble) @ Q)
             got = (series.modified_energy[n] - series.free_energy[n]) * kappa
             assert abs(got - exact) <= 1e-13 * exact, n

@@ -1,11 +1,14 @@
 """The package's public names: every module's __all__ names exist, the
-package namespace re-exports only names its modules declare public, and
-every module uses the names it imports."""
+package namespace re-exports only names its modules declare public, every
+module uses the names it imports, and none imports scipy."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import tfch
@@ -62,3 +65,40 @@ def test_every_import_is_used():
         unused += [(path.stem, name) for name in _imported_names(tree)
                    if name not in used and (path.stem, name) not in traced]
     assert not unused
+
+
+def _imported_modules(tree):
+    """Every module an import statement anywhere in tree names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_scipy():
+    # importing any scipy subpackage costs about 0.3 s of start-up; numpy
+    # gives the bits the package needs. Imports inside functions count too:
+    # they would only move that cost into the run.
+    found = []
+    for path in sorted(Path(tfch.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(path.stem, name) for name in _imported_modules(tree)
+                  if name.partition(".")[0] == "scipy"]
+    assert not found
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    probe = ("import sys\n"
+             "from tfch.cli import main\n"
+             "assert main(['rho-star', '--out', sys.argv[1]]) == 0\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m.partition('.')[0] == 'scipy'))\n")
+    src = str(Path(tfch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "rho_star.csv").exists()

@@ -381,9 +381,15 @@ class TestStepSweep:
         # A's factor and A^{-1} D, once per run; no level factors anything
         assert calls == {"lu_factor": 1, "lu_solve": 1}
 
-    def test_lapack_layer_is_scipy_linalg(self):
-        assert tfch_solver.lu_factor is scipy_lu_factor
-        assert tfch_solver.lu_solve is scipy_lu_solve
+    @pytest.mark.parametrize("M", [16, 128, 200, 512, 1024])
+    def test_lapack_layer_is_scipy_linalg_bitwise(self, M):
+        # numpy's gesv gives every bit of scipy's getrf and getrs, in the
+        # Fortran order that keeps the sweep's products' bits
+        A, D = a_matrix(M), dxx_matrix(M)
+        got = tfch_solver.lu_solve(tfch_solver.lu_factor(A), D)
+        want = scipy_lu_solve(scipy_lu_factor(A), D)
+        assert got.flags.f_contiguous
+        assert got.tobytes(order="A") == want.tobytes(order="A")
 
 
 def _run_energy_config(M):
