@@ -300,12 +300,15 @@ def _mesh_from_file(path: str):
         if not lines:
             raise ValueError("the file is empty")
         if lines[0].startswith("k,"):
-            nodes = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
+            rows = [ln.split(",") for ln in lines[1:]]
+            if any(len(row) < 2 for row in rows):
+                raise ValueError("every row needs a t_k column")
+            nodes = np.array([float(row[1]) for row in rows])
             if nodes.size < 2 or nodes[0] != 0.0:
                 raise ValueError("the mesh must start at t_0 = 0 with N >= 1")
             return temporal_mesh._finalize(nodes)
         return temporal_mesh.build_custom([float(ln) for ln in lines])
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError("mesh file %r: %s" % (path, exc)) from None
 
 

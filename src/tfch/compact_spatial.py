@@ -13,6 +13,9 @@ used by the energy estimates.
 A and D are symmetric Toeplitz tridiagonal, so the orthonormal DST-I (the
 sine basis sin(k pi i / M)) diagonalises both exactly. Every inverse goes
 through that one basis: transform, divide by the eigenvalues, transform back.
+The operators that go through it (apply_A_inv, apply_H, apply_negH_inv and
+quad_negH) compute in float64 whatever real dtype they are given, and raise
+ValueError on complex values.
 """
 
 from __future__ import annotations
@@ -61,10 +64,13 @@ def _sine(v: np.ndarray, overwrite: bool = False) -> np.ndarray:
     differs in the last bit when m+1 is a power of two). Rows go through
     the FFT a chunk at a time, in a workspace of _SINE_WORK entries.
 
-    With overwrite, a C-contiguous float64 v receives the result in its own
-    buffer and is returned: pass it only for a v that nothing reads
-    afterwards.
+    v of any real dtype is transformed in float64; complex v is a
+    ValueError. With overwrite, a C-contiguous float64 v receives the result
+    in its own buffer and is returned: pass it only for a v that nothing
+    reads afterwards.
     """
+    if np.iscomplexobj(v):
+        raise ValueError("the sine basis takes real values, got %s" % v.dtype)
     m = v.shape[-1]
     n = 2 * (m + 1)
     scale = -np.float64(1.0 / np.sqrt(np.longdouble(n)))
@@ -144,7 +150,7 @@ def apply_A(u: np.ndarray) -> np.ndarray:
 
 
 def apply_A_inv(u: np.ndarray) -> np.ndarray:
-    """Inverse of the compact average."""
+    """Inverse of the compact average, in float64."""
     return _solve_tridiag(1.0 / 12.0, 10.0 / 12.0, u)
 
 
@@ -156,13 +162,13 @@ def apply_dxx(u: np.ndarray) -> np.ndarray:
 
 
 def apply_H(u: np.ndarray) -> np.ndarray:
-    """Compact Laplacian H u = A^{-1} (D u)."""
+    """Compact Laplacian H u = A^{-1} (D u), in float64."""
     return apply_A_inv(apply_dxx(u))
 
 
 def apply_negH_inv(u: np.ndarray) -> np.ndarray:
     """Solve -H w = u, i.e. D w = -(A u); at unit scale,
-    tridiag(1,-2,1) w = -h^2 A u."""
+    tridiag(1,-2,1) w = -h^2 A u. w is float64."""
     h = _width(u)
     return _solve_tridiag(1.0, -2.0, -apply_A(u) * h * h)
 
@@ -200,7 +206,7 @@ def norm_l2(u: np.ndarray):
 
 def quad_negH(u: np.ndarray):
     """Quadratic form (-H u, u) = h sum_k y_k^2 / lam_k, with y = S u the
-    sine coefficients and lam the eigenvalues of (-H)^{-1}."""
+    sine coefficients (in float64) and lam the eigenvalues of (-H)^{-1}."""
     y = _sine(u)
     lam = _neg_h_inv_eigs(u.shape[-1] + 1)
     return _width(u) * np.einsum("...j,...j,j->...", y, y, 1.0 / lam)

@@ -146,6 +146,54 @@ class TestMesh:
     @pytest.mark.parametrize("argv", [
         ["mesh"],
         ["tfch-run", "--alpha", "0.5", "--M", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_step_file_meta_records_the_mesh_that_ran(self, tmp_path, argv):
+        # --N and --T do not shape a mesh read from a file; run_meta.txt
+        # gives the file mesh's N and horizon instead of the flags
+        steps = tmp_path / "steps.txt"
+        steps.write_text("0.25\n0.25\n0.25\n0.25\n")
+        out = tmp_path / "out"
+        assert _run(argv + ["--mesh", str(steps), "--N", "50", "--T", "3",
+                            "--out", str(out)]) == 0
+        meta = _read(out / "run_meta.txt")
+        assert "\nN: 4\n" in meta and "\nT: 1.0\n" in meta
+
+    def test_kernel_row_needs_alpha(self, tmp_path):
+        rc = _run(["mesh", "--N", "6", "--kernel-level", "3",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "0.5", "--kernel-level", "0"],
+        ["--alpha", "0.5", "--kernel-level", "11"],
+        ["--alpha", "1.5"],
+        ["--alpha", "1.0", "--kernel-level", "3"],
+        ["--kernel-level", "3"],
+    ])
+    def test_bad_flag_values_exit_2_before_output(self, tmp_path, flags):
+        rc = _run(["mesh", "--N", "10", "--out", str(tmp_path)] + flags)
+        assert rc == 2
+        assert not (tmp_path / "mesh.csv").exists()
+        assert not (tmp_path / "kernel_row.csv").exists()
+
+    def test_kernel_row_output(self, tmp_path):
+        rc = _run(["mesh", "--N", "6", "--alpha", "0.5", "--kernel-level",
+                   "4", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = _read(tmp_path / "kernel_row.csv").strip().split("\n")
+        assert lines[0] == "k,c,d,B,c_tilde,J"
+        assert len(lines) == 5
+
+    def test_graded_without_N_exits_2(self, tmp_path):
+        assert _run(["mesh", "--out", str(tmp_path)]) == 2
+
+    def test_missing_mesh_file_exits_2(self, tmp_path):
+        assert _run(["mesh", "--mesh", str(tmp_path / "nope.csv"),
+                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["mesh"],
+        ["tfch-run", "--alpha", "0.5", "--M", "8"],
     ], ids=["mesh", "tfch-run"])
     @pytest.mark.parametrize("content, message", [
         ("1e-3\ninf\n", "every step must be finite"),
@@ -157,10 +205,11 @@ class TestMesh:
         ("1e-3\nabc\n", "could not convert string to float"),
         ("k,t_k,tau_k,rho_k\n0,zero,,\n1,one,1,\n",
          "could not convert string to float"),
+        ("k,t_k\n0\n1\n", "every row needs a t_k column"),
         ("\n\n", "the file is empty"),
     ], ids=["step-file-inf", "mesh-csv-inf", "mesh-csv-decreasing",
             "step-file-negative", "step-file-not-a-number",
-            "mesh-csv-not-a-number", "empty"])
+            "mesh-csv-not-a-number", "mesh-csv-no-node-column", "empty"])
     def test_rejected_mesh_file_exits_2_before_output(
             self, tmp_path, capsys, argv, content, message):
         mesh_file = tmp_path / "in" / "steps.txt"

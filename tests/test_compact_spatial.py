@@ -230,6 +230,20 @@ class TestSineBasis:
             else:
                 assert given.tobytes() == v.tobytes()
 
+    @pytest.mark.parametrize("op", [apply_A_inv, apply_H, apply_negH_inv,
+                                    quad_negH], ids=lambda op: op.__name__)
+    def test_sine_operators_compute_in_float64_and_reject_complex(self, op):
+        # any real dtype is taken in float64; a complex state would lose
+        # its imaginary part in the real-FFT DST-I, so it is refused
+        u = np.random.default_rng(3).standard_normal((2, 15))
+        want = op(u)
+        for dtype in (np.float32, np.longdouble):
+            got = op(u.astype(dtype))
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+        with pytest.raises(ValueError, match="real values"):
+            op(u + 1j * u)
+
     @pytest.mark.parametrize("M", [128, 1024])
     def test_sine_matrix_entries_to_a_few_ulps(self, M):
         # j k is reduced modulo 2M before scaling; sin(pi j k / M) taken
