@@ -1,9 +1,6 @@
 #!/usr/bin/env python3
 """Temporal self-convergence of the full solver against an N0=200 reference.
-
-Runs the four alpha columns in two worker threads; pass --workers 1 to
-serialize (the CSV bytes are identical either way).
-"""
+Extra flags are passed straight through to the CLI."""
 
 import sys
 
@@ -15,5 +12,4 @@ if __name__ == "__main__":
                    "--Ns", "15,18,21,24",
                    "--N0", "200", "--M", "60",
                    "--kappa", "0.01", "--epsilon", "0.1",
-                   "--workers", "2",
                    "--out", "results/tfch_table"] + sys.argv[1:]))

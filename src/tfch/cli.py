@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -167,8 +167,6 @@ def build_parser():
     s.add_argument("--alphas", type=_alpha_list, default=[0.3, 0.5, 0.7, 0.9])
     s.add_argument("--Ns", type=_int_list, default=[15, 18, 21, 24])
     s.add_argument("--N0", type=int, default=200, help="reference resolution")
-    s.add_argument("--workers", type=int, default=1,
-                   help="threads over the alpha list (at least 1)")
     _add_physics(s)
     _add_common(s)
     registry["tfch-convergence"] = s
@@ -270,21 +268,25 @@ def _cmd_rho_star(args) -> int:
     for r in args.q3_rhos:
         if not 0.0 < r < np.inf:
             raise UsageError("q3 ratio %g must be finite and positive" % r)
-    outputs = ["rho_star.csv"]
-    notes = []
-    write_rho_star_csv(args.alphas, _out_path(args, "rho_star.csv"))
+    # Compute every table before opening a file, so that a failing value
+    # (alpha below ~1e-154 overflows rho_star's bracket) writes nothing.
+    tables = {"rho_star.csv": io.StringIO()}
+    write_rho_star_csv(args.alphas, tables["rho_star.csv"])
     if args.q3:
-        write_q3_csv(args.q3_rhos, args.alphas,
-                     _out_path(args, "q3_curves.csv"))
-        outputs.append("q3_curves.csv")
+        tables["q3_curves.csv"] = io.StringIO()
+        write_q3_csv(args.q3_rhos, args.alphas, tables["q3_curves.csv"])
+    notes = []
     if args.fixed_point:
         rho, alpha = rho_bar()
-        write_csv(_out_path(args, "fixed_point.csv"), "rho_bar,alpha_bar",
+        tables["fixed_point.csv"] = io.StringIO()
+        write_csv(tables["fixed_point.csv"], "rho_bar,alpha_bar",
                   [(rho, alpha)])
-        outputs.append("fixed_point.csv")
         notes.append("fixed point rho=%s alpha=%s" % (fmt(rho), fmt(alpha)))
         print("fixed point: rho = %.7f, alpha = %.5f" % (rho, alpha))
-    _write_meta(args, outputs, notes)
+    for name, table in tables.items():
+        with open(_out_path(args, name), "w", newline="") as f:
+            f.write(table.getvalue())
+    _write_meta(args, list(tables), notes)
     return 0
 
 
@@ -374,13 +376,12 @@ def _graded_meshes(Ns, T) -> list:
         return [temporal_mesh.build_graded_cubic(N, T) for N in Ns]
 
 
-def _caputo_error(alpha: float, N: int, T: float) -> float:
-    """Worst nodal error of the marched benchmark w with (d/dt)^a w = rhs.
+def _caputo_error(alpha: float, mesh) -> float:
+    """Worst nodal error on mesh of the benchmark w with (d/dt)^a w = rhs.
 
     The benchmark solution is t^{3+alpha}, whose derivative is the cubic
     Gamma(4+alpha)/Gamma(4) t^3.
     """
-    mesh = temporal_mesh.build_graded_cubic(N, T)
     coeff = gamma(4.0 + alpha) / gamma(4.0)
     w = solve_linear_fode(mesh, alpha, lambda t: coeff * t ** 3)
     return float(np.max(np.abs(mesh.nodes ** (3.0 + alpha) - w)))
@@ -406,12 +407,10 @@ def _convergence_table(args, name: str, errors_by_alpha) -> int:
 
 
 def _cmd_caputo_convergence(args) -> int:
-    with _flag_values():
-        for N in args.Ns:
-            temporal_mesh._check_N_T(N, args.T)
+    meshes = _graded_meshes(args.Ns, args.T)
     return _convergence_table(
         args, "caputo_convergence.csv",
-        ((alpha, [_caputo_error(alpha, N, args.T) for N in args.Ns])
+        ((alpha, [_caputo_error(alpha, mesh) for mesh in meshes])
          for alpha in args.alphas))
 
 
@@ -436,15 +435,13 @@ def _tfch_errors(configs):
 def _cmd_tfch_convergence(args) -> int:
     if args.N0 <= max(args.Ns):
         raise UsageError("--N0 must exceed every entry of --Ns")
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
     meshes = _graded_meshes([args.N0] + args.Ns, args.T)
     configs = [[_config(args, alpha, mesh, initial=quartic_bump)
                 for mesh in meshes] for alpha in args.alphas]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        errors = pool.map(_tfch_errors, configs)
-        return _convergence_table(args, "tfch_convergence.csv",
-                                  zip(args.alphas, errors))
+    return _convergence_table(
+        args, "tfch_convergence.csv",
+        ((alpha, _tfch_errors(cfgs))
+         for alpha, cfgs in zip(args.alphas, configs)))
 
 
 def _write_state_csv(state, path: str) -> None:

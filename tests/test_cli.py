@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tfch import temporal_mesh
 from tfch.cli import main
 
 
@@ -75,6 +76,15 @@ class TestRhoStar:
         assert rho == pytest.approx(4.7476114, abs=1e-6)
         assert alpha == pytest.approx(0.82265, abs=1e-4)
         assert "fixed point" in capsys.readouterr().out
+
+    def test_failing_threshold_writes_nothing(self, tmp_path, capsys):
+        # q2 overflows at rho_star's bracket top 10 + 20/alpha, so the
+        # threshold fails after the flags were accepted
+        out = tmp_path / "new"
+        assert _run(["rho-star", "--alphas", "0.5,1e-300", "--q3",
+                     "--fixed-point", "--out", str(out)]) == 1
+        assert "does not change sign" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_alpha_out_of_range_exits_2(self, tmp_path):
         assert _run(["rho-star", "--alphas", "1.5",
@@ -261,6 +271,19 @@ class TestCaputoConvergence:
         assert float(r16[2]) < float(r8[2])
         assert "alpha" in capsys.readouterr().out
 
+    def test_builds_each_mesh_once(self, tmp_path, monkeypatch):
+        built = []
+        real = temporal_mesh.build_graded_cubic
+
+        def spy(N, T):
+            built.append(N)
+            return real(N, T)
+
+        monkeypatch.setattr(temporal_mesh, "build_graded_cubic", spy)
+        assert _run(["caputo-convergence", "--alphas", "0.3,0.5",
+                     "--Ns", "8,16", "--out", str(tmp_path)]) == 0
+        assert built == [8, 16]
+
 
 class TestTfchRun:
     def test_requires_alpha(self, tmp_path):
@@ -346,24 +369,16 @@ class TestTfchConvergence:
         assert _run(["tfch-convergence", "--alphas", "0.5", "--Ns", "6,8",
                      "--N0", "8", "--M", "8", "--out", str(tmp_path)]) == 2
 
-    def test_workers_below_one_exits_2(self, tmp_path):
-        assert _run(["tfch-convergence", "--alphas", "0.5", "--Ns", "6",
-                     "--N0", "8", "--M", "8", "--workers", "0",
-                     "--out", str(tmp_path)]) == 2
-        assert list(tmp_path.iterdir()) == []
-
-    def test_workers_do_not_change_the_bytes(self, tmp_path):
-        base = ["tfch-convergence", "--alphas", "0.3,0.5", "--Ns", "6,8",
-                "--N0", "12", "--M", "8"]
-        d1 = tmp_path / "serial"
-        d2 = tmp_path / "threads"
-        assert _run(base + ["--out", str(d1)]) == 0
-        assert _run(base + ["--workers", "2", "--out", str(d2)]) == 0
-        assert _read(d1 / "tfch_convergence.csv") \
-            == _read(d2 / "tfch_convergence.csv")
-        lines = _read(d1 / "tfch_convergence.csv").strip().split("\n")
+    def test_table_and_rerun_is_byte_identical(self, tmp_path):
+        argv = ["tfch-convergence", "--alphas", "0.3,0.5", "--Ns", "6,8",
+                "--N0", "12", "--M", "8", "--out", str(tmp_path)]
+        assert _run(argv) == 0
+        first = _read(tmp_path / "tfch_convergence.csv")
+        lines = first.strip().split("\n")
         assert lines[0] == "alpha,N,error,order"
         assert len(lines) == 5
+        assert _run(argv) == 0
+        assert _read(tmp_path / "tfch_convergence.csv") == first
 
 
 class TestManufactured:

@@ -22,10 +22,12 @@ from tfch._longdouble import longdouble_sweep
 from tfch.caputo_l2 import kernel_row_B
 from tfch.compact_spatial import (_sine_matrix, _tridiag_eigs, a_matrix,
                                   dxx_matrix)
-from tfch.diagnostics import energy_series, mass
+from tfch._gamma import gamma
+from tfch.diagnostics import convergence_order, energy_series, mass
 from tfch.temporal_mesh import (
     build_custom,
     build_graded_cubic,
+    build_uniform,
     validate_ratio_bound,
 )
 from tfch.tfch_solver import (
@@ -723,6 +725,47 @@ class TestManufacturedBenchmark:
         exact = manufactured_solution(np.linspace(0.0, 1.0, 17), 1.0, alpha)
         err = np.abs(hist.terminal.values - exact).max()
         assert err <= 5e-3
+
+    @pytest.mark.parametrize("build, rate", [
+        (build_graded_cubic, lambda a: min(4.0 * a, 3.0 - a)),
+        (build_uniform, lambda a: a),
+    ], ids=["graded-cubic", "uniform"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_mesh_grading_sets_the_rate_on_a_weakly_singular_solution(
+            self, alpha, build, rate):
+        # u = t^alpha x^4 (1-x)^4 has (d/dt)^alpha u = Gamma(1+alpha) bump,
+        # and its time derivative is unbounded at t = 0. The source is
+        # manufactured_source's terms with that time part and the t powers
+        # of this u. The error is the max over all levels: at t = 1 alone
+        # the uniform mesh shows rate 1 and hides the singularity.
+        kappa, eps, M = 0.01, 0.1, 128
+        g = gamma(1.0 + alpha)
+
+        def source(x, t):
+            y = 1.0 - x
+            lap_u3 = (132.0 * x ** 10 * y ** 12 - 288.0 * x ** 11 * y ** 11
+                      + 132.0 * x ** 12 * y ** 10) * t ** (3.0 * alpha)
+            biharm = (24.0 * y ** 4 - 384.0 * x * y ** 3
+                      + 864.0 * x ** 2 * y ** 2 - 384.0 * x ** 3 * y
+                      + 24.0 * x ** 4) * t ** alpha
+            lap_u = (12.0 * x ** 2 * y ** 4 - 32.0 * x ** 3 * y ** 3
+                     + 12.0 * x ** 4 * y ** 2) * t ** alpha
+            return (g * quartic_bump(x) - kappa * lap_u3
+                    + kappa * eps ** 2 * biharm + kappa * lap_u)
+
+        bump = quartic_bump(np.linspace(0.0, 1.0, M + 1))[1:-1]
+        Ns = [32, 64, 128, 256]
+        errors = []
+        for N in Ns:
+            mesh = build(N, 1.0)
+            hist = _solve_quiet(_config(alpha=alpha, kappa=kappa,
+                                        epsilon=eps, mesh=mesh, M=M,
+                                        source=source,
+                                        initial=lambda x: np.zeros_like(x)))
+            exact = mesh.nodes[:, None] ** alpha * bump
+            errors.append(np.max(np.abs(hist.U - exact)))
+        orders = convergence_order(errors, Ns)
+        assert np.all(np.abs(orders - rate(alpha)) <= 0.1), orders
 
 
 class TestMassBalance:
