@@ -46,6 +46,7 @@ from .caputo_l2 import (
 )
 from .tfch_solver import (
     SolverConfig,
+    _March,
     manufactured_solution,
     quartic_bump,
     solve,
@@ -269,9 +270,11 @@ def _cmd_rho_star(args) -> int:
         if not 0.0 < r < np.inf:
             raise UsageError("q3 ratio %g must be finite and positive" % r)
     # Compute every table before opening a file, so that a failing value
-    # (alpha below ~1e-154 overflows rho_star's bracket) writes nothing.
+    # writes nothing. An alpha too small for rho_star (below about
+    # 1.5e-153) is a usage error.
     tables = {"rho_star.csv": io.StringIO()}
-    write_rho_star_csv(args.alphas, tables["rho_star.csv"])
+    with _flag_values():
+        write_rho_star_csv(args.alphas, tables["rho_star.csv"])
     if args.q3:
         tables["q3_curves.csv"] = io.StringIO()
         write_q3_csv(args.q3_rhos, args.alphas, tables["q3_curves.csv"])
@@ -449,6 +452,18 @@ def _write_state_csv(state, path: str) -> None:
     write_csv(path, "x,u", zip(x, state.values))
 
 
+def _run_with_energy(config):
+    """solve(config)'s RunHistory and the history terms of its modified
+    energy, from one march that builds each kernel row once.
+
+    The march's increments and matrices are released on return, before
+    the free energies are taken from the states.
+    """
+    march = _March(config)
+    terms = diagnostics._march_terms(march)
+    return march.history(), terms
+
+
 def _cmd_tfch_run(args) -> int:
     if args.alpha is None:
         raise UsageError("tfch-run requires --alpha (flag or config)")
@@ -457,10 +472,10 @@ def _cmd_tfch_run(args) -> int:
     mesh = _build_mesh(args)
     initial = quartic_bump if args.initial == "quartic-bump" else _zero_initial
     source = None if args.source == "none" else "manufactured"
-    history = solve(_config(args, args.alpha, mesh, source=source,
-                            initial=initial,
-                            max_iterations=args.max_iterations))
-    series = diagnostics.energy_series(history)
+    history, terms = _run_with_energy(_config(
+        args, args.alpha, mesh, source=source, initial=initial,
+        max_iterations=args.max_iterations))
+    series = diagnostics._series(history, terms)
 
     diagnostics.write_energy_csv(series, _out_path(args, "energy.csv"))
     diagnostics.write_mass_csv(series, _out_path(args, "mass.csv"))

@@ -6,9 +6,16 @@ and reduce along the last axis. The gradient part of the free energy is
 diagonal there with positive eigenvalues lam, so (-H u, u) is
 h sum_k (S u)_k^2 / lam_k. The modified energy augments the free energy with
 a weighted history of negative-order norms of increments, built from the
-auxiliary J kernels; energy_series carries each such norm from one level to
-the next as a sum of products of transformed increments
-d^k = sqrt(lam) S (u^k - u^{k-1}). Rounding can take a norm that is zero in
+auxiliary J kernels; one recurrence, _history_term, carries each such norm
+from one level to the next as a sum of products d^k . d^n of transformed
+increments d^k = sqrt(lam) S (u^k - u^{k-1}). It is fed in two ways.
+energy_series feeds it offline, from a finished run: it transforms the
+increments in place and walks the kernel rows itself. tfch-run feeds it
+online (_march_terms), from the solver's march, which hands over each
+level's kernel row as the level is set. Since
+d^k . d^n = du^k' (-H)^{-1} du^n, the products come from the march's own
+increments du^k and z^n = S (lam * (S du^n)) with the march's sine matrix,
+without a second pass over the rows. Rounding can take a norm that is zero in
 exact arithmetic slightly below zero; none is clamped. The dissipation
 estimate states exactly that the modified energy never
 increases, so these routines are both the experiment observables and the
@@ -129,16 +136,42 @@ def energy_series(history) -> EnergySeries:
     the negative-order norm (v, (-H)^{-1} v) is h |sqrt(lam) S v|^2. The
     increments are transformed once, in place, into D, row k-1 holding
     d^k = sqrt(lam) S (u^k - u^{k-1}), the pass's one array the size of
-    the run. With
+    the run. Each level's products p_k = d^k . d^n over D[:n] feed
+    _history_term, which carries the norms from level to level. The
+    product is an einsum, not a BLAS matmul, so the bits do not depend on
+    the BLAS thread count.
+    """
+    cfg = history.config
+    N = cfg.mesh.N
+    D = _sine(np.subtract(history.U[1:], history.U[:-1]), overwrite=True)
+    D *= np.sqrt(_neg_h_inv_eigs(cfg.M))
+    term = _history_term(cfg)
+    p = np.empty(N)
+    terms = np.empty(N + 1)
+    terms[0] = np.nan
+    for row in kernel_rows(cfg.mesh, cfg.alpha):
+        n = row.level
+        np.einsum("ij,j->i", D[:n], D[n - 1], out=p[:n])  # d^k . d^n
+        terms[n] = term(row.J, p[:n])
+    del D  # before free_energy's temporaries, so one run-sized array at a time
+    return _series(history, terms)
+
+
+def _history_term(config):
+    """The history term of the modified energy, one level at a time.
+
+    Returns term(J, p), to be called for n = 1..N in order with level n's
+    J row and the products p[k-1] = d^k . d^n, k = 1..n, of the transformed
+    increments d^k = sqrt(lam) S (u^k - u^{k-1}) (energy_series). It
+    returns (1/kappa) sum_j w_j h Q_n[j], the modified energy at level n
+    less the free energy, with w from _g_weights. With
     Q_n[j] = |w^n - w^j|^2 and w^j = sqrt(lam) S u^j, the recurrence
 
         Q_n[j] = Q_{n-1}[j] + 2 sum_{k=j+1}^{n-1} d^k . d^n + |d^n|^2,
         Q_n[n-1] = |d^n|^2,
 
-    updates every norm of level n from one matrix-vector product
-    p_k = d^k . d^n over D[:n] and a reversed cumulative sum of p, O(N^2 M)
-    in all. The product is an einsum, not a BLAS matmul, so the bits do
-    not depend on the BLAS thread count.
+    updates every norm of level n from p and a reversed cumulative sum of
+    it, O(N^2 M) in all with the products.
 
     The recurrence only sums products of increments; it never forms the
     |w^n|^2 - 2 w^n.w^j + |w^j|^2 expansion, whose terms cancel. Its
@@ -151,35 +184,66 @@ def energy_series(history) -> EnergySeries:
     5e-14 relative, and a norm can round slightly below zero. None is
     clamped, since a clamp would hide that rounding, not remove it.
     """
-    cfg = history.config
-    mesh = cfg.mesh
-    N = mesh.N
-    h = cfg.h
-    U = history.U
-    free = free_energy(U, cfg.epsilon)
+    mesh, alpha, h, kappa = config.mesh, config.alpha, config.h, config.kappa
+    g3 = gamma(3.0 - alpha)
+    Q = np.empty(mesh.N)
 
-    D = _sine(np.subtract(U[1:], U[:-1]), overwrite=True)
-    D *= np.sqrt(_neg_h_inv_eigs(cfg.M))
-    p = np.empty(N)
-    Q = np.empty(N)
-    modified = np.empty(N + 1)
-    modified[0] = np.nan
-    g3 = gamma(3.0 - cfg.alpha)
-    for row in kernel_rows(mesh, cfg.alpha):
-        n = row.level
-        np.einsum("ij,j->i", D[:n], D[n - 1], out=p[:n])  # d^k . d^n
+    def term(J, p):
+        n = len(J)
         c = np.cumsum(p[:n - 1][::-1])[::-1]  # sum_{k=j+1}^{n-1} d^k . d^n
         c *= 2.0
         c += p[n - 1]
         Q[:n - 1] += c
         Q[n - 1] = p[n - 1]
-        w = _g_weights(row.J, mesh, cfg.alpha, g3)
-        modified[n] = free[n] + w @ (h * Q[:n]) / cfg.kappa
+        w = _g_weights(J, mesh, alpha, g3)
+        return w @ (h * Q[:n]) / kappa
+
+    return term
+
+
+def _march_terms(march) -> np.ndarray:
+    """The history terms of the modified energy at every level, taken
+    while march (a tfch_solver._March) walks its levels to the end.
+
+    d^k . d^n = du^k' (-H)^{-1} du^n with du^k = u^k - u^{k-1}, so each
+    level's products come from the march's own increments:
+    p = dU[:n] z^n with z^n = S (lam * (S du^n)), S the march's sine
+    matrix. That adds two length-(M-1) and three length-N vectors to the
+    march and no array the size of the run. The products are an einsum,
+    as in energy_series. The two dense transforms round differently from
+    energy_series' FFT, so the terms match its to rounding, not bitwise.
+    Entry 0 is nan.
+    """
+    cfg = march.config
+    N = cfg.mesh.N
+    dU, S = march.dU, march.S
+    lam = _neg_h_inv_eigs(cfg.M)
+    y = np.empty(cfg.M - 1)
+    z = np.empty(cfg.M - 1)
+    term = _history_term(cfg)
+    p = np.empty(N)
+    terms = np.empty(N + 1)
+    terms[0] = np.nan
+    for row in march.levels():
+        n = row.level
+        np.matmul(S, dU[n - 1], out=y)
+        y *= lam
+        np.matmul(S, y, out=z)                             # (-H)^{-1} du^n
+        np.einsum("ij,j->i", dU[:n], z, out=p[:n])         # d^k . d^n
+        terms[n] = term(row.J, p[:n])
+    return terms
+
+
+def _series(history, terms) -> EnergySeries:
+    """The EnergySeries of a run whose modified energy is its free energy
+    plus terms, one history term per level."""
+    cfg, U = history.config, history.U
+    free = free_energy(U, cfg.epsilon)
     return EnergySeries(
-        levels=np.arange(N + 1),
-        times=mesh.nodes.copy(),
+        levels=np.arange(len(U)),
+        times=cfg.mesh.nodes.copy(),
         free_energy=free,
-        modified_energy=modified,
+        modified_energy=free + terms,
         mass=mass(U),
     )
 

@@ -70,6 +70,12 @@ the march is done with (_peak): dU holds the work on U[1:] and the cube
 buffer the work on U[0], so neither pass allocates anything the size of the
 run. Both give the bits of their whole-array forms.
 
+The level loop is one march, _March: it gives each level's KernelRow to
+its caller once, right after U[n] and dU[n-1] are set. solve runs it to
+the end, so solve's results are the march's. tfch-run's modified energy
+reads each level's new increment and row from the same march, through
+dU and S (see diagnostics), so no kernel row is built twice.
+
 Step-size validators (fixed-point solvability, energy dissipation, first
 step, post-run Lipschitz) are evaluated and reported as warnings; they never
 abort a run.
@@ -391,6 +397,164 @@ def _peak(u: np.ndarray, out: np.ndarray) -> float:
     return float(np.max(np.abs(out, out=out)))
 
 
+class _March:
+    """The scheme's march over the mesh, one level at a time.
+
+    Construction does the set-up: the step-ratio warning, the matrices and
+    the arrays of the run. levels() then marches and yields each level's
+    KernelRow once, right after U[n] and dU[n-1] are set, so a caller can
+    read the new increment beside the earlier ones while the row is at hand.
+    Run it to its end before history(), which takes the Lipschitz constant
+    in dU's buffer and returns the RunHistory that solve returns; dU holds
+    no increments after that. A caller may read U, dU and the sine matrix S
+    but must not write them.
+    """
+
+    def __init__(self, config: SolverConfig):
+        mesh = config.mesh
+        alpha, kappa, eps = config.alpha, config.kappa, config.epsilon
+        report = validate_ratio_bound(mesh, alpha)
+        if not report.ok:
+            warnings.warn(
+                "step-ratio bound fails at %d of %d steps (first at k=%d); "
+                "the energy analysis does not cover this mesh"
+                % (len(report.offenders), mesh.N, report.offenders[0]),
+                RuntimeWarning, stacklevel=3)
+
+        M, h = config.M, config.h
+        self.x_full = np.linspace(0.0, 1.0, M + 1)
+        u0 = _initial_values(config, self.x_full)
+        m = M - 1
+        A = a_matrix(M)
+        D = dxx_matrix(M)
+        # K = kappa D + kappa eps^2 D (A^{-1} D) in A^{-1} D's buffer, which
+        # becomes the step matrix L; the one (M-1)^2 temporary becomes S
+        L = lu_solve(lu_factor(A), D)
+        S = D @ L
+        S *= kappa * eps ** 2
+        np.multiply(D, kappa, out=L)
+        L += S
+        L[np.abs(L, out=S) < _K_FLOOR] = 0.0
+        _sine_matrix(S)
+        D *= kappa  # only the sweep's kappa D u^3 term uses D from here on
+        band = np.nonzero(A)  # A's three diagonals
+        # S diag(1 / (B0 a + k)) S is the inverse of B0 A + K in exact
+        # arithmetic
+        a = _tridiag_eigs(1.0 / 12.0, 10.0 / 12.0, m)
+        d = _tridiag_eigs(1.0, -2.0, m) / (h * h)
+        self.config = config
+        self.A, self.D, self.L, self.S = A, D, L, S
+        self.band, self.A_band, self.K_band = band, A[band], L[band]
+        self.a = a
+        self.k = kappa * d + kappa * eps ** 2 * (d * d / a)
+
+        N = mesh.N
+        self.U = np.empty((N + 1, m))
+        self.U[0] = u0[1:-1]
+        self.dU = np.empty((N, m))
+        self.iterations = np.zeros(N, dtype=int)
+        self.residuals = np.zeros(N)
+        self.violations = _step_violations(config)
+        self.cube = np.empty(m)  # u^3, then the correction, then the increment
+
+    def levels(self):
+        """March every level in order; yield its KernelRow once U[n] and
+        dU[n-1] hold it.
+
+        Raises NonconvergenceError if an inner sweep exhausts
+        max_iterations.
+        """
+        config = self.config
+        mesh, x_full = config.mesh, self.x_full
+        A, D, L, S = self.A, self.D, self.L, self.S
+        band, A_band, K_band = self.band, self.A_band, self.K_band
+        a, k = self.a, self.k
+        U, dU = self.U, self.dU
+        iterations, residuals = self.iterations, self.residuals
+        cube = self.cube
+        m = U.shape[1]
+        r = np.empty(m)
+        y = np.empty(m)  # L u, then the sine coefficients of the correction
+        u_bufs = (np.empty(m), np.empty(m))
+
+        for row in kernel_rows(mesh, config.alpha):
+            n, B = row.level, row.B
+            B0 = B[n - 1]
+            hist = B[: n - 1] @ dU[: n - 1]
+            # the zero source's A g is +0.0: adding it turns a -0.0 in const
+            # into +0.0, as adding an averaged source term does
+            ag = 0.0 if config.source is None else _average(
+                _source_values(config, x_full, mesh.nodes[n]))
+            const = A @ (B0 * U[n - 1] - hist) + ag
+            L[band] = A_band * B0 + K_band
+            w = 1.0 / (B0 * a + k)
+
+            u_s = U[n - 1]
+            converged = False
+            for s in range(config.max_iterations):
+                np.multiply(u_s, u_s, out=cube)
+                cube *= u_s
+                np.matmul(D, cube, out=r)
+                r += const
+                r -= np.matmul(L, u_s, out=y)
+                np.matmul(S, r, out=y)
+                y *= w
+                np.matmul(S, y, out=cube)
+                # not u_s's buffer: the increment below reads u_s
+                u_next = np.add(u_s, cube, out=u_bufs[s % 2])
+                np.subtract(u_next, u_s, out=cube)
+                res = np.maximum.reduce(np.abs(cube, out=cube))
+                u_s = u_next
+                if res <= config.iteration_tol:
+                    iterations[n - 1] = s + 1
+                    residuals[n - 1] = res
+                    converged = True
+                    break
+                if not res < math.inf:
+                    # NaN or inf: the cubic overflowed or the data is not
+                    # finite, and the residual carried it through to the
+                    # increment
+                    raise NonconvergenceError(n, math.inf,
+                                              config.max_iterations)
+            if not converged:
+                raise NonconvergenceError(n, float(res), config.max_iterations)
+            U[n] = u_s
+            dU[n - 1] = U[n] - U[n - 1]
+            yield row
+
+    def history(self) -> RunHistory:
+        """The finished run: the post-run Lipschitz validator, the warnings
+        of every breached bound, and the read-only states."""
+        config, U = self.config, self.U
+        mesh = config.mesh
+        alpha, kappa, eps = config.alpha, config.kappa, config.epsilon
+        violations = self.violations
+        # dU and cube are dead once the march is over
+        lip = max(_peak(U[0], self.cube), _peak(U[1:], self.dU))
+        lip_limit = lipschitz_step_bound(alpha, kappa, eps, lip)
+        violations["lipschitz"] = _levels(
+            mesh.steps > lip_limit * (1.0 + _BOUND_SLACK), 1)
+
+        for kind, levels in violations.items():
+            if levels:
+                warnings.warn(
+                    "%s step bound exceeded at %d of %d steps (first at "
+                    "n=%d); the corresponding sufficient condition is not "
+                    "certified" % (kind, len(levels), mesh.N, levels[0]),
+                    RuntimeWarning, stacklevel=3)
+
+        U.flags.writeable = False
+        return RunHistory(
+            config=config,
+            U=U,
+            iterations=self.iterations,
+            residuals=self.residuals,
+            violations={k: tuple(v) for k, v in violations.items()},
+            lipschitz_constant=lip,
+            lipschitz_limit=lip_limit,
+        )
+
+
 def solve(config: SolverConfig) -> RunHistory:
     """March the scheme over the whole mesh and collect diagnostics.
 
@@ -398,114 +562,7 @@ def solve(config: SolverConfig) -> RunHistory:
     Validator breaches are warnings only: the counts land in
     RunHistory.violations.
     """
-    mesh = config.mesh
-    alpha, kappa, eps = config.alpha, config.kappa, config.epsilon
-    report = validate_ratio_bound(mesh, alpha)
-    if not report.ok:
-        warnings.warn(
-            "step-ratio bound fails at %d of %d steps (first at k=%d); "
-            "the energy analysis does not cover this mesh"
-            % (len(report.offenders), mesh.N, report.offenders[0]),
-            RuntimeWarning, stacklevel=2)
-
-    M, h = config.M, config.h
-    x_full = np.linspace(0.0, 1.0, M + 1)
-    u0 = _initial_values(config, x_full)
-    m = M - 1
-    A = a_matrix(M)
-    D = dxx_matrix(M)
-    # K = kappa D + kappa eps^2 D (A^{-1} D) in A^{-1} D's buffer, which
-    # becomes the step matrix L; the one (M-1)^2 temporary becomes S
-    L = lu_solve(lu_factor(A), D)
-    S = D @ L
-    S *= kappa * eps ** 2
-    np.multiply(D, kappa, out=L)
-    L += S
-    L[np.abs(L, out=S) < _K_FLOOR] = 0.0
-    _sine_matrix(S)
-    D *= kappa  # only the sweep's kappa D u^3 term uses D from here on
-    band = np.nonzero(A)  # A's three diagonals
-    A_band, K_band = A[band], L[band]
-    # S diag(1 / (B0 a + k)) S is the inverse of B0 A + K in exact arithmetic
-    a = _tridiag_eigs(1.0 / 12.0, 10.0 / 12.0, m)
-    d = _tridiag_eigs(1.0, -2.0, m) / (h * h)
-    k = kappa * d + kappa * eps ** 2 * (d * d / a)
-
-    N = mesh.N
-    U = np.empty((N + 1, m))
-    U[0] = u0[1:-1]
-    dU = np.empty((N, m))
-    iterations = np.zeros(N, dtype=int)
-    residuals = np.zeros(N)
-    violations = _step_violations(config)
-    cube = np.empty(m)  # u^3, then the correction, then the increment
-    r = np.empty(m)
-    y = np.empty(m)     # L u, then the sine coefficients of the correction
-    u_bufs = (np.empty(m), np.empty(m))
-
-    for row in kernel_rows(mesh, alpha):
-        n, B = row.level, row.B
-        B0 = B[n - 1]
-        hist = B[: n - 1] @ dU[: n - 1]
-        # the zero source's A g is +0.0: adding it turns a -0.0 in const
-        # into +0.0, as adding an averaged source term does
-        ag = 0.0 if config.source is None else _average(
-            _source_values(config, x_full, mesh.nodes[n]))
-        const = A @ (B0 * U[n - 1] - hist) + ag
-        L[band] = A_band * B0 + K_band
-        w = 1.0 / (B0 * a + k)
-
-        u_s = U[n - 1]
-        converged = False
-        for s in range(config.max_iterations):
-            np.multiply(u_s, u_s, out=cube)
-            cube *= u_s
-            np.matmul(D, cube, out=r)
-            r += const
-            r -= np.matmul(L, u_s, out=y)
-            np.matmul(S, r, out=y)
-            y *= w
-            np.matmul(S, y, out=cube)
-            # not u_s's buffer: the increment below reads u_s
-            u_next = np.add(u_s, cube, out=u_bufs[s % 2])
-            np.subtract(u_next, u_s, out=cube)
-            res = np.maximum.reduce(np.abs(cube, out=cube))
-            u_s = u_next
-            if res <= config.iteration_tol:
-                iterations[n - 1] = s + 1
-                residuals[n - 1] = res
-                converged = True
-                break
-            if not res < math.inf:
-                # NaN or inf: the cubic overflowed or the data is not finite,
-                # and the residual carried it through to the increment
-                raise NonconvergenceError(n, math.inf, config.max_iterations)
-        if not converged:
-            raise NonconvergenceError(n, float(res), config.max_iterations)
-        U[n] = u_s
-        dU[n - 1] = U[n] - U[n - 1]
-
-    # dU and cube are dead once the march is over
-    lip = max(_peak(U[0], cube), _peak(U[1:], dU))
-    lip_limit = lipschitz_step_bound(alpha, kappa, eps, lip)
-    violations["lipschitz"] = _levels(
-        mesh.steps > lip_limit * (1.0 + _BOUND_SLACK), 1)
-
-    for kind, levels in violations.items():
-        if levels:
-            warnings.warn(
-                "%s step bound exceeded at %d of %d steps (first at n=%d); "
-                "the corresponding sufficient condition is not certified"
-                % (kind, len(levels), N, levels[0]),
-                RuntimeWarning, stacklevel=2)
-
-    U.flags.writeable = False
-    return RunHistory(
-        config=config,
-        U=U,
-        iterations=iterations,
-        residuals=residuals,
-        violations={k: tuple(v) for k, v in violations.items()},
-        lipschitz_constant=lip,
-        lipschitz_limit=lip_limit,
-    )
+    march = _March(config)
+    for _ in march.levels():
+        pass
+    return march.history()

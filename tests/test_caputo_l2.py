@@ -10,6 +10,8 @@ Two independent oracles pin the kernel stack:
     the full six-case assembly of the convolution kernels.
 """
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -386,6 +388,67 @@ def test_rho_star_is_the_q2_root():
     assert rho_star(1.0) == pytest.approx(4.864536512317584, rel=1e-12)
     with pytest.raises(ValueError):
         rho_star(0.0)
+
+
+def _rho_star_unguarded(alpha):
+    """rho_star without its smallest-alpha check: the bisection and Newton
+    steps as they stand in rho_star."""
+    lo, hi = 1.0 + 1.0 / alpha, 10.0 + 20.0 / alpha
+    if not (q2(lo, alpha) > 0.0 > q2(hi, alpha)):
+        raise ArithmeticError("q2 does not change sign on the bracket")
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if q2(mid, alpha) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    r = 0.5 * (lo + hi)
+    for _ in range(2):
+        slope = 1.0 / alpha + 1.0 - (2.0 - 0.5 * alpha) * r ** (1.0 - 0.5 * alpha)
+        r -= q2(r, alpha) / slope
+    return float(r)
+
+
+def test_rho_star_refuses_alpha_below_its_smallest():
+    # Below the smallest alpha the bracket top's q2 overflows; rho_star
+    # names that alpha in a ValueError and warns about nothing.
+    smallest = caputo_l2._RHO_STAR_ALPHA_MIN
+    below = float(np.nextafter(smallest, 0.0))
+    for alpha in (below, 1e-200, 1e-300, 5e-324):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=repr(smallest)):
+                rho_star(alpha)
+    # the bound is tight: q2 overflows at the next float's bracket top,
+    # not at the bound's
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        q2(10.0 + 20.0 / below, below)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(q2(10.0 + 20.0 / smallest, smallest))
+        assert np.isfinite(rho_star(smallest))
+
+
+def test_rho_star_unchanged_where_it_worked():
+    # On a grid from the smallest alpha to 1, every alpha where the
+    # unguarded steps finish without a warning gives the same bits.
+    # Rounding in q2 at the bracket bottom makes some alpha below 1.2e-16
+    # fail the sign test in both; those are left out.
+    smallest = caputo_l2._RHO_STAR_ALPHA_MIN
+    grid = [smallest, float(np.nextafter(smallest, 1.0))]
+    grid += [float(a) for a in np.geomspace(smallest, 1.0, 600)]
+    grid += [float(a) for a in np.linspace(0.001, 1.0, 200)]
+    checked = 0
+    for alpha in grid:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                want = _rho_star_unguarded(alpha)
+            except ArithmeticError:
+                continue
+            assert rho_star(alpha) == want, alpha
+            checked += 1
+    assert checked >= 0.9 * len(grid)
 
 
 def test_rho_star_never_dips_below_the_pivot_ratio():

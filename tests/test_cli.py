@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tfch import temporal_mesh
+from tfch import caputo_l2, temporal_mesh
 from tfch.cli import main
 
 
@@ -78,12 +78,18 @@ class TestRhoStar:
         assert "fixed point" in capsys.readouterr().out
 
     def test_failing_threshold_writes_nothing(self, tmp_path, capsys):
-        # q2 overflows at rho_star's bracket top 10 + 20/alpha, so the
-        # threshold fails after the flags were accepted
+        # q2 would overflow at rho_star's bracket top 10 + 20/alpha, so
+        # rho_star refuses the alpha after the flags were accepted: a usage
+        # error, with no overflow warning and no file
         out = tmp_path / "new"
-        assert _run(["rho-star", "--alphas", "0.5,1e-300", "--q3",
-                     "--fixed-point", "--out", str(out)]) == 1
-        assert "does not change sign" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["rho-star", "--alphas", "0.5,1e-300", "--q3",
+                       "--fixed-point", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert repr(caputo_l2._RHO_STAR_ALPHA_MIN) in err
         assert not out.exists()
 
     def test_alpha_out_of_range_exits_2(self, tmp_path):
@@ -307,6 +313,22 @@ class TestTfchRun:
         t_lines = _read(tmp_path / "terminal_state.csv").strip().split("\n")
         assert t_lines[0] == "x,u"
         assert len(t_lines) == 10
+
+    def test_builds_each_kernel_row_once(self, tmp_path, monkeypatch):
+        # one march gives each level's row to the step and the energy: the
+        # history entries (k < n) of N levels number N(N-1)/2
+        entries = []
+        history = caputo_l2._cd_history
+
+        def counting(a, *args):
+            entries.append(a.size)
+            return history(a, *args)
+
+        monkeypatch.setattr(caputo_l2, "_cd_history", counting)
+        N = 30
+        assert _run(["tfch-run", "--alpha", "0.5", "--N", str(N), "--M", "8",
+                     "--out", str(tmp_path)]) == 0
+        assert sum(entries) == N * (N - 1) // 2
 
     def test_negative_dump_states_exits_2_before_output(self, tmp_path,
                                                         capsys):

@@ -19,9 +19,9 @@ import pytest
 import scipy.linalg
 from scipy.special import gamma
 
-from tfch import diagnostics
-from tfch.caputo_l2 import kernel_row_J
-from tfch.compact_spatial import a_matrix, dxx_matrix, quad_negH
+from tfch import cli, diagnostics
+from tfch.caputo_l2 import kernel_row_J, kernel_rows
+from tfch.compact_spatial import _sine_matrix, a_matrix, dxx_matrix, quad_negH
 from tfch.diagnostics import (
     G_functional,
     convergence_order,
@@ -84,6 +84,47 @@ def _longdouble_negative_norms(X, M):
     AX = np.pad(X, [(0, 0), (1, 1)])
     AX = (AX[:, :-2] + 10 * AX[:, 1:-1] + AX[:, 2:]) / 12
     return h ** 3 * np.einsum("ij,ij->i", X, AX @ G)
+
+
+def _slow_walk(base):
+    """A 40-level run at M = 64 and kappa = 1e-20 whose states walk by
+    uniform steps of 1e-7 from the bump ("bump") or a random state."""
+    N, M = 40, 64
+    cfg = dataclasses.replace(_graded_config(N, M), kappa=1e-20)
+    rng = np.random.default_rng(11)
+    U = np.empty((N + 1, M - 1))
+    U[0] = (_interior(quartic_bump, M) if base == "bump"
+            else rng.uniform(-1.0, 1.0, M - 1))
+    for n in range(1, N + 1):
+        U[n] = U[n - 1] + 1e-7 * rng.uniform(-1.0, 1.0, M - 1)
+    return dataclasses.replace(_random_history(cfg, 0), U=U)
+
+
+def _assert_longdouble_history_terms(run, terms):
+    """terms[n] kappa, n >= 1, is within 1e-13 of the level-n weights
+    applied to longdouble negative-order norms of u^n - u^j."""
+    cfg, U, M = run.config, run.U, run.config.M
+    for n in range(1, cfg.mesh.N + 1):
+        Q = _longdouble_negative_norms(U[n].astype(np.longdouble) - U[:n], M)
+        w = diagnostics._g_weights(kernel_row_J(n, cfg.mesh, cfg.alpha),
+                                   cfg.mesh, cfg.alpha, gamma(3.0 - cfg.alpha))
+        exact = float(w.astype(np.longdouble) @ Q)
+        got = terms[n] * cfg.kappa
+        assert abs(got - exact) <= 1e-13 * exact, n
+
+
+class _Replay:
+    """Stands in for a march of run's states: the increments and sine
+    matrix a march would hold, and its levels' kernel rows."""
+
+    def __init__(self, run):
+        self.config = run.config
+        self.dU = np.diff(run.U, axis=0)
+        m = run.config.M - 1
+        self.S = _sine_matrix(np.empty((m, m)))
+
+    def levels(self):
+        return kernel_rows(self.config.mesh, self.config.alpha)
 
 
 # Runs in a child process: energy_series of a pickled history, saved as npz.
@@ -273,25 +314,18 @@ class TestModifiedEnergy:
         # separately transformed states would lose the states' size over
         # the increment's to cancellation, 1.2e-10 and 2.4e-9 here; summing
         # products of transformed increments gives 6.6e-16.
-        N, M, kappa = 40, 64, 1e-20
-        cfg = dataclasses.replace(_graded_config(N, M), kappa=kappa)
-        rng = np.random.default_rng(11)
-        U = np.empty((N + 1, M - 1))
-        U[0] = (_interior(quartic_bump, M) if base == "bump"
-                else rng.uniform(-1.0, 1.0, M - 1))
-        for n in range(1, N + 1):
-            U[n] = U[n - 1] + 1e-7 * rng.uniform(-1.0, 1.0, M - 1)
-        run = dataclasses.replace(_random_history(cfg, 0), U=U)
+        run = _slow_walk(base)
         series = energy_series(run)
-        for n in range(1, N + 1):
-            Q = _longdouble_negative_norms(
-                U[n].astype(np.longdouble) - U[:n], M)
-            w = diagnostics._g_weights(kernel_row_J(n, cfg.mesh, cfg.alpha),
-                                       cfg.mesh, cfg.alpha,
-                                       gamma(3.0 - cfg.alpha))
-            exact = float(w.astype(np.longdouble) @ Q)
-            got = (series.modified_energy[n] - series.free_energy[n]) * kappa
-            assert abs(got - exact) <= 1e-13 * exact, n
+        _assert_longdouble_history_terms(
+            run, series.modified_energy - series.free_energy)
+
+    @pytest.mark.parametrize("base", ["bump", "uniform"])
+    def test_online_history_term_matches_longdouble_closed_form(self, base):
+        # The same walk and bound, with each level's products taken as a
+        # march takes them: d^k . d^n = du^k' (-H)^{-1} du^n.
+        run = _slow_walk(base)
+        _assert_longdouble_history_terms(
+            run, diagnostics._march_terms(_Replay(run)))
 
     def test_free_energies_and_masses_match_per_state_functions(self):
         hist = _small_run(alpha=0.5, N=24, M=16)
@@ -368,6 +402,36 @@ class TestModifiedEnergy:
         assert sorted(runs[0]) == ["free_energy", "mass", "modified_energy"]
         for name, values in runs[0].items():
             assert values.tobytes() == runs[1][name].tobytes(), name
+
+
+class TestOnlineFeed:
+    """The modified energy tfch-run takes from its one march against
+    energy_series of the same run."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    @pytest.mark.parametrize("M", [16, 64])
+    def test_matches_energy_series(self, alpha, M):
+        cfg = SolverConfig(alpha=alpha, kappa=0.01, epsilon=0.1,
+                           mesh=build_graded_cubic(40, 1.0), M=M,
+                           initial=quartic_bump)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            hist, terms = cli._run_with_energy(cfg)
+            ref = solve(cfg)
+        # the march is solve's, bit for bit
+        for name in ("U", "iterations", "residuals"):
+            assert getattr(hist, name).tobytes() == \
+                getattr(ref, name).tobytes(), name
+        assert hist.violations == ref.violations
+        assert hist.lipschitz_constant == ref.lipschitz_constant
+        assert hist.lipschitz_limit == ref.lipschitz_limit
+        online, offline = diagnostics._series(hist, terms), energy_series(ref)
+        for name in ("levels", "times", "free_energy", "mass"):
+            assert getattr(online, name).tobytes() == \
+                getattr(offline, name).tobytes(), name
+        assert np.isnan(online.modified_energy[0])
+        got, want = online.modified_energy[1:], offline.modified_energy[1:]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 class TestSummationByParts:

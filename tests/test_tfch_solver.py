@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import lu_factor as scipy_lu_factor
 from scipy.linalg import lu_solve as scipy_lu_solve
 
-from tfch import tfch_solver
+from tfch import cli, tfch_solver
 from tfch._longdouble import longdouble_sweep
 from tfch.caputo_l2 import kernel_row_B
 from tfch.compact_spatial import (_sine_matrix, _tridiag_eigs, a_matrix,
@@ -627,9 +627,29 @@ class TestPeakMemory:
         # case and M is large in the second.
         cfg = _config(mesh=build_graded_cubic(N, 1.0), M=M)
         peak = traced_peak(lambda: _solve_quiet(cfg))
-        bound = (2 * 8 * (N + 1) * (M - 1) + 4 * 8 * (M - 1) ** 2
-                 + row_stream_peak(cfg.mesh, cfg.alpha) + 128 * 1024)
-        assert peak <= bound
+        assert peak <= _march_bound(cfg, row_stream_peak)
+
+    @pytest.mark.parametrize("N, M", [(1000, 100), (200, 512)])
+    def test_tfch_run_march_keeps_the_bound(self, N, M, traced_peak,
+                                            row_stream_peak):
+        # tfch-run's march feeds the modified energy online from dU and S:
+        # it adds vectors only, so solve's bound holds unchanged
+        cfg = _config(mesh=build_graded_cubic(N, 1.0), M=M)
+
+        def run():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                cli._run_with_energy(cfg)
+
+        assert traced_peak(run) <= _march_bound(cfg, row_stream_peak)
+
+
+def _march_bound(cfg, row_stream_peak):
+    """Bytes a march may add: U and dU, the four (M-1)^2 matrices, the
+    kernel row stream's block workspace and 128 KiB of vectors."""
+    N, M = cfg.mesh.N, cfg.M
+    return (2 * 8 * (N + 1) * (M - 1) + 4 * 8 * (M - 1) ** 2
+            + row_stream_peak(cfg.mesh, cfg.alpha) + 128 * 1024)
 
 
 class TestRelaxedRatioBand:
