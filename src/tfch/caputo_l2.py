@@ -55,12 +55,12 @@ __all__ = [
 # the underlying minimum of rho_star but theta never consumes that output.
 RHO_BAR = 4.7476114
 
-# The smallest alpha rho_star takes. q2 squares the bracket top
-# 10 + 20/alpha (2 - alpha/2 rounds to 2 for so small an alpha), and the
-# square overflows at the next float below: q2 turns -inf there, and lower
-# still inf - inf makes it nan. From this alpha up, no step of rho_star
-# overflows.
-_RHO_STAR_ALPHA_MIN = 1.4916681462400416e-153
+# The smallest alpha rho_star takes. At the bracket bottom 1 + 1/alpha, q2
+# is about 1/alpha, the difference of terms near 1/alpha^2, so its rounding
+# error grows as alpha falls: against 200-bit q2 it reached 0.2 of q2 in
+# [1e-15, 1e-14] and 2.1 in [1e-17, 1e-16], where the sign test fails on
+# some alpha up to about 1.1e-16. None of 8000 in [1e-15, 1e-12] fails.
+_RHO_STAR_ALPHA_MIN = 1e-15
 
 # The second-difference kernel d is evaluated through G(eps) below, whose
 # Taylor expansion at eps = 0 starts at eps^3. The series branch covers
@@ -411,15 +411,15 @@ def rho_star(alpha: float) -> float:
     rises to an interior maximum left of the bracket and decreases after),
     then two Newton steps to push |q2| at the result below 1e-12.
 
-    alpha must lie in [_RHO_STAR_ALPHA_MIN, 1], about [1.5e-153, 1];
-    ValueError otherwise.
+    alpha must lie in [_RHO_STAR_ALPHA_MIN, 1] = [1e-15, 1]; ValueError
+    otherwise.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0,1]")
     if alpha < _RHO_STAR_ALPHA_MIN:
         raise ValueError(
             "alpha %r is below %r, the smallest rho_star takes: q2 "
-            "overflows at the bracket top 10 + 20/alpha"
+            "rounds to noise at the bracket bottom 1 + 1/alpha"
             % (alpha, _RHO_STAR_ALPHA_MIN))
     lo = 1.0 + 1.0 / alpha
     hi = 10.0 + 20.0 / alpha

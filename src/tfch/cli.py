@@ -46,7 +46,6 @@ from .caputo_l2 import (
 )
 from .tfch_solver import (
     SolverConfig,
-    _March,
     manufactured_solution,
     quartic_bump,
     solve,
@@ -270,8 +269,8 @@ def _cmd_rho_star(args) -> int:
         if not 0.0 < r < np.inf:
             raise UsageError("q3 ratio %g must be finite and positive" % r)
     # Compute every table before opening a file, so that a failing value
-    # writes nothing. An alpha too small for rho_star (below about
-    # 1.5e-153) is a usage error.
+    # writes nothing. An alpha too small for rho_star (below 1e-15) is a
+    # usage error.
     tables = {"rho_star.csv": io.StringIO()}
     with _flag_values():
         write_rho_star_csv(args.alphas, tables["rho_star.csv"])
@@ -351,11 +350,10 @@ def _cmd_mesh(args) -> int:
         if not 1 <= args.kernel_level <= mesh.N:
             raise UsageError("--kernel-level %d outside 1..%d"
                              % (args.kernel_level, mesh.N))
-    temporal_mesh.write_mesh_csv(mesh, _out_path(args, "mesh.csv"))
-    outputs = ["mesh.csv"]
     notes = []
     if args.alpha is not None:
-        report = temporal_mesh.validate_ratio_bound(mesh, args.alpha)
+        with _flag_values():  # rho_star refuses an alpha below its floor
+            report = temporal_mesh.validate_ratio_bound(mesh, args.alpha)
         if report.ok:
             notes.append("ratio bound holds: all ratios within [1, %s]"
                          % fmt(report.rho_star))
@@ -365,10 +363,12 @@ def _cmd_mesh(args) -> int:
                                            report.offenders[0],
                                            fmt(report.rho_star)))
         print(notes[-1])
-        if args.kernel_level is not None:
-            write_kernel_row_csv(args.kernel_level, mesh, args.alpha,
-                                 _out_path(args, "kernel_row.csv"))
-            outputs.append("kernel_row.csv")
+    temporal_mesh.write_mesh_csv(mesh, _out_path(args, "mesh.csv"))
+    outputs = ["mesh.csv"]
+    if args.kernel_level is not None:
+        write_kernel_row_csv(args.kernel_level, mesh, args.alpha,
+                             _out_path(args, "kernel_row.csv"))
+        outputs.append("kernel_row.csv")
     _write_meta(args, outputs, notes)
     return 0
 
@@ -447,21 +447,11 @@ def _cmd_tfch_convergence(args) -> int:
          for alpha, cfgs in zip(args.alphas, configs)))
 
 
-def _write_state_csv(state, path: str) -> None:
-    x = np.linspace(state.domain[0], state.domain[1], state.values.size)
-    write_csv(path, "x,u", zip(x, state.values))
-
-
-def _run_with_energy(config):
-    """solve(config)'s RunHistory and the history terms of its modified
-    energy, from one march that builds each kernel row once.
-
-    The march's increments and matrices are released on return, before
-    the free energies are taken from the states.
-    """
-    march = _March(config)
-    terms = diagnostics._march_terms(march)
-    return march.history(), terms
+def _write_state_csv(u, path: str) -> None:
+    """Write `x,u` over the closed grid: the interior values u between
+    the two zero boundary values."""
+    values = np.pad(u, 1)
+    write_csv(path, "x,u", zip(np.linspace(0.0, 1.0, values.size), values))
 
 
 def _cmd_tfch_run(args) -> int:
@@ -472,10 +462,9 @@ def _cmd_tfch_run(args) -> int:
     mesh = _build_mesh(args)
     initial = quartic_bump if args.initial == "quartic-bump" else _zero_initial
     source = None if args.source == "none" else "manufactured"
-    history, terms = _run_with_energy(_config(
+    history, series = diagnostics._run_series(_config(
         args, args.alpha, mesh, source=source, initial=initial,
         max_iterations=args.max_iterations))
-    series = diagnostics._series(history, terms)
 
     diagnostics.write_energy_csv(series, _out_path(args, "energy.csv"))
     diagnostics.write_mass_csv(series, _out_path(args, "mass.csv"))
@@ -484,11 +473,11 @@ def _cmd_tfch_run(args) -> int:
     write_csv(_out_path(args, "validators.csv"), "kind,violations,first_level",
               ((kind, len(levels), levels[0] if levels else "")
                for kind, levels in sorted(history.violations.items())))
-    _write_state_csv(history.terminal, _out_path(args, "terminal_state.csv"))
+    _write_state_csv(history.U[-1], _out_path(args, "terminal_state.csv"))
     if args.dump_states > 0:
         for n in range(0, mesh.N + 1, args.dump_states):
             name = "state_%04d.csv" % n
-            _write_state_csv(history.state(n), _out_path(args, name))
+            _write_state_csv(history.U[n], _out_path(args, name))
             outputs.append(name)
 
     notes = ["iterations total=%d max=%d" % (history.iterations.sum(),
@@ -512,11 +501,15 @@ def _cmd_tfch_run(args) -> int:
 def _cmd_manufactured(args) -> int:
     outputs = []
     notes = []
-    for N, mesh in zip(args.Ns, _graded_meshes(args.Ns, args.T)):
+    # every config before the first run, so that a refused value writes
+    # nothing
+    configs = [[_config(args, alpha, mesh, source="manufactured",
+                        initial=_zero_initial) for alpha in args.alphas]
+               for mesh in _graded_meshes(args.Ns, args.T)]
+    for N, runs in zip(args.Ns, configs):
         detail, summary = [], []
-        for alpha in args.alphas:
-            history = solve(_config(args, alpha, mesh, source="manufactured",
-                                    initial=_zero_initial))
+        for alpha, cfg in zip(args.alphas, runs):
+            history = solve(cfg)
             x = np.linspace(0.0, 1.0, args.M + 1)
             exact = manufactured_solution(x, args.T, alpha)
             numeric = history.terminal.values

@@ -4,22 +4,17 @@ mass and free_energy take interior values, one state or a (N+1, M-1) run,
 and reduce along the last axis. The gradient part of the free energy is
 (-H u, u), which quad_negH evaluates in the sine basis: (-H)^{-1} is
 diagonal there with positive eigenvalues lam, so (-H u, u) is
-h sum_k (S u)_k^2 / lam_k. The modified energy augments the free energy with
-a weighted history of negative-order norms of increments, built from the
-auxiliary J kernels; one recurrence, _history_term, carries each such norm
-from one level to the next as a sum of products d^k . d^n of transformed
-increments d^k = sqrt(lam) S (u^k - u^{k-1}). It is fed in two ways.
-energy_series feeds it offline, from a finished run: it transforms the
-increments in place and walks the kernel rows itself. tfch-run feeds it
-online (_march_terms), from the solver's march, which hands over each
-level's kernel row as the level is set. Since
-d^k . d^n = du^k' (-H)^{-1} du^n, the products come from the march's own
-increments du^k and z^n = S (lam * (S du^n)) with the march's sine matrix,
-without a second pass over the rows. Rounding can take a norm that is zero in
-exact arithmetic slightly below zero; none is clamped. The dissipation
-estimate states exactly that the modified energy never
-increases, so these routines are both the experiment observables and the
-acceptance instruments.
+h sum_k (S u)_k^2 / lam_k. The modified energy adds to the free energy a
+weighted history of negative-order norms of increments, built from the
+auxiliary J kernels. One loop, _history_terms, carries these norms from
+level to level through the products d^k . d^n of transformed increments
+d^k = sqrt(lam) S (u^k - u^{k-1}); its caller hands it the kernel rows and
+the products. energy_series feeds it offline, from a finished run.
+_run_series, tfch-run's one call, feeds it online from the solver's march
+(_march_terms), so that each kernel row is built once. The dissipation
+estimate states exactly that the modified energy never increases, so these
+routines are both the experiment observables and the acceptance
+instruments.
 """
 
 from __future__ import annotations
@@ -34,6 +29,7 @@ from ._gamma import gamma
 from .caputo_l2 import kernel_row_J, kernel_rows
 from .compact_spatial import _neg_h_inv_eigs, _sine, _width, quad_negH
 from .temporal_mesh import TemporalMesh
+from .tfch_solver import _March
 
 __all__ = [
     "EnergySeries",
@@ -132,46 +128,40 @@ def energy_series(history) -> EnergySeries:
     energies and masses are free_energy(history.U, epsilon) and
     mass(history.U).
 
-    (-H)^{-1} = S diag(lam) S with S the orthonormal DST-I and lam > 0, so
-    the negative-order norm (v, (-H)^{-1} v) is h |sqrt(lam) S v|^2. The
-    increments are transformed once, in place, into D, row k-1 holding
-    d^k = sqrt(lam) S (u^k - u^{k-1}), the pass's one array the size of
-    the run. Each level's products p_k = d^k . d^n over D[:n] feed
-    _history_term, which carries the norms from level to level. The
-    product is an einsum, not a BLAS matmul, so the bits do not depend on
-    the BLAS thread count.
+    (-H)^{-1} = S diag(lam) S with S the orthonormal DST-I, so the norm
+    is h |sqrt(lam) S v|^2. The increments are transformed once, in place,
+    into D, row k-1 holding d^k, the pass's one array the size of the run.
+    The products are an einsum, not a BLAS matmul, so the bits do not
+    depend on the BLAS thread count.
     """
     cfg = history.config
-    N = cfg.mesh.N
     D = _sine(np.subtract(history.U[1:], history.U[:-1]), overwrite=True)
     D *= np.sqrt(_neg_h_inv_eigs(cfg.M))
-    term = _history_term(cfg)
-    p = np.empty(N)
-    terms = np.empty(N + 1)
-    terms[0] = np.nan
-    for row in kernel_rows(cfg.mesh, cfg.alpha):
-        n = row.level
-        np.einsum("ij,j->i", D[:n], D[n - 1], out=p[:n])  # d^k . d^n
-        terms[n] = term(row.J, p[:n])
+
+    def products(n, out):
+        np.einsum("ij,j->i", D[:n], D[n - 1], out=out)  # d^k . d^n
+
+    terms = _history_terms(cfg, kernel_rows(cfg.mesh, cfg.alpha), products)
     del D  # before free_energy's temporaries, so one run-sized array at a time
     return _series(history, terms)
 
 
-def _history_term(config):
-    """The history term of the modified energy, one level at a time.
+def _history_terms(config, rows, products) -> np.ndarray:
+    """The history terms of the modified energy at every level: the
+    modified energy less the free energy, entry 0 nan.
 
-    Returns term(J, p), to be called for n = 1..N in order with level n's
-    J row and the products p[k-1] = d^k . d^n, k = 1..n, of the transformed
-    increments d^k = sqrt(lam) S (u^k - u^{k-1}) (energy_series). It
-    returns (1/kappa) sum_j w_j h Q_n[j], the modified energy at level n
-    less the free energy, with w from _g_weights. With
+    rows yields each level's KernelRow for n = 1..N in order, and
+    products(n, out) writes into out the products out[k-1] = d^k . d^n,
+    k = 1..n, of the transformed increments
+    d^k = sqrt(lam) S (u^k - u^{k-1}). Level n's term is
+    (1/kappa) sum_j w_j h Q_n[j], with w from _g_weights. With
     Q_n[j] = |w^n - w^j|^2 and w^j = sqrt(lam) S u^j, the recurrence
 
         Q_n[j] = Q_{n-1}[j] + 2 sum_{k=j+1}^{n-1} d^k . d^n + |d^n|^2,
         Q_n[n-1] = |d^n|^2,
 
-    updates every norm of level n from p and a reversed cumulative sum of
-    it, O(N^2 M) in all with the products.
+    updates every norm of level n from the products and a reversed
+    cumulative sum of them, O(N^2 M) in all with the products.
 
     The recurrence only sums products of increments; it never forms the
     |w^n|^2 - 2 w^n.w^j + |w^j|^2 expansion, whose terms cancel. Its
@@ -186,52 +176,56 @@ def _history_term(config):
     """
     mesh, alpha, h, kappa = config.mesh, config.alpha, config.h, config.kappa
     g3 = gamma(3.0 - alpha)
-    Q = np.empty(mesh.N)
-
-    def term(J, p):
-        n = len(J)
+    N = mesh.N
+    p = np.empty(N)
+    Q = np.empty(N)
+    terms = np.empty(N + 1)
+    terms[0] = np.nan
+    for row in rows:
+        n = row.level
+        products(n, p[:n])
         c = np.cumsum(p[:n - 1][::-1])[::-1]  # sum_{k=j+1}^{n-1} d^k . d^n
         c *= 2.0
         c += p[n - 1]
         Q[:n - 1] += c
         Q[n - 1] = p[n - 1]
-        w = _g_weights(J, mesh, alpha, g3)
-        return w @ (h * Q[:n]) / kappa
-
-    return term
+        w = _g_weights(row.J, mesh, alpha, g3)
+        terms[n] = w @ (h * Q[:n]) / kappa
+    return terms
 
 
 def _march_terms(march) -> np.ndarray:
-    """The history terms of the modified energy at every level, taken
-    while march (a tfch_solver._March) walks its levels to the end.
-
-    d^k . d^n = du^k' (-H)^{-1} du^n with du^k = u^k - u^{k-1}, so each
-    level's products come from the march's own increments:
-    p = dU[:n] z^n with z^n = S (lam * (S du^n)), S the march's sine
-    matrix. That adds two length-(M-1) and three length-N vectors to the
-    march and no array the size of the run. The products are an einsum,
-    as in energy_series. The two dense transforms round differently from
-    energy_series' FFT, so the terms match its to rounding, not bitwise.
-    Entry 0 is nan.
+    """_history_terms fed while march (a tfch_solver._March) walks its
+    levels to the end, from the march's own increments du^k:
+    d^k . d^n = du^k' z^n with z^n = (-H)^{-1} du^n = S (lam * (S du^n)),
+    S the march's sine matrix. That adds vectors only, no array the size of
+    the run. The products are an einsum, as in energy_series, but the two
+    dense transforms round differently from its FFT, so the terms match
+    its to rounding, not bitwise.
     """
     cfg = march.config
-    N = cfg.mesh.N
     dU, S = march.dU, march.S
     lam = _neg_h_inv_eigs(cfg.M)
     y = np.empty(cfg.M - 1)
     z = np.empty(cfg.M - 1)
-    term = _history_term(cfg)
-    p = np.empty(N)
-    terms = np.empty(N + 1)
-    terms[0] = np.nan
-    for row in march.levels():
-        n = row.level
+
+    def products(n, out):
         np.matmul(S, dU[n - 1], out=y)
-        y *= lam
-        np.matmul(S, y, out=z)                             # (-H)^{-1} du^n
-        np.einsum("ij,j->i", dU[:n], z, out=p[:n])         # d^k . d^n
-        terms[n] = term(row.J, p[:n])
-    return terms
+        np.multiply(y, lam, out=y)
+        np.matmul(S, y, out=z)                        # (-H)^{-1} du^n
+        np.einsum("ij,j->i", dU[:n], z, out=out)      # d^k . d^n
+
+    return _history_terms(cfg, march.levels(), products)
+
+
+def _run_series(config):
+    """solve(config)'s RunHistory and its EnergySeries, from one march that
+    builds each kernel row once (_march_terms)."""
+    march = _March(config)
+    terms = _march_terms(march)
+    history = march.history()
+    del march  # its increments and matrices, before free_energy's temporaries
+    return history, _series(history, terms)
 
 
 def _series(history, terms) -> EnergySeries:

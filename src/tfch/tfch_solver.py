@@ -72,9 +72,10 @@ run. Both give the bits of their whole-array forms.
 
 The level loop is one march, _March: it gives each level's KernelRow to
 its caller once, right after U[n] and dU[n-1] are set. solve runs it to
-the end, so solve's results are the march's. tfch-run's modified energy
-reads each level's new increment and row from the same march, through
-dU and S (see diagnostics), so no kernel row is built twice.
+the end, so solve's results are the march's. tfch-run calls
+diagnostics._run_series, which runs the same march and feeds the modified
+energy each level's row and new increment through dU and S, so no kernel
+row is built twice.
 
 Step-size validators (fixed-point solvability, energy dissipation, first
 step, post-run Lipschitz) are evaluated and reported as warnings; they never
@@ -92,7 +93,8 @@ import numpy as np
 
 from ._gamma import gamma
 # kernel_row_B is unused here but stays importable: bench/spans.py wraps it.
-from .caputo_l2 import kernel_row_B, kernel_rows, q  # noqa: F401
+from .caputo_l2 import (_RHO_STAR_ALPHA_MIN, kernel_row_B,  # noqa: F401
+                        kernel_rows, q)
 from .compact_spatial import (_average, _sine_matrix, _tridiag_eigs, a_matrix,
                               dxx_matrix)
 from .temporal_mesh import TemporalMesh, validate_ratio_bound
@@ -143,7 +145,8 @@ class SolverConfig:
     ValueError on values of any other shape. initial is a callable
     x_array -> values on the M+1 nodes, refused like a source's otherwise;
     only its interior entries are read, and u^0's boundary values are zero,
-    as the scheme pins them.
+    as the scheme pins them. alpha lies in [1e-15, 1): the step-ratio check
+    takes rho_star(alpha), which refuses a smaller alpha.
     """
 
     alpha: float
@@ -159,6 +162,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0,1)")
+        if self.alpha < _RHO_STAR_ALPHA_MIN:
+            raise ValueError("alpha %r is below %r, the smallest alpha the "
+                             "step-ratio check takes"
+                             % (self.alpha, _RHO_STAR_ALPHA_MIN))
         for name in ("kappa", "epsilon", "iteration_tol"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite" % name)
@@ -206,7 +213,7 @@ class RunHistory:
 
     U is the read-only (N+1, M-1) array of interior values that solve
     marched, row n holding u^n; the boundary values are zero at every level,
-    u^0's included. state(n) and terminal give a level as a zero-padded
+    u^0's included. terminal gives the last level as a zero-padded
     GridFunction. violations maps validator name to the 1-based levels whose
     step exceeded that bound; empty tuples mean the run satisfied the
     corresponding sufficient condition.
@@ -224,13 +231,9 @@ class RunHistory:
     def mesh(self) -> TemporalMesh:
         return self.config.mesh
 
-    def state(self, n: int) -> GridFunction:
-        """u^n as a GridFunction, boundary values zero."""
-        return GridFunction(values=np.pad(self.U[n], 1))
-
     @property
     def terminal(self) -> GridFunction:
-        return self.state(-1)
+        return GridFunction(values=np.pad(self.U[-1], 1))
 
 
 def quartic_bump(x):

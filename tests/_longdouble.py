@@ -1,9 +1,9 @@
 """The lagged-cubic sweep of tfch_solver.solve's scheme, in np.longdouble.
 
-An accuracy reference for solve: the same scheme, kernel rows, initial data,
-source and stop rule, with A, D, K, every right-hand side and every LU solve
-in extended precision. Each level factors its step matrix B_0 A + K and each
-sweep solves it, where solve corrects the sweep's residual in the sine
+A test oracle for solve's accuracy: the same scheme, kernel rows, initial
+data, source and stop rule, with A, D, K, every right-hand side and every LU
+solve in extended precision. Each level factors its step matrix B_0 A + K and
+each sweep solves it, where solve corrects the sweep's residual in the sine
 basis; the two maps agree in exact arithmetic. The LU (partial pivoting) and
 the triangular solves are numpy loops, not LAPACK, so nothing here shares
 rounding with solve's float64 work. Where np.longdouble is no wider than
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caputo_l2 import kernel_rows
-from .tfch_solver import (NonconvergenceError, SolverConfig, _initial_values,
-                          _source_values)
+from tfch.caputo_l2 import kernel_rows
+from tfch.tfch_solver import (NonconvergenceError, SolverConfig,
+                              _initial_values, _source_values)
 
 __all__ = ["longdouble_sweep"]
 

@@ -410,45 +410,43 @@ def _rho_star_unguarded(alpha):
 
 
 def test_rho_star_refuses_alpha_below_its_smallest():
-    # Below the smallest alpha the bracket top's q2 overflows; rho_star
-    # names that alpha in a ValueError and warns about nothing.
+    # Below the smallest alpha, rounding decides the sign of q2 at the
+    # bracket bottom; rho_star names that alpha in a ValueError and warns
+    # about nothing.
     smallest = caputo_l2._RHO_STAR_ALPHA_MIN
     below = float(np.nextafter(smallest, 0.0))
-    for alpha in (below, 1e-200, 1e-300, 5e-324):
+    # 1.1489510001873063e-17 is an alpha whose sign test fails
+    for alpha in (below, 1.1489510001873063e-17, 1e-153, 1e-300, 5e-324):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=repr(smallest)):
                 rho_star(alpha)
-    # the bound is tight: q2 overflows at the next float's bracket top,
-    # not at the bound's
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        q2(10.0 + 20.0 / below, below)
+
+
+def test_rho_star_finds_every_root_from_its_smallest_alpha():
+    # A dense scan from the smallest alpha to 1e-12, where the sign test at
+    # the bracket bottom is most exposed to rounding: no alpha raises.
+    smallest = caputo_l2._RHO_STAR_ALPHA_MIN
+    grid = np.geomspace(smallest, 1e-12, 4000)
+    assert grid[0] == smallest
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert np.isfinite(q2(10.0 + 20.0 / smallest, smallest))
-        assert np.isfinite(rho_star(smallest))
+        for alpha in grid:
+            r = rho_star(float(alpha))
+            assert 1.0 + 1.0 / alpha <= r <= 10.0 + 20.0 / alpha, alpha
 
 
 def test_rho_star_unchanged_where_it_worked():
-    # On a grid from the smallest alpha to 1, every alpha where the
-    # unguarded steps finish without a warning gives the same bits.
-    # Rounding in q2 at the bracket bottom makes some alpha below 1.2e-16
-    # fail the sign test in both; those are left out.
+    # On a grid from the smallest alpha to 1, the unguarded steps finish
+    # without a warning and rho_star gives their bits.
     smallest = caputo_l2._RHO_STAR_ALPHA_MIN
     grid = [smallest, float(np.nextafter(smallest, 1.0))]
     grid += [float(a) for a in np.geomspace(smallest, 1.0, 600)]
     grid += [float(a) for a in np.linspace(0.001, 1.0, 200)]
-    checked = 0
     for alpha in grid:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            try:
-                want = _rho_star_unguarded(alpha)
-            except ArithmeticError:
-                continue
-            assert rho_star(alpha) == want, alpha
-            checked += 1
-    assert checked >= 0.9 * len(grid)
+            assert rho_star(alpha) == _rho_star_unguarded(alpha), alpha
 
 
 def test_rho_star_never_dips_below_the_pivot_ratio():

@@ -12,6 +12,7 @@ import pytest
 
 from tfch import caputo_l2, temporal_mesh
 from tfch.cli import main
+from tfch.tfch_solver import SolverConfig, quartic_bump, solve
 
 
 def _run(argv):
@@ -78,9 +79,8 @@ class TestRhoStar:
         assert "fixed point" in capsys.readouterr().out
 
     def test_failing_threshold_writes_nothing(self, tmp_path, capsys):
-        # q2 would overflow at rho_star's bracket top 10 + 20/alpha, so
-        # rho_star refuses the alpha after the flags were accepted: a usage
-        # error, with no overflow warning and no file
+        # rho_star refuses an alpha below its floor after the flags were
+        # accepted: a usage error, with no warning and no file
         out = tmp_path / "new"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -345,6 +345,20 @@ class TestTfchRun:
         names = sorted(p.name for p in tmp_path.glob("state_*.csv"))
         assert names == ["state_0000.csv", "state_0005.csv",
                          "state_0010.csv"]
+        # each file is the closed grid beside the level's interior values
+        # and the two zero boundary values, at 17 digits
+        cfg = SolverConfig(alpha=0.5, kappa=0.01, epsilon=0.1,
+                           mesh=temporal_mesh.build_graded_cubic(12, 1.0),
+                           M=8, initial=quartic_bump)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            U = solve(cfg).U
+        x = np.linspace(0.0, 1.0, 9)
+        for name, n in [("state_0000.csv", 0), ("state_0005.csv", 5),
+                        ("state_0010.csv", 10), ("terminal_state.csv", 12)]:
+            want = "x,u\n" + "".join("%.17g,%.17g\n" % cells for cells
+                                     in zip(x, np.pad(U[n], 1)))
+            assert _read(tmp_path / name) == want, name
 
     @pytest.mark.parametrize("flag, field, value", [
         ("--tol", "iteration_tol", "nan"),
@@ -527,6 +541,29 @@ def test_bad_solver_flag_values_exit_2_before_output(tmp_path, capsys, argv,
     captured = capsys.readouterr()
     assert rc == 2
     assert "usage error: " + message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--alpha", "1e-300", "--N", "8"],
+    ["mesh", "--alpha", "9e-16", "--N", "8", "--kernel-level", "3"],
+    ["tfch-run", "--alpha", "1e-300", "--N", "8", "--M", "8"],
+    ["tfch-convergence", "--alphas", "0.5,1e-300", "--Ns", "6", "--N0", "8",
+     "--M", "8"],
+    ["manufactured", "--alphas", "0.5,1e-300", "--Ns", "8,16", "--M", "8"],
+], ids=["mesh", "mesh-kernel-row", "tfch-run", "tfch-convergence",
+        "manufactured"])
+def test_alpha_below_the_rho_star_floor_exits_2_before_output(
+        tmp_path, capsys, argv):
+    # rho_star refuses an alpha below its floor, and every subcommand that
+    # checks step ratios against it reports that before any output
+    out = tmp_path / "out"
+    rc = _run(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("usage error:")
+    assert repr(caputo_l2._RHO_STAR_ALPHA_MIN) in captured.err
     assert captured.out == ""
     assert not out.exists()
 

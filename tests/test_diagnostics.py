@@ -19,7 +19,7 @@ import pytest
 import scipy.linalg
 from scipy.special import gamma
 
-from tfch import cli, diagnostics
+from tfch import diagnostics
 from tfch.caputo_l2 import kernel_row_J, kernel_rows
 from tfch.compact_spatial import _sine_matrix, a_matrix, dxx_matrix, quad_negH
 from tfch.diagnostics import (
@@ -416,7 +416,7 @@ class TestOnlineFeed:
                            initial=quartic_bump)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            hist, terms = cli._run_with_energy(cfg)
+            hist, online = diagnostics._run_series(cfg)
             ref = solve(cfg)
         # the march is solve's, bit for bit
         for name in ("U", "iterations", "residuals"):
@@ -425,7 +425,7 @@ class TestOnlineFeed:
         assert hist.violations == ref.violations
         assert hist.lipschitz_constant == ref.lipschitz_constant
         assert hist.lipschitz_limit == ref.lipschitz_limit
-        online, offline = diagnostics._series(hist, terms), energy_series(ref)
+        offline = energy_series(ref)
         for name in ("levels", "times", "free_energy", "mass"):
             assert getattr(online, name).tobytes() == \
                 getattr(offline, name).tobytes(), name

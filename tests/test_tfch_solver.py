@@ -17,8 +17,8 @@ import pytest
 from scipy.linalg import lu_factor as scipy_lu_factor
 from scipy.linalg import lu_solve as scipy_lu_solve
 
-from tfch import cli, tfch_solver
-from tfch._longdouble import longdouble_sweep
+from _longdouble import longdouble_sweep
+from tfch import caputo_l2, diagnostics, tfch_solver
 from tfch.caputo_l2 import kernel_row_B
 from tfch.compact_spatial import (_sine_matrix, _tridiag_eigs, a_matrix,
                                   dxx_matrix)
@@ -63,6 +63,16 @@ class TestConfigValidation:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 _config(alpha=bad)
+
+    def test_alpha_below_the_step_ratio_floor(self):
+        # the march checks its step ratios against rho_star(alpha), which
+        # refuses these; 1.1489510001873063e-17 once failed inside solve
+        floor = caputo_l2._RHO_STAR_ALPHA_MIN
+        for bad in (float(np.nextafter(floor, 0.0)), 1.1489510001873063e-17,
+                    1e-300):
+            with pytest.raises(ValueError, match=repr(floor)):
+                _config(alpha=bad)
+        assert np.isfinite(_solve_quiet(_config(alpha=floor)).U).all()
 
     def test_positive_physical_parameters(self):
         with pytest.raises(ValueError):
@@ -126,7 +136,7 @@ class TestSolveBasics:
     def test_initial_boundary_values_are_pinned(self):
         cfg = _config(initial=lambda x: 0.05 * (x + 1.0))
         hist = _solve_quiet(cfg)
-        u0 = hist.state(0).values
+        u0 = np.pad(hist.U[0], 1)
         assert u0[0] == 0.0 and u0[-1] == 0.0
         assert u0[1] != 0.0
 
@@ -146,9 +156,6 @@ class TestSolveBasics:
         padded = np.pad(hist.U[-1], 1)
         assert hist.terminal.values.tobytes() == padded.tobytes()
         assert hist.terminal.domain == (0.0, 1.0)
-        for n in (0, N // 2, N):
-            u = hist.state(n)
-            assert u.values.tobytes() == np.pad(hist.U[n], 1).tobytes()
         assert hist.mesh is cfg.mesh
         assert hist.iterations.shape == (N,)
         assert (hist.iterations >= 1).all()
@@ -639,7 +646,7 @@ class TestPeakMemory:
         def run():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                cli._run_with_energy(cfg)
+                diagnostics._march_terms(tfch_solver._March(cfg))
 
         assert traced_peak(run) <= _march_bound(cfg, row_stream_peak)
 
