@@ -210,9 +210,9 @@ def _march_terms(march) -> np.ndarray:
     z = np.empty(cfg.M - 1)
 
     def products(n, out):
-        np.matmul(S, dU[n - 1], out=y)
+        S.dot(dU[n - 1], out=y)
         np.multiply(y, lam, out=y)
-        np.matmul(S, y, out=z)                        # (-H)^{-1} du^n
+        S.dot(y, out=z)                               # (-H)^{-1} du^n
         np.einsum("ij,j->i", dU[:n], z, out=out)      # d^k . d^n
 
     return _history_terms(cfg, march.levels(), products)

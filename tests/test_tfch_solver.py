@@ -9,6 +9,7 @@ this scheme with pinned boundary values.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -316,6 +317,25 @@ class TestStepSweep:
         cfg = _phase_separation_config()
         hist = _solve_quiet(cfg)
         assert hist.iterations.min() >= 9 and hist.iterations.max() >= 40
+        U, iterations = _scipy_sweep_oracle(cfg)
+        assert np.array_equal(hist.iterations, iterations)
+        assert np.max(np.abs(hist.U - U)) <= 5e-14
+
+    @pytest.mark.parametrize("M", [16, 200])
+    @pytest.mark.parametrize("between", [0.0, -0.0])
+    def test_stencils_padded_ends_match_the_dense_oracle(self, M, between):
+        # the march applies A and kappa D as three-point stencils between
+        # two zeros, the oracle as dense matrices: data that lives only at
+        # the two end nodes, with +0.0 or -0.0 between them, must take the
+        # oracle's sweeps and stay within test_same_sweeps_and_states_as_
+        # lu_sweep_oracle's bound
+        def initial(x):
+            u = np.full_like(x, between)
+            u[1], u[-2] = 0.6, -0.8
+            return u
+
+        cfg = dataclasses.replace(_run_energy_config(M), initial=initial)
+        hist = _solve_quiet(cfg)
         U, iterations = _scipy_sweep_oracle(cfg)
         assert np.array_equal(hist.iterations, iterations)
         assert np.max(np.abs(hist.U - U)) <= 5e-14
@@ -628,10 +648,11 @@ class TestPeakMemory:
     def test_two_state_arrays_and_fixed_workspace(self, N, M, traced_peak,
                                                   row_stream_peak):
         # U and dU are the only arrays the size of the N+1 states, and the
-        # (M-1)^2 arrays are A, D, L (in K's buffer) and S. The kernel row
-        # stream's block workspace is measured on the same mesh; 128 KiB
-        # covers the length-N and length-(M-1) vectors. N >> M in the first
-        # case and M is large in the second.
+        # (M-1)^2 arrays are A, D, L (in K's buffer) and S, all four alive
+        # at once during set-up. The kernel row stream's block workspace is
+        # measured on the same mesh; 128 KiB covers the length-N and
+        # length-(M-1) vectors. N >> M in the first case and M is large in
+        # the second.
         cfg = _config(mesh=build_graded_cubic(N, 1.0), M=M)
         peak = traced_peak(lambda: _solve_quiet(cfg))
         assert peak <= _march_bound(cfg, row_stream_peak)
@@ -651,9 +672,35 @@ class TestPeakMemory:
         assert traced_peak(run) <= _march_bound(cfg, row_stream_peak)
 
 
+    def test_march_holds_two_matrices_after_set_up(self):
+        # once set up, the march keeps L and S and applies A and kappa D as
+        # stencils: beside U and dU, 128 KiB covers the bands, the stencil
+        # buffers and the length-(M-1) vectors. Keeping A and D as well
+        # would add 4.2 MB at M = 512
+        N, M = 200, 512
+        cfg = _config(mesh=build_graded_cubic(N, 1.0), M=M)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                march = tfch_solver._March(cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert march.L.shape == march.S.shape == (M - 1, M - 1)
+        assert held <= (2 * 8 * (M - 1) ** 2 + 2 * 8 * (N + 1) * (M - 1)
+                        + 128 * 1024)
+
+
 def _march_bound(cfg, row_stream_peak):
-    """Bytes a march may add: U and dU, the four (M-1)^2 matrices, the
-    kernel row stream's block workspace and 128 KiB of vectors."""
+    """Bytes a march may add at its peak: U and dU, the four (M-1)^2
+    matrices that set-up holds at once (A, D, L and S; the march keeps only
+    L and S), the kernel row stream's block workspace and 128 KiB of
+    vectors."""
     N, M = cfg.mesh.N, cfg.M
     return (2 * 8 * (N + 1) * (M - 1) + 4 * 8 * (M - 1) ** 2
             + row_stream_peak(cfg.mesh, cfg.alpha) + 128 * 1024)
