@@ -104,7 +104,9 @@ def _int_list(text: str):
     return items
 
 
-_TRUE_WORDS = {"1", "true", "yes", "on"}
+# a switch's value in a config file, in any case
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
 
 
 def _add_physics(sub) -> None:
@@ -226,7 +228,10 @@ def _apply_config(sub: argparse.ArgumentParser, values: dict, parser) -> None:
             parser.error("unknown config key %r" % key)
         if isinstance(action, (argparse._StoreTrueAction,
                                argparse._StoreFalseAction)):
-            defaults[key] = raw.lower() in _TRUE_WORDS
+            if raw.lower() not in _SWITCH_WORDS:
+                raise ValueError("config key %r: %r is not one of %s"
+                                 % (key, raw, "/".join(_SWITCH_WORDS)))
+            defaults[key] = _SWITCH_WORDS[raw.lower()]
         elif action.type is not None:
             try:
                 defaults[key] = action.type(raw)

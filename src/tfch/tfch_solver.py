@@ -12,7 +12,7 @@ term lagged gives the fixed-point sweep
 
     L u^{(s+1)} = b(u^{(s)}),   L = B_0 A + K,
     K = kappa D + kappa eps^2 D A^{-1} D,
-    b(u) = kappa D u^3 + A (B_0 u^{n-1} - hist + g^n-interior part),
+    b(u) = kappa D u^3 + A (B_0 u^{n-1} - hist) + A g^n,
 
 started from u^{(0)} = u^{n-1} and stopped on a max-norm increment test.
 
@@ -29,18 +29,13 @@ roundoff. The residual is taken against L itself, the dense fl(B_0 A + K)
 with K from LAPACK, so a converged level solves that matrix's equation to
 roundoff: the fixed point is the one an LU solve of L reaches, not that of
 the sine-basis operator, which differs from L by rounding. Nothing is
-factored per level: w follows from B_0 in O(M). A and D are tridiagonal,
-with one value on each diagonal, so they enter the march as three-point
-stencils of those entries: A (B_0 u^{n-1} - hist) once per level, and
-kappa D u^3 in each sweep. A sweep is that stencil and three dense
-matrix-vector products, L u and two with S, each by ndarray.dot into a
-preallocated buffer (bitwise np.matmul, and cheaper per call). A stencil
-entry is fl(fl(off v_{i-1}) + fl(off v_{i+1})) + fl(diag v_i). Against
-OpenBLAS's dgemv with the dense matrix, it gave the same bits on 98.4 % of
-entries on the coarsening benchmark (seed 1) and 99.1 % on run-energy's
-physics at N = 200; the rest differ by at most 1.1 ulp of (|T| |v|)_i, T
-the matrix. The states are those of the dense products to roundoff, not
-bitwise.
+factored per level: w follows from B_0 in O(M). A and D are tridiagonal
+and enter the march through compact_spatial._stencil: once per level as
+A (B_0 u^{n-1} - hist) and A g, g the source on all M+1 nodes, and in each
+sweep as kappa D u^3. A sweep is that stencil and three dense matrix-vector
+products, L u and two with S, each by ndarray.dot into a preallocated
+buffer (bitwise np.matmul, and cheaper per call). The stencil gives the
+dense products' values to roundoff, not bitwise.
 
 K is built once. A^{-1} D is the run's one factorisation: LAPACK gesv
 (getrf, then getrs) through numpy.linalg.solve. Its result is bitwise that
@@ -76,14 +71,13 @@ increments dU that the history sum B @ dU reads. Set-up holds four
 (M-1)^2 matrices at once, A, D, L and S: K is assembled in the buffer of
 A^{-1} D, which becomes L, and the one (M-1)^2 temporary, D A^{-1} D,
 holds |K| for the floor and then becomes S. The march keeps only L and S;
-of A and kappa D it keeps A's band, for L's rewrite, and the two entries
-of each stencil. The stencils read their operand from the cube buffer,
-the inside of a vector of M+1 entries whose two ends stay +0.0, so the
-first and last rows need no case of their own. The post-run Lipschitz
-constant is taken in buffers the march is done with (_peak): dU holds the
-work on U[1:] and the cube buffer the work on U[0], so neither pass
-allocates anything the size of the run. Both give the bits of their
-whole-array forms.
+of A it keeps the band, for L's rewrite. The stencils read their operand
+from the cube buffer, the inside of a vector of M+1 entries whose two ends
+stay +0.0, so the first and last rows need no case of their own. The
+post-run Lipschitz constant is taken in buffers the march is done with
+(_peak): dU holds the work on U[1:] and the cube buffer the work on U[0],
+so neither pass allocates anything the size of the run. Both give the bits
+of their whole-array forms.
 
 The level loop is one march, _March: it gives each level's KernelRow to
 its caller once, right after U[n] and dU[n-1] are set. solve runs it to
@@ -110,7 +104,8 @@ from ._gamma import gamma
 # kernel_row_B is unused here but stays importable: bench/spans.py wraps it.
 from .caputo_l2 import (_RHO_STAR_ALPHA_MIN, kernel_row_B,  # noqa: F401
                         kernel_rows, q)
-from .compact_spatial import (_average, _sine_matrix, _tridiag_eigs, a_matrix,
+from .compact_spatial import (_A_ENTRIES, _D_ENTRIES, _dxx_entries,
+                              _sine_matrix, _stencil, _tridiag_eigs, a_matrix,
                               dxx_matrix)
 from .temporal_mesh import TemporalMesh, validate_ratio_bound
 
@@ -415,35 +410,16 @@ def _peak(u: np.ndarray, out: np.ndarray) -> float:
     return float(np.max(np.abs(out, out=out)))
 
 
-def _stencil(entries: tuple, pad: np.ndarray, out: np.ndarray,
-             tmp: np.ndarray) -> np.ndarray:
-    """tridiag(off, diag, off) v into out for entries = (off, diag) and
-    v = pad[1:-1], whose two end entries are zeros; tmp is overwritten.
-
-    Each entry is fl(fl(off v_{i-1}) + fl(off v_{i+1})) + fl(diag v_i),
-    with no product by the matrix's zeros. Of the three orders of the sum,
-    this one gives the dense product's bits most often: on 98 % of entries
-    on the coarsening benchmark, against 53 % for either order whose
-    first addition takes the diagonal term.
-    """
-    off, diag = entries
-    np.multiply(pad[:-2], off, out=out)
-    out += np.multiply(pad[2:], off, out=tmp)
-    out += np.multiply(pad[1:-1], diag, out=tmp)
-    return out
-
-
 class _March:
     """The scheme's march over the mesh, one level at a time.
 
     Construction does the set-up: the step-ratio warning, the matrices and
     the arrays of the run. Of the (M-1)^2 matrices it keeps the step matrix
-    L and the sine matrix S; A and kappa D leave with the constructor, and
-    the march applies them as three-point stencils (_stencil) of their
-    entries, A_stencil and D_stencil, to the cube buffer, the inside of the
-    zero-ended pad. Each level puts B0 u^{n-1} - hist there for A, and each
-    sweep u^3 for kappa D; the sweep then reuses it for the correction and
-    the increment. levels() marches and yields each level's
+    L and the sine matrix S; A and D leave with the constructor. The march
+    applies A and kappa D with compact_spatial._stencil to the cube buffer,
+    the inside of the zero-ended pad: each level puts B0 u^{n-1} - hist
+    there for A, and each sweep u^3 for kappa D, then reuses it for the
+    correction and the increment. levels() marches and yields each level's
     KernelRow once, right after U[n] and dU[n-1] are set, so a caller can
     read the new increment beside the earlier ones while the row is at hand.
     Run it to its end before history(), which takes the Lipschitz constant
@@ -467,8 +443,7 @@ class _March:
         self.x_full = np.linspace(0.0, 1.0, M + 1)
         u0 = _initial_values(config, self.x_full)
         m = M - 1
-        A = a_matrix(M)
-        D = dxx_matrix(M)
+        A, D = a_matrix(M), dxx_matrix(M)
         # K = kappa D + kappa eps^2 D (A^{-1} D) in A^{-1} D's buffer, which
         # becomes the step matrix L; the one (M-1)^2 temporary becomes S
         L = lu_solve(lu_factor(A), D)
@@ -478,20 +453,14 @@ class _March:
         L += S
         L[np.abs(L, out=S) < _K_FLOOR] = 0.0
         _sine_matrix(S)
-        D *= kappa  # only the sweep's kappa D u^3 term uses D from here on
         band = np.nonzero(A)  # A's three diagonals
         # S diag(1 / (B0 a + k)) S is the inverse of B0 A + K in exact
         # arithmetic
-        a = _tridiag_eigs(1.0 / 12.0, 10.0 / 12.0, m)
-        d = _tridiag_eigs(1.0, -2.0, m) / (h * h)
+        self.a = a = _tridiag_eigs(*_A_ENTRIES, m)
+        d = _tridiag_eigs(*_D_ENTRIES, m) / (h * h)
         self.config = config
         self.L, self.S = L, S
         self.band, self.A_band, self.K_band = band, A[band], L[band]
-        # A and kappa D enter the march as stencils of their own entries;
-        # the dense matrices go with this frame
-        self.A_stencil = (A[1, 0], A[0, 0])
-        self.D_stencil = (D[1, 0], D[0, 0])
-        self.a = a
         self.k = kappa * d + kappa * eps ** 2 * (d * d / a)
 
         N = mesh.N
@@ -516,7 +485,8 @@ class _March:
         config = self.config
         mesh, x_full = config.mesh, self.x_full
         L, S = self.L, self.S
-        A_stencil, D_stencil = self.A_stencil, self.D_stencil
+        # fl(kappa fl(1/h^2)): the bits of kappa D's entries
+        D_stencil = tuple(config.kappa * e for e in _dxx_entries(config.h))
         band, A_band, K_band = self.band, self.A_band, self.K_band
         a, k = self.a, self.k
         U, dU = self.U, self.dU
@@ -535,11 +505,12 @@ class _March:
             B[: n - 1].dot(dU[: n - 1], out=hist)
             np.multiply(U[n - 1], B0, out=cube)
             cube -= hist
-            _stencil(A_stencil, pad, const, r)
+            _stencil(_A_ENTRIES, pad, const, r)
             # the zero source's A g is +0.0: adding it turns a -0.0 in const
             # into +0.0, as adding an averaged source term does
-            const += 0.0 if config.source is None else _average(
-                _source_values(config, x_full, mesh.nodes[n]))
+            const += 0.0 if config.source is None else _stencil(
+                _A_ENTRIES, _source_values(config, x_full, mesh.nodes[n]),
+                y, r)
             L[band] = A_band * B0 + K_band
             w = 1.0 / (B0 * a + k)
 

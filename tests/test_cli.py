@@ -620,3 +620,22 @@ class TestConfigFiles:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config key 'M'" in err
+
+    @pytest.mark.parametrize("word, written", [("yes", True), ("ON", True),
+                                               ("off", False), ("0", False)])
+    def test_switch_words(self, tmp_path, word, written):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("q3 = %s\n" % word)
+        out = tmp_path / "out"
+        assert _run(["rho-star", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "rho_star.csv").exists()
+        assert (out / "q3_curves.csv").exists() == written
+
+    def test_misspelt_switch_is_a_usage_error(self, tmp_path, capsys):
+        # a word outside 1/true/yes/on and 0/false/no/off once read as False
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("q3 = ture\n")
+        out = tmp_path / "out"
+        assert _run(["rho-star", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config key 'q3'" in capsys.readouterr().err
+        assert not out.exists()

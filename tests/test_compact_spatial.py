@@ -13,9 +13,10 @@ import scipy.fft
 import scipy.linalg
 
 from tfch.compact_spatial import (
-    _average,
+    _A_ENTRIES,
     _sine,
     _sine_matrix,
+    _stencil,
     _tridiag_eigs,
     a_matrix,
     apply_A,
@@ -59,6 +60,20 @@ class TestArrayInputs:
         for n in range(len(U)):
             assert batched[n].tobytes() == np.asarray(op(U[n])).tobytes()
 
+    @pytest.mark.parametrize("op", [apply_A, apply_dxx],
+                             ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("dtype", [np.float32, np.longdouble,
+                                       np.complex128])
+    def test_stencil_operators_keep_the_dtype(self, op, dtype):
+        # the three-point stencils compute in the dtype they are given: a
+        # complex state stays complex, so that the sine operators built on
+        # them can refuse it with their own ValueError
+        u = np.random.default_rng(4).standard_normal((2, 15)).astype(dtype)
+        got = op(u)
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, op(u.real.astype(np.float64)),
+                                   rtol=1e-5)
+
     def test_batched_inner_equals_single_states_bitwise(self):
         rng = np.random.default_rng(3)
         U, V = rng.standard_normal((2, 5, 23))
@@ -92,7 +107,7 @@ class TestAveraging:
             [-0.0, 3.0, -0.0, -0.0, 0.25, -0.0],
             [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
         ])
-        expected = _average(np.pad(rows, ((0, 0), (1, 1))))
+        expected = _stencil(_A_ENTRIES, np.pad(rows, ((0, 0), (1, 1))))
         assert apply_A(rows).tobytes() == expected.tobytes()
         for row, want in zip(rows, expected):
             assert apply_A(row).tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 """The package's public names: every module's __all__ names exist, the
 package namespace re-exports only names its modules declare public, every
-module uses the names it imports, and none imports scipy."""
+module uses the names it imports, every private name is defined once and
+read, and no module imports scipy."""
 
 import ast
 import importlib
@@ -65,6 +66,42 @@ def test_every_import_is_used():
         unused += [(path.stem, name) for name in _imported_names(tree)
                    if name not in used and (path.stem, name) not in traced]
     assert not unused
+
+
+def _private_definitions(tree):
+    """Private names bound by the module's top-level functions, classes and
+    assignments; dunders such as __all__ and __version__ are read from
+    outside the package and left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [name.id for target in targets
+                     for name in ast.walk(target) if isinstance(name, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_")
+                    and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_private_name_is_defined_once_and_used():
+    # the dead-code check that a linter would make: a private function,
+    # class or constant that no module of the package reads is left over,
+    # and one defined in two modules is a copy that should have been one
+    defined, read = [], set()
+    for path in sorted(Path(tfch.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [(path.stem, name) for name in _private_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert [(m, name) for m, name in defined if name not in read] == []
+    names = [name for _, name in defined]
+    assert sorted({name for name in names if names.count(name) > 1}) == []
 
 
 def _imported_modules(tree):
