@@ -36,7 +36,6 @@ import numpy as np
 from . import diagnostics, temporal_mesh
 from ._fmt import fmt, write_csv
 from ._gamma import gamma
-from ._verification import run_verification_suite
 from .caputo_l2 import (
     rho_bar,
     solve_linear_fode,
@@ -537,6 +536,9 @@ def _cmd_manufactured(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: only verify uses it, and every other command would
+    # pay for compiling and running it at start-up
+    from ._verification import run_verification_suite
     results = run_verification_suite(args.seed)
     failed = 0
     lines = []

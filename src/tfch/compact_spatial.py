@@ -12,7 +12,8 @@ used by the energy estimates.
 
 A's and D's (off, diag) entries are named once, below. The dense matrices,
 the eigenvalues, the inverses and the package's one three-point stencil,
-_stencil (apply_A, apply_dxx and tfch_solver's march), are built from them.
+_stencil (apply_A, apply_dxx and tfch_solver's march, which calls its
+entry point on views sliced once, _stencil_views), are built from them.
 
 A and D are symmetric Toeplitz tridiagonal, so the orthonormal DST-I (the
 sine basis sin(k pi i / M)) diagonalises both exactly. Every inverse goes
@@ -75,12 +76,25 @@ def _stencil(entries: tuple, full: np.ndarray, out: np.ndarray = None,
     rest differ by at most 1.1 ulp of (|T| |v|)_i. With zero ends, an edge
     node whose value and inner neighbour are both -0.0 comes out +0.0.
     """
-    off, diag = entries
     if out is None:
-        out = np.empty_like(full[..., 1:-1], np.result_type(full, off))
-    np.multiply(full[..., :-2], off, out=out)
-    out += np.multiply(full[..., 2:], off, out=tmp)
-    out += np.multiply(full[..., 1:-1], diag, out=tmp)
+        out = np.empty_like(full[..., 1:-1], np.result_type(full, entries[0]))
+    return _stencil_views(entries, full[..., :-2], full[..., 1:-1],
+                          full[..., 2:], out, tmp)
+
+
+def _stencil_views(entries: tuple, left: np.ndarray, mid: np.ndarray,
+                   right: np.ndarray, out: np.ndarray,
+                   tmp: np.ndarray = None) -> np.ndarray:
+    """_stencil on full's three views left, mid, right = full[..., :-2],
+    full[..., 1:-1], full[..., 2:], into out; tmp, of out's shape, is
+    overwritten. A caller that applies stencils to one buffer many times
+    slices it once and calls this; the summation order is written here
+    only.
+    """
+    off, diag = entries
+    np.multiply(left, off, out=out)
+    out += np.multiply(right, off, out=tmp)
+    out += np.multiply(mid, diag, out=tmp)
     return out
 
 

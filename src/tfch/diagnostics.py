@@ -11,14 +11,24 @@ level to level through the products d^k . d^n of transformed increments
 d^k = sqrt(lam) S (u^k - u^{k-1}); its caller hands it the kernel rows and
 the products. energy_series feeds it offline, from a finished run.
 _run_series, tfch-run's one call, feeds it online from the solver's march
-(_march_terms), so that each kernel row is built once. The dissipation
-estimate states exactly that the modified energy never increases, so these
-routines are both the experiment observables and the acceptance
-instruments.
+(_march_terms), so that each kernel row is built once. Both feeds take a
+level's products as one np.vecdot, one OpenBLAS ddot per row, not a BLAS
+matmul, and the loop works in length-N vectors allocated once per run.
+
+OpenBLAS threads a ddot only above 10000 entries: on OpenBLAS 0.3.31,
+lengths up to 10000 gave the same bits under 1 and 2 threads and 10001 did
+not. The products have M-1 entries and each level's weighted sum at most
+N, so for M <= 10001 and N <= 10000 the history terms of given states do
+not depend on the BLAS thread count.
+
+The dissipation estimate states exactly that the modified energy never
+increases, so these routines are both the experiment observables and the
+acceptance instruments.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -61,25 +71,36 @@ def free_energy(u: np.ndarray, epsilon: float):
         + 0.25 * _width(u) * work.sum(axis=-1)
 
 
-def _g_weights(J: np.ndarray, mesh: TemporalMesh, alpha: float,
-               g3) -> np.ndarray:
+def _g_weights(J: np.ndarray, lead: float, out: np.ndarray = None
+               ) -> np.ndarray:
     """Weights w of the level-n history functional sum_j w_j |u^n - u^j|^2,
-    from the level-n J row (n = len(J)); g3 = Gamma(3 - alpha).
+    from the level-n J row (n = len(J)) and lead = _lead_weight(n, ...),
+    into out (allocated if None).
 
     In interval order, w_0 = J_0/2 and w_j = (J_j - J_{j-1})/2 for j >= 1,
-    plus the leading weight at j = n-1. rho_{N+1} is taken as 1: the
-    functional at the final level is evaluated as if one more equal step
-    followed.
+    plus lead at j = n-1.
     """
-    n = len(J)
+    if out is None:
+        out = np.empty_like(J)
+    out[0] = J[0]
+    np.subtract(J[1:], J[:-1], out=out[1:])
+    out *= 0.5
+    out[-1] += lead
+    return out
+
+
+def _lead_weight(n: int, mesh: TemporalMesh, alpha: float, g3) -> float:
+    """The leading weight of the level-n history functional, at j = n-1;
+    g3 = Gamma(3 - alpha).
+
+    rho_{N+1} is taken as 1: the functional at the final level is evaluated
+    as if one more equal step followed. The powers are scalar ones, libm's
+    pow; an array ** need not round as pow does.
+    """
     rho_next = mesh.ratios[n] if n < mesh.N else 1.0
     tau_n = mesh.steps[n - 1]
-    w = J.copy()
-    w[1:] -= J[:-1]
-    w *= 0.5
-    w[n - 1] += alpha * rho_next ** (2.0 - 0.5 * alpha) \
+    return alpha * rho_next ** (2.0 - 0.5 * alpha) \
         / (2.0 * (1.0 + rho_next) * tau_n ** alpha * g3)
-    return w
 
 
 def G_functional(history, mesh: TemporalMesh, alpha: float):
@@ -96,8 +117,8 @@ def G_functional(history, mesh: TemporalMesh, alpha: float):
     n = len(W) - 1
     if n < 1:
         raise ValueError("history must contain at least two levels")
-    w = _g_weights(kernel_row_J(n, mesh, alpha), mesh, alpha,
-                   gamma(3.0 - alpha))
+    w = _g_weights(kernel_row_J(n, mesh, alpha),
+                   _lead_weight(n, mesh, alpha, gamma(3.0 - alpha)))
     out = np.tensordot(w, (W[n] - W[:n]) ** 2, axes=1)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -131,15 +152,16 @@ def energy_series(history) -> EnergySeries:
     (-H)^{-1} = S diag(lam) S with S the orthonormal DST-I, so the norm
     is h |sqrt(lam) S v|^2. The increments are transformed once, in place,
     into D, row k-1 holding d^k, the pass's one array the size of the run.
-    The products are an einsum, not a BLAS matmul, so the bits do not
-    depend on the BLAS thread count.
+    The products are np.vecdot, one BLAS ddot per row, not a BLAS matmul;
+    the module docstring says when their bits do not depend on the BLAS
+    thread count.
     """
     cfg = history.config
     D = _sine(np.subtract(history.U[1:], history.U[:-1]), overwrite=True)
     D *= np.sqrt(_neg_h_inv_eigs(cfg.M))
 
     def products(n, out):
-        np.einsum("ij,j->i", D[:n], D[n - 1], out=out)  # d^k . d^n
+        np.vecdot(D[:n], D[n - 1], out=out)  # d^k . d^n
 
     terms = _history_terms(cfg, kernel_rows(cfg.mesh, cfg.alpha), products)
     del D  # before free_energy's temporaries, so one run-sized array at a time
@@ -177,20 +199,27 @@ def _history_terms(config, rows, products) -> np.ndarray:
     mesh, alpha, h, kappa = config.mesh, config.alpha, config.h, config.kappa
     g3 = gamma(3.0 - alpha)
     N = mesh.N
-    p = np.empty(N)
-    Q = np.empty(N)
+    lead = np.fromiter((_lead_weight(n, mesh, alpha, g3)
+                        for n in range(1, N + 1)), float, N)
+    # length-N work vectors, one set per run; level n uses their first n
+    p, Q, c, w = np.empty(N), np.empty(N), np.empty(N), np.empty(N)
+    # np.cumsum is add.accumulate; the ufunc method skips its wrapper
+    cumsum, multiply, vecdot = np.add.accumulate, np.multiply, np.vecdot
     terms = np.empty(N + 1)
     terms[0] = np.nan
     for row in rows:
         n = row.level
         products(n, p[:n])
-        c = np.cumsum(p[:n - 1][::-1])[::-1]  # sum_{k=j+1}^{n-1} d^k . d^n
-        c *= 2.0
-        c += p[n - 1]
-        Q[:n - 1] += c
-        Q[n - 1] = p[n - 1]
-        w = _g_weights(row.J, mesh, alpha, g3)
-        terms[n] = w @ (h * Q[:n]) / kappa
+        p_n = p[n - 1]
+        c_n = c[:n - 1]
+        cumsum(p[:n - 1][::-1], out=c_n[::-1])  # sum_{k=j+1}^{n-1} d^k . d^n
+        c_n *= 2.0
+        c_n += p_n
+        Q[:n - 1] += c_n
+        Q[n - 1] = p_n
+        _g_weights(row.J, lead[n - 1], w[:n])
+        multiply(Q[:n], h, out=c[:n])  # h Q, in c: the sum above is done
+        terms[n] = vecdot(w[:n], c[:n]) / kappa
     return terms
 
 
@@ -199,8 +228,8 @@ def _march_terms(march) -> np.ndarray:
     levels to the end, from the march's own increments du^k:
     d^k . d^n = du^k' z^n with z^n = (-H)^{-1} du^n = S (lam * (S du^n)),
     S the march's sine matrix. That adds vectors only, no array the size of
-    the run. The products are an einsum, as in energy_series, but the two
-    dense transforms round differently from its FFT, so the terms match
+    the run. The products are np.vecdot rows, as in energy_series, but the
+    two dense transforms round differently from its FFT, so the terms match
     its to rounding, not bitwise.
     """
     cfg = march.config
@@ -208,12 +237,13 @@ def _march_terms(march) -> np.ndarray:
     lam = _neg_h_inv_eigs(cfg.M)
     y = np.empty(cfg.M - 1)
     z = np.empty(cfg.M - 1)
+    S_dot, multiply, vecdot = S.dot, np.multiply, np.vecdot
 
     def products(n, out):
-        S.dot(dU[n - 1], out=y)
-        np.multiply(y, lam, out=y)
-        S.dot(y, out=z)                               # (-H)^{-1} du^n
-        np.einsum("ij,j->i", dU[:n], z, out=out)      # d^k . d^n
+        S_dot(dU[n - 1], out=y)
+        multiply(y, lam, out=y)
+        S_dot(y, out=z)                               # (-H)^{-1} du^n
+        vecdot(dU[:n], z, out=out)                    # d^k . d^n
 
     return _history_terms(cfg, march.levels(), products)
 
@@ -404,7 +434,7 @@ def convergence_order(errors, Ns) -> np.ndarray:
 def write_energy_csv(series: EnergySeries, target) -> None:
     """Emit `n,t_n,E,E_modified` (modified blank at level 0)."""
     write_csv(target, "n,t_n,E,E_modified",
-              ((n, t, e, "" if np.isnan(em) else em) for n, t, e, em in zip(
+              ((n, t, e, "" if math.isnan(em) else em) for n, t, e, em in zip(
                   series.levels, series.times, series.free_energy,
                   series.modified_energy)))
 

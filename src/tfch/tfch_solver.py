@@ -30,12 +30,14 @@ with K from LAPACK, so a converged level solves that matrix's equation to
 roundoff: the fixed point is the one an LU solve of L reaches, not that of
 the sine-basis operator, which differs from L by rounding. Nothing is
 factored per level: w follows from B_0 in O(M). A and D are tridiagonal
-and enter the march through compact_spatial._stencil: once per level as
+and enter the march through compact_spatial's stencil: once per level as
 A (B_0 u^{n-1} - hist) and A g, g the source on all M+1 nodes, and in each
 sweep as kappa D u^3. A sweep is that stencil and three dense matrix-vector
 products, L u and two with S, each by ndarray.dot into a preallocated
 buffer (bitwise np.matmul, and cheaper per call). The stencil gives the
-dense products' values to roundoff, not bitwise.
+dense products' values to roundoff, not bitwise. The march slices its
+zero-ended operand buffer into the stencil's three views once and hands
+them to compact_spatial._stencil_views, so no sweep slices anything.
 
 K is built once. A^{-1} D is the run's one factorisation: LAPACK gesv
 (getrf, then getrs) through numpy.linalg.solve. Its result is bitwise that
@@ -45,7 +47,8 @@ so every product with it keeps its bits. solve calls it as
 lu_solve(lu_factor(A), D) on module globals, so a tracer that rebinds them
 sees both calls, though gesv does all the work inside lu_solve. K's buffer
 then becomes L: each level writes fl(fl(A_ij B_0) + K_ij) on A's three
-diagonals only, from K's band saved once. That is bitwise the full
+diagonals only, from K's band saved once, through one flat index in L's
+(Fortran) memory order. That is bitwise the full
 B_0 * A + K: off the band fl(0 B_0 + K_ij) = K_ij, because K holds no -0.0
 (the floor below writes +0.0). Each sweep allocates nothing; the new iterate
 goes into one of two buffers taken in turn, so the increment can still read
@@ -105,8 +108,8 @@ from ._gamma import gamma
 from .caputo_l2 import (_RHO_STAR_ALPHA_MIN, kernel_row_B,  # noqa: F401
                         kernel_rows, q)
 from .compact_spatial import (_A_ENTRIES, _D_ENTRIES, _dxx_entries,
-                              _sine_matrix, _stencil, _tridiag_eigs, a_matrix,
-                              dxx_matrix)
+                              _sine_matrix, _stencil, _stencil_views,
+                              _tridiag_eigs, a_matrix, dxx_matrix)
 from .temporal_mesh import TemporalMesh, validate_ratio_bound
 
 __all__ = [
@@ -416,10 +419,11 @@ class _March:
     Construction does the set-up: the step-ratio warning, the matrices and
     the arrays of the run. Of the (M-1)^2 matrices it keeps the step matrix
     L and the sine matrix S; A and D leave with the constructor. The march
-    applies A and kappa D with compact_spatial._stencil to the cube buffer,
-    the inside of the zero-ended pad: each level puts B0 u^{n-1} - hist
-    there for A, and each sweep u^3 for kappa D, then reuses it for the
-    correction and the increment. levels() marches and yields each level's
+    applies A and kappa D with compact_spatial._stencil_views to the cube
+    buffer, the inside of the zero-ended pad, through the pad's three views
+    sliced once per march: each level puts B0 u^{n-1} - hist there for A,
+    and each sweep u^3 for kappa D, then reuses it for the correction and
+    the increment. levels() marches and yields each level's
     KernelRow once, right after U[n] and dU[n-1] are set, so a caller can
     read the new increment beside the earlier ones while the row is at hand.
     Run it to its end before history(), which takes the Lipschitz constant
@@ -453,14 +457,21 @@ class _March:
         L += S
         L[np.abs(L, out=S) < _K_FLOOR] = 0.0
         _sine_matrix(S)
-        band = np.nonzero(A)  # A's three diagonals
+        # L's entries in its memory order: L is Fortran-ordered, as lu_solve
+        # leaves it, so L.T is C-contiguous and its reshape is a view. A's
+        # three diagonals are one flat index into it, in that order (A.T's
+        # nonzeros walk A by columns), so each level's band rewrite is one
+        # scatter
+        self.L_flat = L.T.reshape(-1)
+        j, i = np.nonzero(A.T)
+        band = np.ravel_multi_index((i, j), L.shape, order="F")
         # S diag(1 / (B0 a + k)) S is the inverse of B0 A + K in exact
         # arithmetic
         self.a = a = _tridiag_eigs(*_A_ENTRIES, m)
         d = _tridiag_eigs(*_D_ENTRIES, m) / (h * h)
         self.config = config
         self.L, self.S = L, S
-        self.band, self.A_band, self.K_band = band, A[band], L[band]
+        self.band, self.A_band, self.K_band = band, A[i, j], self.L_flat[band]
         self.k = kappa * d + kappa * eps ** 2 * (d * d / a)
 
         N = mesh.N
@@ -483,54 +494,66 @@ class _March:
         max_iterations.
         """
         config = self.config
-        mesh, x_full = config.mesh, self.x_full
-        L, S = self.L, self.S
+        mesh, x_full, source = config.mesh, self.x_full, config.source
+        tol, max_iterations = config.iteration_tol, config.max_iterations
+        L_dot, S_dot, L_flat = self.L.dot, self.S.dot, self.L_flat
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        divide, absolute, max_of = np.divide, np.abs, np.maximum.reduce
         # fl(kappa fl(1/h^2)): the bits of kappa D's entries
         D_stencil = tuple(config.kappa * e for e in _dxx_entries(config.h))
         band, A_band, K_band = self.band, self.A_band, self.K_band
         a, k = self.a, self.k
         U, dU = self.U, self.dU
         iterations, residuals = self.iterations, self.residuals
-        pad, cube = self.pad, self.cube
+        # the stencils' three views of the zero-ended pad, sliced once
+        pad = self.pad
+        left, cube, right = pad[:-2], self.cube, pad[2:]
         m = U.shape[1]
         r = np.empty(m)
         y = np.empty(m)  # L u, then the sine coefficients of the correction
         hist = np.empty(m)
         const = np.empty(m)
+        w = np.empty(m)
+        L_band = np.empty(len(band))
         u_bufs = (np.empty(m), np.empty(m))
 
         for row in kernel_rows(mesh, config.alpha):
             n, B = row.level, row.B
             B0 = B[n - 1]
             B[: n - 1].dot(dU[: n - 1], out=hist)
-            np.multiply(U[n - 1], B0, out=cube)
+            multiply(U[n - 1], B0, out=cube)
             cube -= hist
-            _stencil(_A_ENTRIES, pad, const, r)
+            _stencil_views(_A_ENTRIES, left, cube, right, const, r)
             # the zero source's A g is +0.0: adding it turns a -0.0 in const
             # into +0.0, as adding an averaged source term does
-            const += 0.0 if config.source is None else _stencil(
+            const += 0.0 if source is None else _stencil(
                 _A_ENTRIES, _source_values(config, x_full, mesh.nodes[n]),
                 y, r)
-            L[band] = A_band * B0 + K_band
-            w = 1.0 / (B0 * a + k)
+            # L = B0 A + K on A's band; w = 1 / (B0 a + k)
+            multiply(A_band, B0, out=L_band)
+            L_band += K_band
+            L_flat[band] = L_band
+            multiply(a, B0, out=w)
+            w += k
+            divide(1.0, w, out=w)
 
             u_s = U[n - 1]
             converged = False
-            for s in range(config.max_iterations):
-                np.multiply(u_s, u_s, out=cube)
+            for s in range(max_iterations):
+                multiply(u_s, u_s, out=cube)
                 cube *= u_s
-                _stencil(D_stencil, pad, r, y)
+                _stencil_views(D_stencil, left, cube, right, r, y)
                 r += const
-                r -= L.dot(u_s, out=y)
-                S.dot(r, out=y)
+                r -= L_dot(u_s, out=y)
+                S_dot(r, out=y)
                 y *= w
-                S.dot(y, out=cube)
+                S_dot(y, out=cube)
                 # not u_s's buffer: the increment below reads u_s
-                u_next = np.add(u_s, cube, out=u_bufs[s % 2])
-                np.subtract(u_next, u_s, out=cube)
-                res = np.maximum.reduce(np.abs(cube, out=cube))
+                u_next = add(u_s, cube, out=u_bufs[s % 2])
+                subtract(u_next, u_s, out=cube)
+                res = max_of(absolute(cube, out=cube))
                 u_s = u_next
-                if res <= config.iteration_tol:
+                if res <= tol:
                     iterations[n - 1] = s + 1
                     residuals[n - 1] = res
                     converged = True
@@ -539,12 +562,11 @@ class _March:
                     # NaN or inf: the cubic overflowed or the data is not
                     # finite, and the residual carried it through to the
                     # increment
-                    raise NonconvergenceError(n, math.inf,
-                                              config.max_iterations)
+                    raise NonconvergenceError(n, math.inf, max_iterations)
             if not converged:
-                raise NonconvergenceError(n, float(res), config.max_iterations)
+                raise NonconvergenceError(n, float(res), max_iterations)
             U[n] = u_s
-            dU[n - 1] = U[n] - U[n - 1]
+            subtract(u_s, U[n - 1], out=dU[n - 1])
             yield row
 
     def history(self) -> RunHistory:

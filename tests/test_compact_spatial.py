@@ -14,9 +14,11 @@ import scipy.linalg
 
 from tfch.compact_spatial import (
     _A_ENTRIES,
+    _dxx_entries,
     _sine,
     _sine_matrix,
     _stencil,
+    _stencil_views,
     _tridiag_eigs,
     a_matrix,
     apply_A,
@@ -147,6 +149,53 @@ class TestSecondDifference:
         for i in range(1, M):
             assert out[i - 1] == pytest.approx(
                 (full[i - 1] - 2.0 * full[i] + full[i + 1]) / h2, rel=1e-12)
+
+
+class TestStencilViews:
+    """The march slices its zero-ended buffer into three views once and
+    applies its stencils through _stencil_views."""
+
+    @staticmethod
+    def _data(shape, seed):
+        # random values with -0.0 and +0.0 entries, between zero ends
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(shape)
+        v.flat[rng.integers(0, v.size, v.size // 4)] = -0.0
+        v.flat[rng.integers(0, v.size, v.size // 8)] = 0.0
+        v[..., :2] = -0.0  # an edge whose value and neighbour are -0.0
+        return np.pad(v, [(0, 0)] * (v.ndim - 1) + [(1, 1)])
+
+    @pytest.mark.parametrize("entries", [_A_ENTRIES, _dxx_entries(1.0 / 64),
+                                         (0.03 * 4096.0, 0.03 * -8192.0)])
+    @pytest.mark.parametrize("shape", [(63,), (5, 31)])
+    def test_bitwise_equal_to_stencil(self, entries, shape):
+        off, diag = entries
+        for seed in range(3):
+            full = self._data(shape, seed)
+            want = _stencil(entries, full)
+            # the order the docstring states, written out
+            ref = (off * full[..., :-2] + off * full[..., 2:]) \
+                + diag * full[..., 1:-1]
+            assert want.tobytes() == ref.tobytes()
+            out, tmp = np.empty(shape), np.empty(shape)
+            got = _stencil_views(entries, full[..., :-2], full[..., 1:-1],
+                                 full[..., 2:], out, tmp)
+            assert got is out
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_views_sliced_once_see_each_new_operand(self):
+        # as in the march: the inside of one zero-ended buffer is rewritten
+        # between calls, and the views taken before still read it
+        m = 47
+        pad = np.zeros(m + 2)
+        left, mid, right = pad[:-2], pad[1:-1], pad[2:]
+        out, tmp = np.empty(m), np.empty(m)
+        for seed in range(4):
+            mid[...] = self._data((m,), seed)[1:-1]
+            _stencil_views(_A_ENTRIES, left, mid, right, out, tmp)
+            assert out.tobytes() == _stencil(_A_ENTRIES, pad).tobytes()
+        assert not np.signbit(pad[[0, -1]]).any()
 
 
 class TestCompactLaplacian:

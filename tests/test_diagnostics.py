@@ -20,6 +20,7 @@ import scipy.linalg
 from scipy.special import gamma
 
 from tfch import diagnostics
+from tfch._fmt import write_csv
 from tfch.caputo_l2 import kernel_row_J, kernel_rows
 from tfch.compact_spatial import _sine_matrix, a_matrix, dxx_matrix, quad_negH
 from tfch.diagnostics import (
@@ -106,11 +107,32 @@ def _assert_longdouble_history_terms(run, terms):
     cfg, U, M = run.config, run.U, run.config.M
     for n in range(1, cfg.mesh.N + 1):
         Q = _longdouble_negative_norms(U[n].astype(np.longdouble) - U[:n], M)
-        w = diagnostics._g_weights(kernel_row_J(n, cfg.mesh, cfg.alpha),
-                                   cfg.mesh, cfg.alpha, gamma(3.0 - cfg.alpha))
+        w = diagnostics._g_weights(
+            kernel_row_J(n, cfg.mesh, cfg.alpha),
+            diagnostics._lead_weight(n, cfg.mesh, cfg.alpha,
+                                     gamma(3.0 - cfg.alpha)))
         exact = float(w.astype(np.longdouble) @ Q)
         got = terms[n] * cfg.kappa
         assert abs(got - exact) <= 1e-13 * exact, n
+
+
+def _per_blas_thread_count(tmp_path, probe, *args):
+    """Run probe in a child process under OPENBLAS_NUM_THREADS 1 and then 2,
+    with this tfch on the path; probe saves an npz to its last argument.
+    Returns each run's arrays by name."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules[energy_series.__module__].__file__)))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / ("probe-%s.npz" % threads)
+        subprocess.run([sys.executable, "-c", probe, *args, str(out)],
+                       env=env, check=True, timeout=300)
+        with np.load(out) as data:
+            runs.append({k: data[k] for k in data.files})
+    return runs
 
 
 class _Replay:
@@ -136,6 +158,37 @@ with open(sys.argv[1], "rb") as f:
     series = energy_series(pickle.load(f))
 np.savez(sys.argv[2], free_energy=series.free_energy,
          modified_energy=series.modified_energy, mass=series.mass)
+"""
+
+# Runs in a child process: tfch-run's march and online modified energy
+# (_run_series) at N = 400, M = 64, and _march_terms replayed on random
+# states at N = 1000, M = 512, saved as npz.
+_RUN_SERIES_PROBE = """
+import sys, types, warnings
+import numpy as np
+from tfch.caputo_l2 import kernel_rows
+from tfch.compact_spatial import _sine_matrix
+from tfch.diagnostics import _march_terms, _run_series
+from tfch.temporal_mesh import build_graded_cubic
+from tfch.tfch_solver import SolverConfig, quartic_bump
+
+def config(N, M):
+    return SolverConfig(alpha=0.4, kappa=0.01, epsilon=0.1,
+                        mesh=build_graded_cubic(N, 1.0), M=M,
+                        initial=quartic_bump)
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", RuntimeWarning)
+    history, series = _run_series(config(400, 64))
+cfg = config(1000, 512)
+U = np.random.default_rng(5).uniform(-1.0, 1.0, (1001, 511))
+replay = types.SimpleNamespace(
+    config=cfg, dU=np.diff(U, axis=0), S=_sine_matrix(np.empty((511, 511))),
+    levels=lambda: kernel_rows(cfg.mesh, cfg.alpha))
+np.savez(sys.argv[1], U=history.U, iterations=history.iterations,
+         residuals=history.residuals, free_energy=series.free_energy,
+         modified_energy=series.modified_energy, mass=series.mass,
+         replayed_terms=_march_terms(replay))
 """
 
 
@@ -386,19 +439,7 @@ class TestModifiedEnergy:
         path = tmp_path / "history.pkl"
         with open(path, "wb") as f:
             pickle.dump(hist, f)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(
-            sys.modules[energy_series.__module__].__file__)))
-        runs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           p for p in (src, os.environ.get("PYTHONPATH"))
-                           if p))
-            out = tmp_path / ("series-%s.npz" % threads)
-            subprocess.run([sys.executable, "-c", _SERIES_PROBE, str(path),
-                            str(out)], env=env, check=True, timeout=300)
-            with np.load(out) as data:
-                runs.append({k: data[k] for k in data.files})
+        runs = _per_blas_thread_count(tmp_path, _SERIES_PROBE, str(path))
         assert sorted(runs[0]) == ["free_energy", "mass", "modified_energy"]
         for name, values in runs[0].items():
             assert values.tobytes() == runs[1][name].tobytes(), name
@@ -407,6 +448,20 @@ class TestModifiedEnergy:
 class TestOnlineFeed:
     """The modified energy tfch-run takes from its one march against
     energy_series of the same run."""
+
+    def test_bitwise_equal_across_blas_thread_counts(self, tmp_path):
+        # tfch-run's march and online feed, _run_series, at M = 64, where
+        # set-up's gesv and GEMM keep their bits under two threads (at
+        # M = 100 and above L does not); and the feed alone, replayed on
+        # random states at (N, M) = (1000, 512), where a BLAS gemv
+        # dU[:n] @ z gives other bits under two threads for n >= 902. Each
+        # product is one ddot of M-1 <= 10000 entries, single-threaded.
+        runs = _per_blas_thread_count(tmp_path, _RUN_SERIES_PROBE)
+        assert sorted(runs[0]) == ["U", "free_energy", "iterations", "mass",
+                                   "modified_energy", "replayed_terms",
+                                   "residuals"]
+        for name, values in runs[0].items():
+            assert values.tobytes() == runs[1][name].tobytes(), name
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5])
     @pytest.mark.parametrize("M", [16, 64])
@@ -522,7 +577,62 @@ class TestConvergenceOrder:
             convergence_order([1.0, 0.5], Ns=Ns)
 
 
+def _csv_cell_by_cell(header, rows):
+    """The CSV text write_csv gives, built cell by cell: a str as given, an
+    integer with %d, anything else with %.17g of its float."""
+    def cell(value):
+        if isinstance(value, float):
+            return "%.17g" % value
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return "%d" % value
+        return "%.17g" % float(value)
+    return header + "\n" + "".join(",".join(map(cell, row)) + "\n"
+                                   for row in rows)
+
+
 class TestCsvWriters:
+    def test_write_csv_bytes_match_the_cell_by_cell_form(self, tmp_path):
+        # one % per row, with a line format per sequence of cell types;
+        # the rows mix Python and numpy ints and floats, -0.0, nan, inf,
+        # subnormals, blank cells and a str holding a % sign
+        values = np.array([0.1, -0.0, np.nan, 5e-324, -np.inf, 1.0 / 3.0])
+        rows = [
+            (0, 0.0, -0.0, ""),
+            (np.int64(7), np.float64(-0.0), np.nan, 1e-310),
+            (True, np.float32(0.1), -np.inf, "x%sy"),
+            (2 ** 70, np.float64(np.nan), 1.0 / 3.0, np.int32(-5)),
+            (np.int64(2 ** 62 + 1), np.uint8(200), "", -1e300),
+            (),
+            (3, "", "", ""),
+            [4, 2.5, "", 1],
+        ]
+        rows += list(zip(range(6), values, values.tolist(), values[::-1]))
+        want = _csv_cell_by_cell("a,b,c,d", rows)
+        buf = io.StringIO()
+        write_csv(buf, "a,b,c,d", iter(rows))
+        assert buf.getvalue() == want
+        path = tmp_path / "table.csv"
+        write_csv(str(path), "a,b,c,d", rows)
+        assert path.read_bytes() == want.encode()
+
+    def test_energy_and_mass_csv_bytes_match_the_cell_by_cell_form(self):
+        # the writers pass Python floats (tolist()); the text is that of
+        # the arrays' numpy scalars, nan written blank
+        hist = _small_run(N=6, M=8)
+        series = energy_series(hist)
+        energy, mass_ = io.StringIO(), io.StringIO()
+        write_energy_csv(series, energy)
+        write_mass_csv(series, mass_)
+        assert energy.getvalue() == _csv_cell_by_cell(
+            "n,t_n,E,E_modified",
+            ((n, t, e, "" if np.isnan(em) else em) for n, t, e, em in zip(
+                series.levels, series.times, series.free_energy,
+                series.modified_energy)))
+        assert mass_.getvalue() == _csv_cell_by_cell(
+            "n,t_n,mass", zip(series.levels, series.times, series.mass))
+
     def test_energy_csv_blank_modified_at_level_zero(self):
         hist = _small_run(N=6, M=8)
         buf = io.StringIO()

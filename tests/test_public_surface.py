@@ -139,3 +139,18 @@ def test_cli_run_loads_no_scipy(tmp_path):
                           check=True, timeout=120)
     assert done.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "rho_star.csv").exists()
+
+
+def test_cli_import_leaves_out_the_verification_battery():
+    # only the verify command reads tfch._verification; the other commands
+    # do not pay for compiling and running it at start-up
+    probe = ("import sys\n"
+             "import tfch.cli\n"
+             "print('tfch._verification' in sys.modules)\n")
+    src = str(Path(tfch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert done.stdout.strip().splitlines()[-1] == "False"
