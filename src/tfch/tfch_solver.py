@@ -41,46 +41,54 @@ them to compact_spatial._stencil_views, so no sweep slices anything.
 
 K is built once. A^{-1} D is the run's one factorisation: LAPACK gesv
 (getrf, then getrs) through numpy.linalg.solve. Its result is bitwise that
-of scipy.linalg's lu_solve(lu_factor(A), D) (M = 8 to 1024, one and two
-BLAS threads), and it is copied to Fortran order, the order getrs leaves,
-so every product with it keeps its bits. solve calls it as
+of scipy.linalg's lu_solve(lu_factor(A), D) (M = 8 to 1024, one and two BLAS
+threads), and it is copied to Fortran order, the order getrs leaves, so
+every product with it keeps its bits. solve calls it as
 lu_solve(lu_factor(A), D) on module globals, so a tracer that rebinds them
-sees both calls, though gesv does all the work inside lu_solve. K's buffer
-then becomes L: each level writes fl(fl(A_ij B_0) + K_ij) on A's three
-diagonals only, from K's band saved once, through one flat index in L's
-(Fortran) memory order. That is bitwise the full
-B_0 * A + K: off the band fl(0 B_0 + K_ij) = K_ij, because K holds no -0.0
-(the floor below writes +0.0). Each sweep allocates nothing; the new iterate
-goes into one of two buffers taken in turn, so the increment can still read
-the old one. No right-hand side is screened: a non-finite one (an overflowing
-cubic, a NaN source) comes back as a non-finite increment, and the sweep's
-residual test turns that into NonconvergenceError at the same level.
+sees both calls, though gesv does all the work inside lu_solve, and nothing
+reads A after it. K's buffer then becomes L: each level writes
+fl(K_ij + fl(a B_0)) on A's three diagonals only, a the diagonal's entry
+from compact_spatial._A_ENTRIES, through three writable views of L's
+diagonals, from copies of K's values on them saved once. That is bitwise
+the full B_0 * A + K: off the band fl(0 B_0 + K_ij) = K_ij, because K holds
+no -0.0 (the floor below writes +0.0). Each sweep allocates nothing; the
+new iterate goes into one of two buffers taken in turn, so the increment
+can still read the old one. No right-hand side is screened: a non-finite
+one (an overflowing cubic, a NaN source) comes back as a non-finite
+increment, and the sweep's residual test turns that into
+NonconvergenceError at the same level.
 
 A^{-1} decays like 0.1^|i-j|, so K has a dense tail that falls toward
-underflow: down to 2e-190 at M = 200, exact zeros and subnormals from M = 400
-on. Each sweep's L u multiplies that tail by the state, and products below
-the normal range take a slow microcode assist per operation on Intel x86
-cores. solve therefore sets every entry of K below 2^-511 = sqrt(tiny) to
-exactly 0.0; A is tridiagonal, so these are the only such entries of L. With
-kappa = 0.01, eps = 0.1, a run at M = 1024, N = 100 took 0.56-0.60 s with
-the floor and 0.67-0.69 s without it (AVX-512 Xeon, one BLAS thread). No
-output moves: a zeroed entry's products with state-sized values lie far
-below an ulp of the sums they join. The states are bitwise those of the
-untruncated K at M = 200, 256 and 512; at M = 128 the smallest entry of K is
-about 1e-119, and nothing is zeroed.
+underflow: down to 2e-190 at M = 200, exact zeros and subnormals from
+M = 400 on. Each sweep's L u multiplies that tail by the state, and
+products below the normal range take a slow microcode assist per operation
+on Intel x86 cores. solve therefore sets every entry of K below
+2^-511 = sqrt(tiny) to exactly 0.0; A is tridiagonal, so these are the only
+such entries of L. At the bench's M it buys no speed: with alpha = 0.4,
+kappa = 0.01, eps = 0.1, a run at M = 200, graded N = 1000 took
+0.109-0.122 s with the floor and 0.106-0.118 s without it, six alternating
+runs each. At M = 1024, graded N = 100 (200 sweeps either way) it took
+0.54-0.63 s with the floor and 0.59-0.67 s without it, medians 0.59 and
+0.66 s over six alternating runs each; an earlier series of three each
+overlapped, 0.57-0.65 s against 0.53-0.65 s (a shared 2-core AVX-512 Xeon,
+one BLAS thread). No output moves: a zeroed entry's products with
+state-sized values lie far below an ulp of the sums they join. The states
+are bitwise those of the untruncated K at M = 200, 256 and 512; at M = 128
+the smallest entry of K is about 1e-119, and nothing is zeroed.
 
 A run holds two arrays the size of the run, the states U and the
-increments dU that the history sum B @ dU reads. Set-up holds four
-(M-1)^2 matrices at once, A, D, L and S: K is assembled in the buffer of
-A^{-1} D, which becomes L, and the one (M-1)^2 temporary, D A^{-1} D,
-holds |K| for the floor and then becomes S. The march keeps only L and S;
-of A it keeps the band, for L's rewrite. The stencils read their operand
-from the cube buffer, the inside of a vector of M+1 entries whose two ends
-stay +0.0, so the first and last rows need no case of their own. The
-post-run Lipschitz constant is taken in buffers the march is done with
-(_peak): dU holds the work on U[1:] and the cube buffer the work on U[0],
-so neither pass allocates anything the size of the run. Both give the bits
-of their whole-array forms.
+increments dU that the history sum B @ dU reads. A lives only through
+lu_solve, and set-up's peak comes there: A, D, gesv's result and its
+Fortran-order copy, beside gesv's own copies of A and D. K is assembled in
+the buffer of A^{-1} D, which becomes L, and the one (M-1)^2 temporary, D A^{-1} D,
+holds |K| for the floor and then becomes S. The march keeps only L and S,
+and of K the values on A's three diagonals, for L's rewrite. The stencils
+read their operand from the cube buffer, the inside of a vector of M+1
+entries whose two ends stay +0.0, so the first and last rows need no case
+of their own. The post-run Lipschitz constant is taken in dU, which the
+march is done with (_peak): dU[0] holds the work on U[0], then dU the work
+on U[1:], so neither pass allocates anything the size of the run. Both
+give the bits of their whole-array forms.
 
 The level loop is one march, _March: it gives each level's KernelRow to
 its caller once, right after U[n] and dU[n-1] are set. solve runs it to
@@ -210,7 +218,11 @@ class GridFunction:
     """One level of a run on the closed grid of the unit interval: values
     holds its M+1 nodal values, the two zero boundary values included.
 
-    eq is disabled: ndarray equality is elementwise.
+    Only RunHistory.terminal makes one, and only
+    bench/workloads.run_coarsening and the tests read that; the package
+    itself pads U's rows with np.pad(U[n], 1). Both go once the benchmark
+    reads U (ROADMAP item 2, stage A). eq is disabled: ndarray equality is
+    elementwise.
     """
 
     values: np.ndarray
@@ -227,9 +239,10 @@ class RunHistory:
     U is the read-only (N+1, M-1) array of interior values that solve
     marched, row n holding u^n; the boundary values are zero at every level,
     u^0's included. terminal gives the last level as a zero-padded
-    GridFunction. violations maps validator name to the 1-based levels whose
-    step exceeded that bound; empty tuples mean the run satisfied the
-    corresponding sufficient condition.
+    GridFunction, for bench/workloads.run_coarsening and the tests only
+    (see GridFunction). violations maps validator name to the 1-based
+    levels whose step exceeded that bound; empty tuples mean the run
+    satisfied the corresponding sufficient condition.
     """
 
     config: SolverConfig
@@ -418,14 +431,15 @@ class _March:
 
     Construction does the set-up: the step-ratio warning, the matrices and
     the arrays of the run. Of the (M-1)^2 matrices it keeps the step matrix
-    L and the sine matrix S; A and D leave with the constructor. The march
-    applies A and kappa D with compact_spatial._stencil_views to the cube
-    buffer, the inside of the zero-ended pad, through the pad's three views
-    sliced once per march: each level puts B0 u^{n-1} - hist there for A,
-    and each sweep u^3 for kappa D, then reuses it for the correction and
-    the increment. levels() marches and yields each level's
-    KernelRow once, right after U[n] and dU[n-1] are set, so a caller can
-    read the new increment beside the earlier ones while the row is at hand.
+    L and the sine matrix S; A and D leave with the constructor. levels()
+    holds the march's buffers as its locals. It applies A and kappa D with
+    compact_spatial._stencil_views to the cube buffer, the inside of a
+    zero-ended pad, through the pad's three views sliced once per march:
+    each level puts B0 u^{n-1} - hist there for A, and each sweep u^3 for
+    kappa D, then reuses it for the correction and the increment. levels()
+    marches and yields each level's KernelRow once, right after U[n] and
+    dU[n-1] are set, so a caller can read the new increment beside the
+    earlier ones while the row is at hand.
     Run it to its end before history(), which takes the Lipschitz constant
     in dU's buffer and returns the RunHistory that solve returns; dU holds
     no increments after that. A caller may read U, dU and the sine matrix S
@@ -444,34 +458,32 @@ class _March:
                 RuntimeWarning, stacklevel=3)
 
         M, h = config.M, config.h
-        self.x_full = np.linspace(0.0, 1.0, M + 1)
-        u0 = _initial_values(config, self.x_full)
+        u0 = _initial_values(config, np.linspace(0.0, 1.0, M + 1))
         m = M - 1
-        A, D = a_matrix(M), dxx_matrix(M)
+        D = dxx_matrix(M)
         # K = kappa D + kappa eps^2 D (A^{-1} D) in A^{-1} D's buffer, which
         # becomes the step matrix L; the one (M-1)^2 temporary becomes S
-        L = lu_solve(lu_factor(A), D)
+        L = lu_solve(lu_factor(a_matrix(M)), D)
         S = D @ L
         S *= kappa * eps ** 2
         np.multiply(D, kappa, out=L)
         L += S
         L[np.abs(L, out=S) < _K_FLOOR] = 0.0
         _sine_matrix(S)
-        # L's entries in its memory order: L is Fortran-ordered, as lu_solve
-        # leaves it, so L.T is C-contiguous and its reshape is a view. A's
-        # three diagonals are one flat index into it, in that order (A.T's
-        # nonzeros walk A by columns), so each level's band rewrite is one
-        # scatter
-        self.L_flat = L.T.reshape(-1)
-        j, i = np.nonzero(A.T)
-        band = np.ravel_multi_index((i, j), L.shape, order="F")
+        # each of A's three diagonals as (A's entry, K's values there, a
+        # writable view of L there); einsum's views alias L whatever its
+        # memory order
+        off, diag = _A_ENTRIES
+        self.band = [(e, view.copy(), view) for e, view in (
+            (off, np.einsum("ii->i", L[1:, :-1])),
+            (diag, np.einsum("ii->i", L)),
+            (off, np.einsum("ii->i", L[:-1, 1:])))]
         # S diag(1 / (B0 a + k)) S is the inverse of B0 A + K in exact
         # arithmetic
         self.a = a = _tridiag_eigs(*_A_ENTRIES, m)
         d = _tridiag_eigs(*_D_ENTRIES, m) / (h * h)
         self.config = config
         self.L, self.S = L, S
-        self.band, self.A_band, self.K_band = band, A[i, j], self.L_flat[band]
         self.k = kappa * d + kappa * eps ** 2 * (d * d / a)
 
         N = mesh.N
@@ -481,10 +493,6 @@ class _March:
         self.iterations = np.zeros(N, dtype=int)
         self.residuals = np.zeros(N)
         self.violations = _step_violations(config)
-        # the stencils' operand between two zeros: B0 u^{n-1} - hist once per
-        # level, then u^3, the correction and the increment in each sweep
-        self.pad = np.zeros(m + 2)
-        self.cube = self.pad[1:-1]
 
     def levels(self):
         """March every level in order; yield its KernelRow once U[n] and
@@ -494,27 +502,28 @@ class _March:
         max_iterations.
         """
         config = self.config
-        mesh, x_full, source = config.mesh, self.x_full, config.source
+        mesh, source = config.mesh, config.source
+        x_full = np.linspace(0.0, 1.0, config.M + 1)
         tol, max_iterations = config.iteration_tol, config.max_iterations
-        L_dot, S_dot, L_flat = self.L.dot, self.S.dot, self.L_flat
+        L_dot, S_dot = self.L.dot, self.S.dot
         multiply, add, subtract = np.multiply, np.add, np.subtract
         divide, absolute, max_of = np.divide, np.abs, np.maximum.reduce
         # fl(kappa fl(1/h^2)): the bits of kappa D's entries
         D_stencil = tuple(config.kappa * e for e in _dxx_entries(config.h))
-        band, A_band, K_band = self.band, self.A_band, self.K_band
-        a, k = self.a, self.k
+        band, a, k = self.band, self.a, self.k
         U, dU = self.U, self.dU
         iterations, residuals = self.iterations, self.residuals
-        # the stencils' three views of the zero-ended pad, sliced once
-        pad = self.pad
-        left, cube, right = pad[:-2], self.cube, pad[2:]
         m = U.shape[1]
+        # the stencils' operand between two zeros, sliced once into their
+        # three views: B0 u^{n-1} - hist once per level, then u^3, the
+        # correction and the increment in each sweep
+        pad = np.zeros(m + 2)
+        left, cube, right = pad[:-2], pad[1:-1], pad[2:]
         r = np.empty(m)
         y = np.empty(m)  # L u, then the sine coefficients of the correction
         hist = np.empty(m)
         const = np.empty(m)
         w = np.empty(m)
-        L_band = np.empty(len(band))
         u_bufs = (np.empty(m), np.empty(m))
 
         for row in kernel_rows(mesh, config.alpha):
@@ -530,15 +539,13 @@ class _March:
                 _A_ENTRIES, _source_values(config, x_full, mesh.nodes[n]),
                 y, r)
             # L = B0 A + K on A's band; w = 1 / (B0 a + k)
-            multiply(A_band, B0, out=L_band)
-            L_band += K_band
-            L_flat[band] = L_band
+            for e, K_d, L_d in band:
+                add(K_d, e * B0, out=L_d)
             multiply(a, B0, out=w)
             w += k
             divide(1.0, w, out=w)
 
             u_s = U[n - 1]
-            converged = False
             for s in range(max_iterations):
                 multiply(u_s, u_s, out=cube)
                 cube *= u_s
@@ -556,14 +563,13 @@ class _March:
                 if res <= tol:
                     iterations[n - 1] = s + 1
                     residuals[n - 1] = res
-                    converged = True
                     break
                 if not res < math.inf:
                     # NaN or inf: the cubic overflowed or the data is not
                     # finite, and the residual carried it through to the
                     # increment
                     raise NonconvergenceError(n, math.inf, max_iterations)
-            if not converged:
+            else:
                 raise NonconvergenceError(n, float(res), max_iterations)
             U[n] = u_s
             subtract(u_s, U[n - 1], out=dU[n - 1])
@@ -576,8 +582,8 @@ class _March:
         mesh = config.mesh
         alpha, kappa, eps = config.alpha, config.kappa, config.epsilon
         violations = self.violations
-        # dU and cube are dead once the march is over
-        lip = max(_peak(U[0], self.cube), _peak(U[1:], self.dU))
+        # dU is dead once the march is over
+        lip = max(_peak(U[0], self.dU[0]), _peak(U[1:], self.dU))
         lip_limit = lipschitz_step_bound(alpha, kappa, eps, lip)
         violations["lipschitz"] = _levels(
             mesh.steps > lip_limit * (1.0 + _BOUND_SLACK), 1)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -5,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+import tfch
 from tfch.caputo_l2 import (
     KernelRow,
     kernel_row,
@@ -208,3 +212,29 @@ def row_stream_peak():
     def peak(mesh, alpha):
         return _traced_peak(lambda: sum(1 for _ in kernel_rows(mesh, alpha)))
     return peak
+
+
+def _per_blas_thread_count(tmp_path, probe, *args):
+    """Run probe in a child process under OPENBLAS_NUM_THREADS 1 and then 2,
+    with this tfch on the path; probe saves an npz to its last argument.
+    Returns each run's arrays by name."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tfch.__file__)))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / ("probe-%s.npz" % threads)
+        subprocess.run([sys.executable, "-c", probe, *args, str(out)],
+                       env=env, check=True, timeout=300)
+        with np.load(out) as data:
+            runs.append({k: data[k] for k in data.files})
+    return runs
+
+
+@pytest.fixture(scope="session")
+def per_blas_thread_count():
+    """Runner: per_blas_thread_count(tmp_path, probe, *args) runs the probe
+    script under one and then two OpenBLAS threads and returns each run's
+    saved arrays by name."""
+    return _per_blas_thread_count

@@ -8,10 +8,7 @@ reproduces the continuum energy of the bump to 1e-12.
 
 import dataclasses
 import io
-import os
 import pickle
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -114,25 +111,6 @@ def _assert_longdouble_history_terms(run, terms):
         exact = float(w.astype(np.longdouble) @ Q)
         got = terms[n] * cfg.kappa
         assert abs(got - exact) <= 1e-13 * exact, n
-
-
-def _per_blas_thread_count(tmp_path, probe, *args):
-    """Run probe in a child process under OPENBLAS_NUM_THREADS 1 and then 2,
-    with this tfch on the path; probe saves an npz to its last argument.
-    Returns each run's arrays by name."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        sys.modules[energy_series.__module__].__file__)))
-    runs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out = tmp_path / ("probe-%s.npz" % threads)
-        subprocess.run([sys.executable, "-c", probe, *args, str(out)],
-                       env=env, check=True, timeout=300)
-        with np.load(out) as data:
-            runs.append({k: data[k] for k in data.files})
-    return runs
 
 
 class _Replay:
@@ -434,12 +412,13 @@ class TestModifiedEnergy:
         peak = traced_peak(lambda: energy_series(hist))
         assert peak <= bound
 
-    def test_bitwise_equal_across_blas_thread_counts(self, tmp_path):
+    def test_bitwise_equal_across_blas_thread_counts(
+            self, tmp_path, per_blas_thread_count):
         hist = _random_history(_graded_config(200, 200), 5)
         path = tmp_path / "history.pkl"
         with open(path, "wb") as f:
             pickle.dump(hist, f)
-        runs = _per_blas_thread_count(tmp_path, _SERIES_PROBE, str(path))
+        runs = per_blas_thread_count(tmp_path, _SERIES_PROBE, str(path))
         assert sorted(runs[0]) == ["free_energy", "mass", "modified_energy"]
         for name, values in runs[0].items():
             assert values.tobytes() == runs[1][name].tobytes(), name
@@ -449,14 +428,16 @@ class TestOnlineFeed:
     """The modified energy tfch-run takes from its one march against
     energy_series of the same run."""
 
-    def test_bitwise_equal_across_blas_thread_counts(self, tmp_path):
+    def test_bitwise_equal_across_blas_thread_counts(
+            self, tmp_path, per_blas_thread_count):
         # tfch-run's march and online feed, _run_series, at M = 64, where
-        # set-up's gesv and GEMM keep their bits under two threads (at
-        # M = 100 and above L does not); and the feed alone, replayed on
-        # random states at (N, M) = (1000, 512), where a BLAS gemv
-        # dU[:n] @ z gives other bits under two threads for n >= 902. Each
-        # product is one ddot of M-1 <= 10000 entries, single-threaded.
-        runs = _per_blas_thread_count(tmp_path, _RUN_SERIES_PROBE)
+        # set-up's GEMM D @ L keeps its bits under two threads (at M = 100
+        # and above it does not; gesv keeps them up to M = 1024 at least);
+        # and the feed alone, replayed on random states at (N, M) =
+        # (1000, 512), where a BLAS gemv dU[:n] @ z gives other bits under
+        # two threads for n >= 902. Each product is one ddot of
+        # M-1 <= 10000 entries, single-threaded.
+        runs = per_blas_thread_count(tmp_path, _RUN_SERIES_PROBE)
         assert sorted(runs[0]) == ["U", "free_energy", "iterations", "mass",
                                    "modified_energy", "replayed_terms",
                                    "residuals"]

@@ -435,6 +435,28 @@ class TestStepSweep:
         assert got.flags.f_contiguous
         assert got.tobytes(order="A") == want.tobytes(order="A")
 
+    def test_lapack_layer_is_bitwise_across_blas_thread_counts(
+            self, tmp_path, per_blas_thread_count):
+        # A^{-1} D keeps its bits under two OpenBLAS threads; of set-up's
+        # products only the GEMM D @ L does not (from M = 100 up), and that
+        # alone makes tfch-run's outputs depend on the thread count
+        runs = per_blas_thread_count(tmp_path, _LAPACK_PROBE)
+        assert sorted(runs[0]) == ["M200", "M512"]
+        for name, values in runs[0].items():
+            assert values.tobytes() == runs[1][name].tobytes(), name
+
+
+# Runs in a child process: set-up's A^{-1} D at two M, saved as npz.
+_LAPACK_PROBE = """
+import sys
+import numpy as np
+from tfch.compact_spatial import a_matrix, dxx_matrix
+from tfch.tfch_solver import lu_factor, lu_solve
+np.savez(sys.argv[1], **{"M%d" % M: lu_solve(lu_factor(a_matrix(M)),
+                                            dxx_matrix(M))
+                         for M in (200, 512)})
+"""
+
 
 def _run_energy_config(M):
     # the run-energy workload's physics (tfch-run --alpha 0.4 defaults) on a
@@ -713,9 +735,9 @@ class TestPeakMemory:
 
 def _march_bound(cfg, row_stream_peak):
     """Bytes a march may add at its peak: U and dU, the four (M-1)^2
-    matrices that set-up holds at once (A, D, L and S; the march keeps only
-    L and S), the kernel row stream's block workspace and 128 KiB of
-    vectors."""
+    matrices at set-up's peak (A, D, gesv's result and its Fortran-order
+    copy, inside lu_solve; the march keeps only L and S), the kernel row
+    stream's block workspace and 128 KiB of vectors."""
     N, M = cfg.mesh.N, cfg.M
     return (2 * 8 * (N + 1) * (M - 1) + 4 * 8 * (M - 1) ** 2
             + row_stream_peak(cfg.mesh, cfg.alpha) + 128 * 1024)
