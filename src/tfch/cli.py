@@ -466,9 +466,10 @@ def _cmd_tfch_run(args) -> int:
     mesh = _build_mesh(args)
     initial = quartic_bump if args.initial == "quartic-bump" else _zero_initial
     source = None if args.source == "none" else "manufactured"
-    history, series = diagnostics._run_series(_config(
-        args, args.alpha, mesh, source=source, initial=initial,
-        max_iterations=args.max_iterations))
+    history = solve(_config(args, args.alpha, mesh, source=source,
+                            initial=initial,
+                            max_iterations=args.max_iterations))
+    series = diagnostics.energy_series(history)
 
     diagnostics.write_energy_csv(series, _out_path(args, "energy.csv"))
     diagnostics.write_mass_csv(series, _out_path(args, "mass.csv"))

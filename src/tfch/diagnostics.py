@@ -9,11 +9,14 @@ weighted history of negative-order norms of increments, built from the
 auxiliary J kernels. One loop, _history_terms, carries these norms from
 level to level through the products d^k . d^n of transformed increments
 d^k = sqrt(lam) S (u^k - u^{k-1}); its caller hands it the kernel rows and
-the products. energy_series feeds it offline, from a finished run.
-_run_series, tfch-run's one call, feeds it online from the solver's march
-(_march_terms), so that each kernel row is built once. Both feeds take a
-level's products as one np.vecdot, one OpenBLAS ddot per row, not a BLAS
-matmul, and the loop works in length-N vectors allocated once per run.
+the products. tfch_solver.solve feeds it online, from its own march
+(_march_terms), and the RunHistory it returns carries the terms, so that
+solve and then energy_series build each kernel row once. energy_series
+adds those terms to the free energies; a history that carries none (one
+built by hand, or by dataclasses.replace) gets them from the offline feed,
+_offline_terms, which transforms the finished run's increments. Both feeds
+take a level's products as one np.vecdot, one OpenBLAS ddot per row, not a
+BLAS matmul, and the loop works in length-N vectors allocated once per run.
 
 OpenBLAS threads a ddot only above 10000 entries: on OpenBLAS 0.3.31,
 lengths up to 10000 gave the same bits under 1 and 2 threads and 10001 did
@@ -39,7 +42,6 @@ from ._gamma import gamma
 from .caputo_l2 import kernel_row_J, kernel_rows
 from .compact_spatial import _neg_h_inv_eigs, _sine, _width, quad_negH
 from .temporal_mesh import TemporalMesh
-from .tfch_solver import _March
 
 __all__ = [
     "EnergySeries",
@@ -149,12 +151,29 @@ def energy_series(history) -> EnergySeries:
     energies and masses are free_energy(history.U, epsilon) and
     mass(history.U).
 
+    The bracketed history terms are history.history_terms when the run
+    carries them: solve records them while it marches, so a history it
+    returns costs no kernel row here. Any other history gets them from
+    _offline_terms. The two feeds transform the increments differently, so
+    their modified energies agree to rounding (within 2.2e-16 relative on
+    the benchmark's coarsening runs), not bitwise.
+    """
+    terms = history.history_terms
+    if terms is None:
+        terms = _offline_terms(history)
+    return _series(history, terms)
+
+
+def _offline_terms(history) -> np.ndarray:
+    """_history_terms of a finished run, fed from its states.
+
     (-H)^{-1} = S diag(lam) S with S the orthonormal DST-I, so the norm
     is h |sqrt(lam) S v|^2. The increments are transformed once, in place,
-    into D, row k-1 holding d^k, the pass's one array the size of the run.
-    The products are np.vecdot, one BLAS ddot per row, not a BLAS matmul;
-    the module docstring says when their bits do not depend on the BLAS
-    thread count.
+    into D, row k-1 holding d^k, the pass's one array the size of the run;
+    it is freed on return, before energy_series' free energies. The
+    products are np.vecdot, one BLAS ddot per row, not a BLAS matmul; the
+    module docstring says when their bits do not depend on the BLAS thread
+    count.
     """
     cfg = history.config
     D = _sine(np.subtract(history.U[1:], history.U[:-1]), overwrite=True)
@@ -163,9 +182,7 @@ def energy_series(history) -> EnergySeries:
     def products(n, out):
         np.vecdot(D[:n], D[n - 1], out=out)  # d^k . d^n
 
-    terms = _history_terms(cfg, kernel_rows(cfg.mesh, cfg.alpha), products)
-    del D  # before free_energy's temporaries, so one run-sized array at a time
-    return _series(history, terms)
+    return _history_terms(cfg, kernel_rows(cfg.mesh, cfg.alpha), products)
 
 
 def _history_terms(config, rows, products) -> np.ndarray:
@@ -228,7 +245,7 @@ def _march_terms(march) -> np.ndarray:
     levels to the end, from the march's own increments du^k:
     d^k . d^n = du^k' z^n with z^n = (-H)^{-1} du^n = S (lam * (S du^n)),
     S the march's sine matrix. That adds vectors only, no array the size of
-    the run. The products are np.vecdot rows, as in energy_series, but the
+    the run. The products are np.vecdot rows, as in _offline_terms, but the
     two dense transforms round differently from its FFT, so the terms match
     its to rounding, not bitwise.
     """
@@ -246,16 +263,6 @@ def _march_terms(march) -> np.ndarray:
         vecdot(dU[:n], z, out=out)                    # d^k . d^n
 
     return _history_terms(cfg, march.levels(), products)
-
-
-def _run_series(config):
-    """solve(config)'s RunHistory and its EnergySeries, from one march that
-    builds each kernel row once (_march_terms)."""
-    march = _March(config)
-    terms = _march_terms(march)
-    history = march.history()
-    del march  # its increments and matrices, before free_energy's temporaries
-    return history, _series(history, terms)
 
 
 def _series(history, terms) -> EnergySeries:

@@ -91,11 +91,14 @@ on U[1:], so neither pass allocates anything the size of the run. Both
 give the bits of their whole-array forms.
 
 The level loop is one march, _March: it gives each level's KernelRow to
-its caller once, right after U[n] and dU[n-1] are set. solve runs it to
-the end, so solve's results are the march's. tfch-run calls
-diagnostics._run_series, which runs the same march and feeds the modified
-energy each level's row and new increment through dU and S, so no kernel
-row is built twice.
+its caller once, right after U[n] and dU[n-1] are set. solve walks it with
+diagnostics._march_terms, which feeds the modified energy's history terms
+each level's row and new increment through dU and S, and the RunHistory
+carries those terms, so solve and then diagnostics.energy_series build each
+kernel row once. The feed reads the march's arrays and writes none of them,
+so the states are those of the march alone. At level n it costs two
+products with S, n dot products of length M-1 and the history loop's
+length-n vector work, in vectors of length N and M-1.
 
 Step-size validators (fixed-point solvability, energy dissipation, first
 step, post-run Lipschitz) are evaluated and reported as warnings; they never
@@ -106,7 +109,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -118,6 +121,7 @@ from .caputo_l2 import (_RHO_STAR_ALPHA_MIN, kernel_row_B,  # noqa: F401
 from .compact_spatial import (_A_ENTRIES, _D_ENTRIES, _dxx_entries,
                               _sine_matrix, _stencil, _stencil_views,
                               _tridiag_eigs, a_matrix, dxx_matrix)
+from .diagnostics import _march_terms
 from .temporal_mesh import TemporalMesh, validate_ratio_bound
 
 __all__ = [
@@ -243,6 +247,13 @@ class RunHistory:
     (see GridFunction). violations maps validator name to the 1-based
     levels whose step exceeded that bound; empty tuples mean the run
     satisfied the corresponding sufficient condition.
+
+    history_terms is the read-only length-(N+1) array of the modified
+    energy's history terms that solve recorded while it marched (entry 0
+    nan), which diagnostics.energy_series adds to the free energies. It is
+    not an __init__ argument: a history built by hand, or by
+    dataclasses.replace, holds None there, so its states never meet the
+    terms of other states, and energy_series computes them from its states.
     """
 
     config: SolverConfig
@@ -252,6 +263,7 @@ class RunHistory:
     violations: dict
     lipschitz_constant: float
     lipschitz_limit: float
+    history_terms: np.ndarray = field(default=None, init=False, repr=False)
 
     @property
     def mesh(self) -> TemporalMesh:
@@ -575,9 +587,10 @@ class _March:
             subtract(u_s, U[n - 1], out=dU[n - 1])
             yield row
 
-    def history(self) -> RunHistory:
+    def history(self, terms: np.ndarray = None) -> RunHistory:
         """The finished run: the post-run Lipschitz validator, the warnings
-        of every breached bound, and the read-only states."""
+        of every breached bound, the read-only states, and terms, the
+        modified energy's history terms, as its history_terms."""
         config, U = self.config, self.U
         mesh = config.mesh
         alpha, kappa, eps = config.alpha, config.kappa, config.epsilon
@@ -597,7 +610,7 @@ class _March:
                     RuntimeWarning, stacklevel=3)
 
         U.flags.writeable = False
-        return RunHistory(
+        run = RunHistory(
             config=config,
             U=U,
             iterations=self.iterations,
@@ -606,16 +619,20 @@ class _March:
             lipschitz_constant=lip,
             lipschitz_limit=lip_limit,
         )
+        if terms is not None:
+            terms.flags.writeable = False
+            # the one field __init__ does not take; the class is frozen
+            object.__setattr__(run, "history_terms", terms)
+        return run
 
 
 def solve(config: SolverConfig) -> RunHistory:
-    """March the scheme over the whole mesh and collect diagnostics.
+    """March the scheme over the whole mesh and collect diagnostics,
+    the modified energy's history terms among them (RunHistory).
 
     Raises NonconvergenceError if an inner sweep exhausts max_iterations.
     Validator breaches are warnings only: the counts land in
     RunHistory.violations.
     """
     march = _March(config)
-    for _ in march.levels():
-        pass
-    return march.history()
+    return march.history(_march_terms(march))

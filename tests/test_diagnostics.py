@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 from scipy.special import gamma
 
-from tfch import diagnostics
+from tfch import caputo_l2, diagnostics
 from tfch._fmt import write_csv
 from tfch.caputo_l2 import kernel_row_J, kernel_rows
 from tfch.compact_spatial import _sine_matrix, a_matrix, dxx_matrix, quad_negH
@@ -32,7 +32,8 @@ from tfch.diagnostics import (
     write_mass_csv,
 )
 from tfch.temporal_mesh import build_custom, build_graded_cubic
-from tfch.tfch_solver import RunHistory, SolverConfig, quartic_bump, solve
+from tfch.tfch_solver import (RunHistory, SolverConfig, _March,
+                               quartic_bump, solve)
 
 # continuum E[u] = (eps^2/2) int u_x^2 + (1/4) int (u^2-1)^2 for the quartic
 # bump at eps = 0.1, quadrature at 30 digits
@@ -84,10 +85,10 @@ def _longdouble_negative_norms(X, M):
     return h ** 3 * np.einsum("ij,ij->i", X, AX @ G)
 
 
-def _slow_walk(base):
-    """A 40-level run at M = 64 and kappa = 1e-20 whose states walk by
-    uniform steps of 1e-7 from the bump ("bump") or a random state."""
-    N, M = 40, 64
+def _slow_walk(base, M=64):
+    """A 40-level run at kappa = 1e-20 whose states walk by uniform steps
+    of 1e-7 from the bump ("bump") or a random state."""
+    N = 40
     cfg = dataclasses.replace(_graded_config(N, M), kappa=1e-20)
     rng = np.random.default_rng(11)
     U = np.empty((N + 1, M - 1))
@@ -138,17 +139,17 @@ np.savez(sys.argv[2], free_energy=series.free_energy,
          modified_energy=series.modified_energy, mass=series.mass)
 """
 
-# Runs in a child process: tfch-run's march and online modified energy
-# (_run_series) at N = 400, M = 64, and _march_terms replayed on random
-# states at N = 1000, M = 512, saved as npz.
-_RUN_SERIES_PROBE = """
+# Runs in a child process: solve and energy_series, which takes the
+# modified energy solve's march recorded, at N = 400, M = 64, and
+# _march_terms replayed on random states at N = 1000, M = 512, saved as npz.
+_ONLINE_SERIES_PROBE = """
 import sys, types, warnings
 import numpy as np
 from tfch.caputo_l2 import kernel_rows
 from tfch.compact_spatial import _sine_matrix
-from tfch.diagnostics import _march_terms, _run_series
+from tfch.diagnostics import _march_terms, energy_series
 from tfch.temporal_mesh import build_graded_cubic
-from tfch.tfch_solver import SolverConfig, quartic_bump
+from tfch.tfch_solver import SolverConfig, quartic_bump, solve
 
 def config(N, M):
     return SolverConfig(alpha=0.4, kappa=0.01, epsilon=0.1,
@@ -157,7 +158,8 @@ def config(N, M):
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", RuntimeWarning)
-    history, series = _run_series(config(400, 64))
+    history = solve(config(400, 64))
+series = energy_series(history)
 cfg = config(1000, 512)
 U = np.random.default_rng(5).uniform(-1.0, 1.0, (1001, 511))
 replay = types.SimpleNamespace(
@@ -351,10 +353,13 @@ class TestModifiedEnergy:
             run, series.modified_energy - series.free_energy)
 
     @pytest.mark.parametrize("base", ["bump", "uniform"])
-    def test_online_history_term_matches_longdouble_closed_form(self, base):
-        # The same walk and bound, with each level's products taken as a
-        # march takes them: d^k . d^n = du^k' (-H)^{-1} du^n.
-        run = _slow_walk(base)
+    @pytest.mark.parametrize("M", [64, 128, 512])
+    def test_online_history_term_matches_longdouble_closed_form(self, M,
+                                                                base):
+        # The same walk and bound, with each level's products taken as
+        # solve's march takes them: d^k . d^n = du^k' (-H)^{-1} du^n, at
+        # the bench's M and beyond.
+        run = _slow_walk(base, M)
         _assert_longdouble_history_terms(
             run, diagnostics._march_terms(_Replay(run)))
 
@@ -425,19 +430,19 @@ class TestModifiedEnergy:
 
 
 class TestOnlineFeed:
-    """The modified energy tfch-run takes from its one march against
-    energy_series of the same run."""
+    """The modified energy that solve's march records and energy_series
+    adds, against energy_series' offline pass over the same states."""
 
     def test_bitwise_equal_across_blas_thread_counts(
             self, tmp_path, per_blas_thread_count):
-        # tfch-run's march and online feed, _run_series, at M = 64, where
-        # set-up's GEMM D @ L keeps its bits under two threads (at M = 100
-        # and above it does not; gesv keeps them up to M = 1024 at least);
-        # and the feed alone, replayed on random states at (N, M) =
+        # solve's march and online feed, then energy_series, at M = 64,
+        # where set-up's GEMM D @ L keeps its bits under two threads (at
+        # M = 100 and above it does not; gesv keeps them up to M = 1024 at
+        # least); and the feed alone, replayed on random states at (N, M) =
         # (1000, 512), where a BLAS gemv dU[:n] @ z gives other bits under
         # two threads for n >= 902. Each product is one ddot of
         # M-1 <= 10000 entries, single-threaded.
-        runs = per_blas_thread_count(tmp_path, _RUN_SERIES_PROBE)
+        runs = per_blas_thread_count(tmp_path, _ONLINE_SERIES_PROBE)
         assert sorted(runs[0]) == ["U", "free_energy", "iterations", "mass",
                                    "modified_energy", "replayed_terms",
                                    "residuals"]
@@ -452,22 +457,64 @@ class TestOnlineFeed:
                            initial=quartic_bump)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            hist, online = diagnostics._run_series(cfg)
-            ref = solve(cfg)
-        # the march is solve's, bit for bit
+            hist = solve(cfg)
+            march = _March(cfg)
+            for _ in march.levels():
+                pass
+            ref = march.history()
+        # the feed only reads the march: solve's states are the bare
+        # march's, bit for bit
         for name in ("U", "iterations", "residuals"):
             assert getattr(hist, name).tobytes() == \
                 getattr(ref, name).tobytes(), name
         assert hist.violations == ref.violations
         assert hist.lipschitz_constant == ref.lipschitz_constant
         assert hist.lipschitz_limit == ref.lipschitz_limit
-        offline = energy_series(ref)
+        assert ref.history_terms is None
+        assert not hist.history_terms.flags.writeable
+        online, offline = energy_series(hist), energy_series(ref)
         for name in ("levels", "times", "free_energy", "mass"):
             assert getattr(online, name).tobytes() == \
                 getattr(offline, name).tobytes(), name
         assert np.isnan(online.modified_energy[0])
         got, want = online.modified_energy[1:], offline.modified_energy[1:]
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_replaced_history_takes_the_offline_pass(self):
+        # dataclasses.replace builds a new history through __init__, which
+        # does not take the recorded terms: a copy of the same states gets
+        # the offline value, within rounding of the march's, and other
+        # states never get the march's terms
+        hist = _small_run(alpha=0.5, N=24, M=16)
+        online = energy_series(hist).modified_energy[1:]
+        copy = dataclasses.replace(hist, U=hist.U.copy())
+        assert copy.history_terms is None
+        offline = energy_series(copy).modified_energy[1:]
+        assert np.all(np.abs(offline - online) <= 1e-14 * np.abs(online))
+        noisy = np.random.default_rng(3).uniform(-1.0, 1.0, hist.U.shape)
+        moved = dataclasses.replace(hist, U=noisy)
+        by_hand = dataclasses.replace(_random_history(hist.config, 0),
+                                      U=noisy)
+        assert energy_series(moved).modified_energy.tobytes() == \
+            energy_series(by_hand).modified_energy.tobytes()
+        with pytest.raises(ValueError):
+            dataclasses.replace(hist, history_terms=None)
+
+    def test_solve_then_energy_series_builds_each_row_once(self,
+                                                          monkeypatch):
+        # the history entries (k < n) of N levels number N(N-1)/2: the
+        # march builds them, and energy_series takes the terms it recorded
+        entries = []
+        history = caputo_l2._cd_history
+
+        def counting(a, *args):
+            entries.append(a.size)
+            return history(a, *args)
+
+        monkeypatch.setattr(caputo_l2, "_cd_history", counting)
+        N = 30
+        energy_series(_small_run(alpha=0.5, N=N, M=8))
+        assert sum(entries) == N * (N - 1) // 2
 
 
 class TestSummationByParts:

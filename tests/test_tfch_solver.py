@@ -19,7 +19,7 @@ from scipy.linalg import lu_factor as scipy_lu_factor
 from scipy.linalg import lu_solve as scipy_lu_solve
 
 from _longdouble import longdouble_sweep
-from tfch import caputo_l2, diagnostics, tfch_solver
+from tfch import caputo_l2, tfch_solver
 from tfch.caputo_l2 import kernel_row_B
 from tfch.compact_spatial import (_sine_matrix, _tridiag_eigs, a_matrix,
                                   dxx_matrix)
@@ -697,16 +697,13 @@ class TestPeakMemory:
     @pytest.mark.parametrize("N, M", [(1000, 100), (200, 512)])
     def test_tfch_run_march_keeps_the_bound(self, N, M, traced_peak,
                                             row_stream_peak):
-        # tfch-run's march feeds the modified energy online from dU and S:
-        # it adds vectors only, so solve's bound holds unchanged
+        # tfch-run is solve, then energy_series. solve's march feeds the
+        # modified energy online from dU and S, which adds vectors only,
+        # and energy_series' free energies run once the march's dU, L and
+        # S are freed, so solve's bound holds for the pair unchanged
         cfg = _config(mesh=build_graded_cubic(N, 1.0), M=M)
-
-        def run():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                diagnostics._march_terms(tfch_solver._March(cfg))
-
-        assert traced_peak(run) <= _march_bound(cfg, row_stream_peak)
+        peak = traced_peak(lambda: energy_series(_solve_quiet(cfg)))
+        assert peak <= _march_bound(cfg, row_stream_peak)
 
 
     def test_march_holds_two_matrices_after_set_up(self):
