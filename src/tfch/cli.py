@@ -45,6 +45,7 @@ from .caputo_l2 import (
 )
 from .tfch_solver import (
     SolverConfig,
+    _solve_states,
     manufactured_solution,
     quartic_bump,
     solve,
@@ -434,8 +435,8 @@ def _config(args, alpha, mesh, **fields) -> SolverConfig:
 
 def _tfch_errors(configs):
     """Terminal-state errors of the runs configs[1:] against configs[0]'s."""
-    ref = solve(configs[0]).U[-1]
-    return [float(np.max(np.abs(solve(cfg).U[-1] - ref)))
+    ref = _solve_states(configs[0]).U[-1]
+    return [float(np.max(np.abs(_solve_states(cfg).U[-1] - ref)))
             for cfg in configs[1:]]
 
 
@@ -514,7 +515,7 @@ def _cmd_manufactured(args) -> int:
     for N, runs in zip(args.Ns, configs):
         detail, summary = [], []
         for alpha, cfg in zip(args.alphas, runs):
-            history = solve(cfg)
+            history = _solve_states(cfg)
             x = np.linspace(0.0, 1.0, args.M + 1)
             exact = manufactured_solution(x, args.T, alpha)
             numeric = np.pad(history.U[-1], 1)

@@ -95,7 +95,8 @@ its caller once, right after U[n] and dU[n-1] are set. solve walks it with
 diagnostics._march_terms, which feeds the modified energy's history terms
 each level's row and new increment through dU and S, and the RunHistory
 carries those terms, so solve and then diagnostics.energy_series build each
-kernel row once. The feed reads the march's arrays and writes none of them,
+kernel row once. _solve_states walks it bare, for the CLI's commands that
+read only the states (tfch-convergence, manufactured). The feed reads the march's arrays and writes none of them,
 so the states are those of the march alone. At level n it costs two
 products with S, n dot products of length M-1 and the history loop's
 length-n vector work, in vectors of length N and M-1.
@@ -587,10 +588,10 @@ class _March:
             subtract(u_s, U[n - 1], out=dU[n - 1])
             yield row
 
-    def history(self, terms: np.ndarray = None) -> RunHistory:
+    def history(self, terms: Union[np.ndarray, None]) -> RunHistory:
         """The finished run: the post-run Lipschitz validator, the warnings
         of every breached bound, the read-only states, and terms, the
-        modified energy's history terms, as its history_terms."""
+        modified energy's history terms or None, as its history_terms."""
         config, U = self.config, self.U
         mesh = config.mesh
         alpha, kappa, eps = config.alpha, config.kappa, config.epsilon
@@ -636,3 +637,13 @@ def solve(config: SolverConfig) -> RunHistory:
     """
     march = _March(config)
     return march.history(_march_terms(march))
+
+
+def _solve_states(config: SolverConfig) -> RunHistory:
+    """solve without the feed, for callers that read only the states: the
+    same RunHistory but for history_terms, which is None, so that
+    energy_series of it takes the offline pass."""
+    march = _March(config)
+    for _ in march.levels():
+        pass
+    return march.history(None)
