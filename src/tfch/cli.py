@@ -45,7 +45,6 @@ from .caputo_l2 import (
 )
 from .tfch_solver import (
     SolverConfig,
-    _solve_states,
     manufactured_solution,
     quartic_bump,
     solve,
@@ -267,15 +266,12 @@ def _out_path(args, name: str) -> str:
 
 
 def _cmd_rho_star(args) -> int:
-    for a in args.alphas:
-        if not 0.0 < a <= 1.0:
-            raise UsageError("alpha %g outside (0,1]" % a)
     for r in args.q3_rhos:
         if not 0.0 < r < np.inf:
             raise UsageError("q3 ratio %g must be finite and positive" % r)
     # Compute every table before opening a file, so that a failing value
-    # writes nothing. An alpha too small for rho_star (below 1e-15) is a
-    # usage error.
+    # writes nothing. An alpha outside (0,1], or too small for rho_star
+    # (below 1e-15), is a usage error.
     tables = {"rho_star.csv": io.StringIO()}
     with _flag_values():
         write_rho_star_csv(args.alphas, tables["rho_star.csv"])
@@ -347,8 +343,6 @@ def _build_mesh(args):
 
 def _cmd_mesh(args) -> int:
     mesh = _build_mesh(args)
-    if args.alpha is not None and not 0.0 < args.alpha < 1.0:
-        raise UsageError("alpha %g outside (0,1)" % args.alpha)
     if args.kernel_level is not None:
         if args.alpha is None:
             raise UsageError("--kernel-level needs --alpha")
@@ -357,7 +351,8 @@ def _cmd_mesh(args) -> int:
                              % (args.kernel_level, mesh.N))
     notes = []
     if args.alpha is not None:
-        with _flag_values():  # rho_star refuses an alpha below its floor
+        # an alpha outside (0,1), or below rho_star's floor, is refused
+        with _flag_values():
             report = temporal_mesh.validate_ratio_bound(mesh, args.alpha)
         if report.ok:
             notes.append("ratio bound holds: all ratios within [1, %s]"
@@ -435,8 +430,8 @@ def _config(args, alpha, mesh, **fields) -> SolverConfig:
 
 def _tfch_errors(configs):
     """Terminal-state errors of the runs configs[1:] against configs[0]'s."""
-    ref = _solve_states(configs[0]).U[-1]
-    return [float(np.max(np.abs(_solve_states(cfg).U[-1] - ref)))
+    ref = solve(configs[0]).U[-1]
+    return [float(np.max(np.abs(solve(cfg).U[-1] - ref)))
             for cfg in configs[1:]]
 
 
@@ -515,7 +510,7 @@ def _cmd_manufactured(args) -> int:
     for N, runs in zip(args.Ns, configs):
         detail, summary = [], []
         for alpha, cfg in zip(args.alphas, runs):
-            history = _solve_states(cfg)
+            history = solve(cfg)
             x = np.linspace(0.0, 1.0, args.M + 1)
             exact = manufactured_solution(x, args.T, alpha)
             numeric = np.pad(history.U[-1], 1)

@@ -51,7 +51,11 @@ fl(K_ij + fl(a B_0)) on A's three diagonals only, a the diagonal's entry
 from compact_spatial._A_ENTRIES, through three writable views of L's
 diagonals, from copies of K's values on them saved once. That is bitwise
 the full B_0 * A + K: off the band fl(0 B_0 + K_ij) = K_ij, because K holds
-no -0.0 (the floor below writes +0.0). Each sweep allocates nothing; the
+no -0.0. K is kappa D plus the product kappa eps^2 D A^{-1} D, and a sum is
+-0.0 only when both its terms are: kappa D's zeros off the band are -0.0
+(the dense D scales np.eye's zeros by its negative diagonal entry), but the
+product holds none (none at M = 128, 200 or 512), and the floor below
+writes +0.0. Each sweep allocates nothing; the
 new iterate goes into one of two buffers taken in turn, so the increment
 can still read the old one. No right-hand side is screened: a non-finite
 one (an overflowing cubic, a NaN source) comes back as a non-finite
@@ -95,11 +99,12 @@ its caller once, right after U[n] and dU[n-1] are set. solve walks it with
 diagnostics._march_terms, which feeds the modified energy's history terms
 each level's row and new increment through dU and S, and the RunHistory
 carries those terms, so solve and then diagnostics.energy_series build each
-kernel row once. _solve_states walks it bare, for the CLI's commands that
-read only the states (tfch-convergence, manufactured). The feed reads the march's arrays and writes none of them,
-so the states are those of the march alone. At level n it costs two
-products with S, n dot products of length M-1 and the history loop's
-length-n vector work, in vectors of length N and M-1.
+kernel row once. Every solve pays for the feed, the CLI's states-only
+commands (tfch-convergence, manufactured) included. The feed reads the
+march's arrays and writes none of them, so the states are those of the
+march alone. At level n it costs two products with S, n dot products of
+length M-1 and the history loop's length-n vector work, in vectors of
+length N and M-1.
 
 Step-size validators (fixed-point solvability, energy dissipation, first
 step, post-run Lipschitz) are evaluated and reported as warnings; they never
@@ -588,10 +593,10 @@ class _March:
             subtract(u_s, U[n - 1], out=dU[n - 1])
             yield row
 
-    def history(self, terms: Union[np.ndarray, None]) -> RunHistory:
+    def history(self, terms: np.ndarray) -> RunHistory:
         """The finished run: the post-run Lipschitz validator, the warnings
         of every breached bound, the read-only states, and terms, the
-        modified energy's history terms or None, as its history_terms."""
+        modified energy's history terms, as its history_terms."""
         config, U = self.config, self.U
         mesh = config.mesh
         alpha, kappa, eps = config.alpha, config.kappa, config.epsilon
@@ -620,10 +625,9 @@ class _March:
             lipschitz_constant=lip,
             lipschitz_limit=lip_limit,
         )
-        if terms is not None:
-            terms.flags.writeable = False
-            # the one field __init__ does not take; the class is frozen
-            object.__setattr__(run, "history_terms", terms)
+        terms.flags.writeable = False
+        # the one field __init__ does not take; the class is frozen
+        object.__setattr__(run, "history_terms", terms)
         return run
 
 
@@ -637,13 +641,3 @@ def solve(config: SolverConfig) -> RunHistory:
     """
     march = _March(config)
     return march.history(_march_terms(march))
-
-
-def _solve_states(config: SolverConfig) -> RunHistory:
-    """solve without the feed, for callers that read only the states: the
-    same RunHistory but for history_terms, which is None, so that
-    energy_series of it takes the offline pass."""
-    march = _March(config)
-    for _ in march.levels():
-        pass
-    return march.history(None)

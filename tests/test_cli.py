@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tfch import caputo_l2, temporal_mesh
+from tfch import caputo_l2, cli, temporal_mesh
 from tfch.cli import main
 from tfch.tfch_solver import SolverConfig, quartic_bump, solve
 
@@ -435,6 +435,29 @@ class TestManufactured:
         assert float(alpha) == 0.5
         errs = np.array([float(l.split(",")[4]) for l in detail[1:]])
         assert float(max_err) == pytest.approx(errs.max(), rel=1e-15)
+
+
+class TestEveryMarchCallsSolve:
+    @pytest.mark.parametrize("argv, calls", [
+        (["tfch-convergence", "--alphas", "0.5", "--Ns", "6,8", "--N0", "10",
+          "--M", "8"], 3),
+        (["manufactured", "--alphas", "0.5,0.7", "--Ns", "8", "--M", "8"], 2),
+    ], ids=["tfch-convergence", "manufactured"])
+    def test_states_only_commands_march_through_solve(
+            self, tmp_path, monkeypatch, argv, calls):
+        # cli.solve is the global a tracer rebinds (bench/spans.py): the
+        # commands that read only U[-1] take the same path as tfch-run
+        histories = []
+
+        def counting(config):
+            histories.append(solve(config))
+            return histories[-1]
+
+        monkeypatch.setattr(cli, "solve", counting)
+        assert _run(argv + ["--out", str(tmp_path)]) == 0
+        assert len(histories) == calls
+        for history in histories:
+            assert not history.history_terms.flags.writeable
 
 
 class TestVerifySubcommand:

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 from scipy.special import gamma
 
-from tfch import caputo_l2, diagnostics
+from tfch import caputo_l2, diagnostics, tfch_solver
 from tfch._fmt import write_csv
 from tfch.caputo_l2 import kernel_row_J, kernel_rows
 from tfch.compact_spatial import _sine_matrix, a_matrix, dxx_matrix, quad_negH
@@ -32,8 +32,7 @@ from tfch.diagnostics import (
     write_mass_csv,
 )
 from tfch.temporal_mesh import build_custom, build_graded_cubic
-from tfch.tfch_solver import (RunHistory, SolverConfig, _solve_states,
-                               quartic_bump, solve)
+from tfch.tfch_solver import RunHistory, SolverConfig, quartic_bump, solve
 
 # continuum E[u] = (eps^2/2) int u_x^2 + (1/4) int (u^2-1)^2 for the quartic
 # bump at eps = 0.1, quadrature at 30 digits
@@ -455,20 +454,26 @@ class TestOnlineFeed:
         cfg = SolverConfig(alpha=alpha, kappa=0.01, epsilon=0.1,
                            mesh=build_graded_cubic(40, 1.0), M=M,
                            initial=quartic_bump)
+        march = tfch_solver._March(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             hist = solve(cfg)
-            ref = _solve_states(cfg)
+            for _ in march.levels():
+                pass
+            # the bare march's own history; its placeholder terms are
+            # never read
+            bare = march.history(np.full(cfg.mesh.N + 1, np.nan))
         # the feed only reads the march: solve's states are the bare
         # march's, bit for bit
         for name in ("U", "iterations", "residuals"):
             assert getattr(hist, name).tobytes() == \
-                getattr(ref, name).tobytes(), name
-        assert hist.violations == ref.violations
-        assert hist.lipschitz_constant == ref.lipschitz_constant
-        assert hist.lipschitz_limit == ref.lipschitz_limit
-        assert ref.history_terms is None
+                getattr(bare, name).tobytes(), name
+        assert hist.violations == bare.violations
+        assert hist.lipschitz_constant == bare.lipschitz_constant
+        assert hist.lipschitz_limit == bare.lipschitz_limit
         assert not hist.history_terms.flags.writeable
+        ref = dataclasses.replace(hist, U=bare.U)
+        assert ref.history_terms is None
         online, offline = energy_series(hist), energy_series(ref)
         for name in ("levels", "times", "free_energy", "mass"):
             assert getattr(online, name).tobytes() == \

@@ -536,9 +536,13 @@ class TestUnderflowTail:
                                                         zeroed):
         # at M = 128 min |K| is 1.25e-119: nothing is zeroed. solve rewrites
         # only A's band of K's buffer, which equals the full B0 * A + K
-        # because the floor leaves no -0.0 in K
+        # because K holds no -0.0, before the floor or after it: kappa D's
+        # zeros off the band are -0.0, but K adds the product
+        # kappa eps^2 D A^{-1} D onto them, which holds none, and a sum is
+        # -0.0 only when both its terms are
         cfg = make_config(M)
         A, _, K = _scipy_operators(cfg)
+        assert not np.any(np.signbit(K) & (K == 0.0))
         small = np.abs(K) < 2.0 ** -511
         assert np.count_nonzero(small) == zeroed
         K[small] = 0.0
