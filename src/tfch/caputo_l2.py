@@ -27,7 +27,7 @@ import numpy as np
 
 from ._fmt import write_csv
 from ._gamma import gamma
-from .temporal_mesh import RATIO_SLACK, TemporalMesh
+from .temporal_mesh import RATIO_SLACK, TemporalMesh, _is_integer
 
 __all__ = [
     "RHO_BAR",
@@ -78,8 +78,9 @@ _SERIES_CUT = _SERIES_BINS[-1][0]
 
 # History entries per block in kernel_rows. A block costs a fixed number of
 # numpy calls whatever its length, so short rows are batched; 8192 entries
-# keep its temporaries near 1.3 MiB (64-level blocks grew the peak resident
-# set of a 1000-level run by ~5 MiB).
+# keep its temporaries near 1.0 MiB by tracemalloc on a graded N = 1000
+# mesh (64-level blocks grew the peak resident set of a 1000-level run by
+# ~5 MiB).
 _BLOCK_ENTRIES = 8192
 
 
@@ -89,7 +90,7 @@ def _check_alpha_open(alpha: float) -> None:
 
 
 def _check_level(n: int, mesh: TemporalMesh) -> None:
-    if not isinstance(n, (int, np.integer)):
+    if not _is_integer(n):
         raise ValueError("level n=%r is not an integer" % (n,))
     if not 1 <= n <= mesh.N:
         raise ValueError("level n=%r outside 1..%d" % (n, mesh.N))
@@ -131,13 +132,16 @@ def coeffs_cd(n: int, mesh: TemporalMesh, alpha: float):
 
 
 def _cd_history(a, tau, alpha, g2, g3):
-    """(c, d) on history intervals k < n in coeffs_cd's subtraction-free form.
+    """(c, d) in coeffs_cd's subtraction-free form, for entries with
+    0 < eps = tau/a < 1: the history intervals k < n, where
+    a = t_n - t_{k-1} and tau = tau_k.
 
-    a = t_n - t_{k-1} and tau = tau_k are flat arrays; every output entry
-    depends on its own (a, tau) pair alone, so the entries of several levels
-    may be laid end to end and evaluated in one pass.
+    a and tau are flat arrays; every output entry depends on its own
+    (a, tau) pair alone, so the entries of several levels may be laid end
+    to end and evaluated in one pass, with any placeholder pair of eps in
+    (0, 1) on entries the caller overwrites.
     """
-    eps = tau / a                       # in (0,1) strictly for k < n
+    eps = tau / a
     p1 = 1.0 - alpha
     p2 = 2.0 - alpha
     lg = np.log1p(-eps)
@@ -251,18 +255,21 @@ def _block(mesh: TemporalMesh, alpha: float, first: int, last: int, gammas):
     """Yield the KernelRows of levels first..last from one entrywise pass.
 
     Each level's n entries lie end to end, entry j on interval k = j + 1;
-    rho[k-1] is rho_k. History entries (k < n) take (c, d) from _cd_history,
-    the k = n entries the exact single powers of tau_n. Then on every entry
+    rho[k-1] is rho_k. Every entry takes (c, d) from one _cd_history call,
+    the k = n entries with the placeholder a = 2 tau_n (eps = 1/2, finite
+    and silent), whose (c, d) are then overwritten with the exact single
+    powers of tau_n. Then on every entry
 
         c_tilde = c' + P - Q,   c' = c, but (1 - theta) c at k = n,
         P = d_{k-1} / (rho_k (1 + rho_k))   (0 at k = 1),
         Q = d_k / (1 + rho_{k+1})           (0 at k = n),
 
-    one formula for every case, as adding or subtracting 0.0 is exact. B
-    takes lagged off c_tilde's k = n-1 entry and has its own k = n entry; J
-    doubles c_tilde's k = n entry. Powers of per-level scalars stay scalar:
-    numpy's array power is not libm's pow and moves some rows by an ulp. The
-    mesh is read up to t_last only. gammas is _gammas(alpha), taken once
+    one formula for every case, as adding or subtracting 0.0 is exact; Q
+    is formed on every entry and set to 0 at k = n. B takes lagged off
+    c_tilde's k = n-1 entry and has its own k = n entry; J doubles
+    c_tilde's k = n entry. Powers of per-level scalars stay scalar: numpy's
+    array power is not libm's pow and moves some rows by an ulp. The mesh
+    is read up to t_last only. gammas is _gammas(alpha), taken once
     per pass over the levels.
     """
     nodes, steps, rho = mesh.nodes, mesh.steps, mesh.ratios
@@ -272,23 +279,24 @@ def _block(mesh: TemporalMesh, alpha: float, first: int, last: int, gammas):
     ends = np.cumsum(levels)
     cur = ends - 1                              # the k = n entries
     j = np.arange(ends[-1]) - np.repeat(ends - levels, levels)
-    hist = np.ones(ends[-1], dtype=bool)
-    hist[cur] = False
-    jh = j[hist]
 
-    c = np.empty(ends[-1])
-    d = np.empty(ends[-1])
-    c[hist], d[hist] = _cd_history(np.repeat(nodes[first:last + 1], levels - 1)
-                                   - nodes[jh], steps[jh], alpha, g2, g3)
+    a = np.repeat(nodes[first:last + 1], levels)
+    a -= nodes[j]
+    a[cur] = 2.0 * steps[first - 1:last]        # eps = 1/2 at k = n
+    c, d = _cd_history(a, steps[j], alpha, g2, g3)
     p = np.array([steps[n - 1] ** -alpha for n in range(first, last + 1)])
     c[cur] = p / g2
     d[cur] = alpha * p / g3
 
+    # entry e > 0 reads rho_k of its own interval for P, and entry e - 1
+    # reads it as rho_{k+1} for Q
     r = rho[j[1:]]
+    r1 = 1.0 + r
     P = np.zeros(ends[-1])
-    np.divide(d[:-1], r * (1.0 + r), out=P[1:], where=j[1:] > 0)
-    Q = np.zeros(ends[-1])
-    Q[hist] = d[hist] / (1.0 + rho[jh + 1])
+    np.divide(d[:-1], r * r1, out=P[1:], where=j[1:] > 0)
+    Q = np.empty(ends[-1])
+    np.divide(d[:-1], r1, out=Q[:-1])
+    Q[cur] = 0.0
     ct = c.copy()
     ct[cur] *= 1.0 - th
     ct += P

@@ -12,8 +12,9 @@ used by the energy estimates.
 
 A's and D's (off, diag) entries are named once, below. The dense matrices,
 the eigenvalues, the inverses and the package's one three-point stencil,
-_stencil (apply_A, apply_dxx and tfch_solver's march, which calls its
-entry point on views sliced once, _stencil_views), are built from them.
+_stencil (apply_A, apply_dxx and tfch_solver's march, which makes the
+stencil's weights and workspace once per march), are built from them. The
+dense matrices hold +0.0 off their band.
 
 A and D are symmetric Toeplitz tridiagonal, so the orthonormal DST-I (the
 sine basis sin(k pi i / M)) diagonalises both exactly. Every inverse goes
@@ -61,47 +62,56 @@ def _dxx_entries(h: float) -> tuple:
     return tuple(e / (h * h) for e in _D_ENTRIES)
 
 
-def _stencil(entries: tuple, full: np.ndarray, out: np.ndarray = None,
-             tmp: np.ndarray = None) -> np.ndarray:
-    """tridiag(off, diag, off) v for entries = (off, diag), along the last
-    axis of full = [v_0, v, v_{m+1}], whose ends are v's boundary neighbours,
-    into out (allocated in np.result_type(full, off) if None); tmp, of out's
-    shape, is overwritten.
+def _weights(entries: tuple, full: np.ndarray) -> np.ndarray:
+    """entries = (off, diag) as the column _stencil multiplies full by: shape
+    (2, 1, ..., 1), one axis per axis of full, in np.result_type(full, off),
+    the dtype numpy multiplies full by the scalar off in."""
+    w = np.array(entries, np.result_type(full, entries[0]))
+    return w.reshape((2,) + (1,) * full.ndim)
 
-    Each entry is fl(fl(off v_{i-1}) + fl(off v_{i+1})) + fl(diag v_i). Of
-    the three orders of the sum, this one gives OpenBLAS dgemv's bits with
-    the dense matrix T most often: on 98.4 % of entries on the coarsening
-    benchmark (seed 1) and 99.1 % on run-energy's physics at N = 200,
-    against 53 % for either order that adds the diagonal term first; the
-    rest differ by at most 1.1 ulp of (|T| |v|)_i. With zero ends, an edge
-    node whose value and inner neighbour are both -0.0 comes out +0.0.
+
+def _workspace(shape: tuple, dtype=np.float64) -> tuple:
+    """_stencil's workspace for operands full of the given shape: the buffer
+    of its two rows of products, and the three views of it that the sum
+    reads. A caller that applies stencils many times makes it once."""
+    prod = np.empty((2,) + tuple(shape), dtype)
+    return prod, prod[0, ..., :-2], prod[0, ..., 2:], prod[1, ..., 1:-1]
+
+
+def _stencil(weights: np.ndarray, full: np.ndarray, out: np.ndarray = None,
+             work: tuple = None) -> np.ndarray:
+    """tridiag(off, diag, off) v for weights = _weights((off, diag), full),
+    along the last axis of full = [v_0, v, v_{m+1}], whose ends are v's
+    boundary neighbours, into out (allocated if None); work is a
+    _workspace(full.shape, weights.dtype), made if None, and overwritten.
+
+    Each entry is fl(fl(off v_{i-1}) + fl(off v_{i+1})) + fl(diag v_i). One
+    multiplication puts fl(off v_j) for every j of full, and fl(diag v_j)
+    beside it, into work: an entry's two neighbour products are the same
+    numbers at shifted indices. Of the three orders of the sum, this one
+    gives OpenBLAS dgemv's bits with the dense matrix T most often: on
+    98.4 % of entries on the coarsening benchmark (seed 1) and 99.1 % on
+    run-energy's physics at N = 200, against 53 % for either order that
+    adds the diagonal term first; the rest differ by at most 1.1 ulp of
+    (|T| |v|)_i. With zero ends, an edge node whose value and inner
+    neighbour are both -0.0 comes out +0.0.
     """
+    if work is None:
+        work = _workspace(full.shape, weights.dtype)
+    prod, left, right, mid = work
     if out is None:
-        out = np.empty_like(full[..., 1:-1], np.result_type(full, entries[0]))
-    return _stencil_views(entries, full[..., :-2], full[..., 1:-1],
-                          full[..., 2:], out, tmp)
-
-
-def _stencil_views(entries: tuple, left: np.ndarray, mid: np.ndarray,
-                   right: np.ndarray, out: np.ndarray,
-                   tmp: np.ndarray = None) -> np.ndarray:
-    """_stencil on full's three views left, mid, right = full[..., :-2],
-    full[..., 1:-1], full[..., 2:], into out; tmp, of out's shape, is
-    overwritten. A caller that applies stencils to one buffer many times
-    slices it once and calls this; the summation order is written here
-    only.
-    """
-    off, diag = entries
-    np.multiply(left, off, out=out)
-    out += np.multiply(right, off, out=tmp)
-    out += np.multiply(mid, diag, out=tmp)
+        out = np.empty_like(mid)
+    np.multiply(weights, full, out=prod)
+    np.add(left, right, out=out)
+    out += mid
     return out
 
 
 def _dense(entries: tuple, m: int) -> np.ndarray:
     """The m x m matrix tridiag(off, diag, off) for entries = (off, diag)."""
     off, diag = entries
-    T = np.eye(m) * diag
+    T = np.zeros((m, m))  # +0.0 off the band, whatever diag's sign
+    np.fill_diagonal(T, diag)
     idx = np.arange(m - 1)
     T[idx, idx + 1] = T[idx + 1, idx] = off
     return T
@@ -195,9 +205,16 @@ def _neg_h_inv_eigs(M: int) -> np.ndarray:
         / _tridiag_eigs(*_D_ENTRIES, m)
 
 
+def _apply(entries: tuple, u: np.ndarray) -> np.ndarray:
+    """tridiag(off, diag, off) u for entries = (off, diag), between u's zero
+    boundary values."""
+    full = _pad(u)
+    return _stencil(_weights(entries, full), full)
+
+
 def apply_A(u: np.ndarray) -> np.ndarray:
     """Compact average (u_{i-1} + 10 u_i + u_{i+1})/12."""
-    return _stencil(_A_ENTRIES, _pad(u))
+    return _apply(_A_ENTRIES, u)
 
 
 def apply_A_inv(u: np.ndarray) -> np.ndarray:
@@ -207,7 +224,7 @@ def apply_A_inv(u: np.ndarray) -> np.ndarray:
 
 def apply_dxx(u: np.ndarray) -> np.ndarray:
     """Second difference (u_{i-1} - 2 u_i + u_{i+1})/h^2."""
-    return _stencil(_dxx_entries(_width(u)), _pad(u))
+    return _apply(_dxx_entries(_width(u)), u)
 
 
 def apply_H(u: np.ndarray) -> np.ndarray:

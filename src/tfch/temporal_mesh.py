@@ -71,8 +71,13 @@ def _finalize(nodes: np.ndarray) -> TemporalMesh:
     return TemporalMesh(nodes=nodes, steps=steps, ratios=ratios)
 
 
+def _is_integer(x) -> bool:
+    """x is a Python or numpy integer, and not a bool (True is an int)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_N_T(N, T) -> None:
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    if not _is_integer(N) or N < 1:
         raise ValueError("N must be a positive integer")
     if not (T > 0.0 and np.isfinite(T)):
         raise ValueError("T must be finite and positive")

@@ -32,12 +32,11 @@ the sine-basis operator, which differs from L by rounding. Nothing is
 factored per level: w follows from B_0 in O(M). A and D are tridiagonal
 and enter the march through compact_spatial's stencil: once per level as
 A (B_0 u^{n-1} - hist) and A g, g the source on all M+1 nodes, and in each
-sweep as kappa D u^3. A sweep is that stencil and three dense matrix-vector
-products, L u and two with S, each by ndarray.dot into a preallocated
-buffer (bitwise np.matmul, and cheaper per call). The stencil gives the
-dense products' values to roundoff, not bitwise. The march slices its
-zero-ended operand buffer into the stencil's three views once and hands
-them to compact_spatial._stencil_views, so no sweep slices anything.
+sweep as kappa D u^3. A sweep is that stencil, three numpy calls into a
+workspace made once per march, and three dense matrix-vector products,
+L u and two with S, each by ndarray.dot into a preallocated buffer
+(bitwise np.matmul, and cheaper per call). The stencil gives the dense
+products' values to roundoff, not bitwise.
 
 K is built once. A^{-1} D is the run's one factorisation: LAPACK gesv
 (getrf, then getrs) through numpy.linalg.solve. Its result is bitwise that
@@ -51,15 +50,12 @@ fl(K_ij + fl(a B_0)) on A's three diagonals only, a the diagonal's entry
 from compact_spatial._A_ENTRIES, through three writable views of L's
 diagonals, from copies of K's values on them saved once. That is bitwise
 the full B_0 * A + K: off the band fl(0 B_0 + K_ij) = K_ij, because K holds
-no -0.0. K is kappa D plus the product kappa eps^2 D A^{-1} D, and a sum is
--0.0 only when both its terms are: kappa D's zeros off the band are -0.0
-(the dense D scales np.eye's zeros by its negative diagonal entry), but the
-product holds none (none at M = 128, 200 or 512), and the floor below
-writes +0.0. Each sweep allocates nothing; the
-new iterate goes into one of two buffers taken in turn, so the increment
-can still read the old one. No right-hand side is screened: a non-finite
-one (an overflowing cubic, a NaN source) comes back as a non-finite
-increment, and the sweep's residual test turns that into
+no -0.0: kappa D's zeros off the band are +0.0, a sum is -0.0 only when
+both its terms are, and the floor below writes +0.0. Each sweep allocates
+nothing; the new iterate goes into one of two buffers taken in turn, so
+the increment can still read the old one. No right-hand side is screened:
+a non-finite one (an overflowing cubic, a NaN source) comes back as a
+non-finite increment, and the sweep's residual test turns that into
 NonconvergenceError at the same level.
 
 A^{-1} decays like 0.1^|i-j|, so K has a dense tail that falls toward
@@ -125,10 +121,10 @@ from ._gamma import gamma
 from .caputo_l2 import (_RHO_STAR_ALPHA_MIN, kernel_row_B,  # noqa: F401
                         kernel_rows, q)
 from .compact_spatial import (_A_ENTRIES, _D_ENTRIES, _dxx_entries,
-                              _sine_matrix, _stencil, _stencil_views,
-                              _tridiag_eigs, a_matrix, dxx_matrix)
+                              _sine_matrix, _stencil, _tridiag_eigs,
+                              _weights, _workspace, a_matrix, dxx_matrix)
 from .diagnostics import _march_terms
-from .temporal_mesh import TemporalMesh, validate_ratio_bound
+from .temporal_mesh import TemporalMesh, _is_integer, validate_ratio_bound
 
 __all__ = [
     "SolverConfig",
@@ -205,7 +201,7 @@ class SolverConfig:
         if not isinstance(self.mesh, TemporalMesh):
             raise TypeError("mesh must be a TemporalMesh")
         for name in ("M", "max_iterations"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            if not _is_integer(getattr(self, name)):
                 raise ValueError("%s must be an integer" % name)
         if self.M < 4:
             raise ValueError("M must be at least 4")
@@ -451,9 +447,9 @@ class _March:
     the arrays of the run. Of the (M-1)^2 matrices it keeps the step matrix
     L and the sine matrix S; A and D leave with the constructor. levels()
     holds the march's buffers as its locals. It applies A and kappa D with
-    compact_spatial._stencil_views to the cube buffer, the inside of a
-    zero-ended pad, through the pad's three views sliced once per march:
-    each level puts B0 u^{n-1} - hist there for A, and each sweep u^3 for
+    compact_spatial._stencil to a zero-ended pad, through weights and a
+    workspace made once per march: each level puts B0 u^{n-1} - hist in
+    the pad's inside, the cube buffer, for A, and each sweep u^3 for
     kappa D, then reuses it for the correction and the increment. levels()
     marches and yields each level's KernelRow once, right after U[n] and
     dU[n-1] are set, so a caller can read the new increment beside the
@@ -526,17 +522,20 @@ class _March:
         L_dot, S_dot = self.L.dot, self.S.dot
         multiply, add, subtract = np.multiply, np.add, np.subtract
         divide, absolute, max_of = np.divide, np.abs, np.maximum.reduce
-        # fl(kappa fl(1/h^2)): the bits of kappa D's entries
-        D_stencil = tuple(config.kappa * e for e in _dxx_entries(config.h))
         band, a, k = self.band, self.a, self.k
         U, dU = self.U, self.dU
         iterations, residuals = self.iterations, self.residuals
         m = U.shape[1]
-        # the stencils' operand between two zeros, sliced once into their
-        # three views: B0 u^{n-1} - hist once per level, then u^3, the
-        # correction and the increment in each sweep
+        # the stencils' operand between two zeros: B0 u^{n-1} - hist once
+        # per level, then u^3, the correction and the increment in each
+        # sweep; the source's M+1 values have its shape
         pad = np.zeros(m + 2)
-        left, cube, right = pad[:-2], pad[1:-1], pad[2:]
+        cube = pad[1:-1]
+        work = _workspace(pad.shape)
+        A_weights = _weights(_A_ENTRIES, pad)
+        # fl(kappa fl(1/h^2)): the bits of kappa D's entries
+        D_weights = _weights(tuple(config.kappa * e
+                                   for e in _dxx_entries(config.h)), pad)
         r = np.empty(m)
         y = np.empty(m)  # L u, then the sine coefficients of the correction
         hist = np.empty(m)
@@ -550,12 +549,12 @@ class _March:
             B[: n - 1].dot(dU[: n - 1], out=hist)
             multiply(U[n - 1], B0, out=cube)
             cube -= hist
-            _stencil_views(_A_ENTRIES, left, cube, right, const, r)
+            _stencil(A_weights, pad, const, work)
             # the zero source's A g is +0.0: adding it turns a -0.0 in const
             # into +0.0, as adding an averaged source term does
             const += 0.0 if source is None else _stencil(
-                _A_ENTRIES, _source_values(config, x_full, mesh.nodes[n]),
-                y, r)
+                A_weights, _source_values(config, x_full, mesh.nodes[n]),
+                y, work)
             # L = B0 A + K on A's band; w = 1 / (B0 a + k)
             for e, K_d, L_d in band:
                 add(K_d, e * B0, out=L_d)
@@ -567,7 +566,7 @@ class _March:
             for s in range(max_iterations):
                 multiply(u_s, u_s, out=cube)
                 cube *= u_s
-                _stencil_views(D_stencil, left, cube, right, r, y)
+                _stencil(D_weights, pad, r, work)
                 r += const
                 r -= L_dot(u_s, out=y)
                 S_dot(r, out=y)

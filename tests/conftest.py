@@ -208,7 +208,7 @@ def traced_peak():
 def row_stream_peak():
     """Measurer: row_stream_peak(mesh, alpha) is the tracemalloc peak of
     walking kernel_rows(mesh, alpha) to its end, the block workspace (about
-    1.2 MiB on a long mesh, whatever N and M are)."""
+    1.0 MiB on a long mesh, whatever N and M are)."""
     def peak(mesh, alpha):
         return _traced_peak(lambda: sum(1 for _ in kernel_rows(mesh, alpha)))
     return peak

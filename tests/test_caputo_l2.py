@@ -294,11 +294,15 @@ def _random_ratio_mesh(N, seed=3):
     return build_custom(steps)
 
 
+# each a function of alpha and the band_jump_steps fixture
 _STREAM_MESHES = {
     # 44 850 history entries: several blocks of the 8192-entry budget
-    "graded-300": lambda: build_graded_cubic(300, 1.0),
-    "uniform-100": lambda: build_uniform(100, 1.0),
-    "random-ratio-80": lambda: _random_ratio_mesh(80),
+    "graded-300": lambda alpha, jump: build_graded_cubic(300, 1.0),
+    "uniform-100": lambda alpha, jump: build_uniform(100, 1.0),
+    "random-ratio-80": lambda alpha, jump: _random_ratio_mesh(80),
+    # ratio jumps of 0.999 rho_star(alpha) send many entries down G's
+    # direct branch (eps > 0.25)
+    "band-jump-200": lambda alpha, jump: build_custom(jump(alpha)),
 }
 
 
@@ -307,12 +311,13 @@ _STREAM_MESHES = {
 @pytest.mark.parametrize("mesh_name", sorted(_STREAM_MESHES))
 def test_kernel_rows_bitwise_equal_kernel_row(mesh_name, alpha, budget,
                                               assert_stream_bitwise,
-                                              monkeypatch):
+                                              band_jump_steps, monkeypatch):
     """The blocked stream reproduces the per-level rows exactly; budget 1
     makes every block a single level (levels 1 and 2 share the first)."""
     if budget is not None:
         monkeypatch.setattr(caputo_l2, "_BLOCK_ENTRIES", budget)
-    assert_stream_bitwise(_STREAM_MESHES[mesh_name](), alpha)
+    assert_stream_bitwise(_STREAM_MESHES[mesh_name](alpha, band_jump_steps),
+                          alpha)
 
 
 # every level at N=1000; at N=4000 the first and last 40 levels and every
@@ -332,6 +337,15 @@ def test_graded_rows_bitwise_equal_per_level_oracle(N, alpha,
     ulp at level 312 of N=1000, at each of these orders."""
     assert_stream_bitwise(build_graded_cubic(N, 1.0), alpha,
                           _GRADED_LEVELS[N])
+
+
+def test_row_stream_workspace_within_its_measured_bound(row_stream_peak):
+    # the memory tests take row_stream_peak as their own bound, so a block
+    # that adds temporaries would pass them; this bound is the workspace
+    # measured before the block dropped its boolean masks (1.16 MiB; about
+    # 1.02 MiB after)
+    mesh = build_graded_cubic(1000, 1.0)
+    assert row_stream_peak(mesh, 0.4) <= 1.17 * 2 ** 20
 
 
 def test_kernel_rows_are_read_only(graded_24):
@@ -519,7 +533,7 @@ def test_truncation_bound_validation(graded_24):
         truncation_bound(0, graded_24, 0.5, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("n", [2.5, 3.0])
+@pytest.mark.parametrize("n", [2.5, 3.0, True])  # True is an int subclass
 def test_non_integer_level_raises(graded_24, n):
     with pytest.raises(ValueError, match="not an integer"):
         truncation_bound(n, graded_24, 0.5, 1.0, 1.0)

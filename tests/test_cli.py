@@ -316,7 +316,8 @@ class TestTfchRun:
 
     def test_builds_each_kernel_row_once(self, tmp_path, monkeypatch):
         # one march gives each level's row to the step and the energy: the
-        # history entries (k < n) of N levels number N(N-1)/2
+        # entries of N levels, k = n's placeholders included, number
+        # N(N+1)/2, and a second pass over the rows would double that
         entries = []
         history = caputo_l2._cd_history
 
@@ -328,7 +329,7 @@ class TestTfchRun:
         N = 30
         assert _run(["tfch-run", "--alpha", "0.5", "--N", str(N), "--M", "8",
                      "--out", str(tmp_path)]) == 0
-        assert sum(entries) == N * (N - 1) // 2
+        assert sum(entries) == N * (N + 1) // 2
 
     def test_negative_dump_states_exits_2_before_output(self, tmp_path,
                                                         capsys):

@@ -18,8 +18,9 @@ from tfch.compact_spatial import (
     _sine,
     _sine_matrix,
     _stencil,
-    _stencil_views,
     _tridiag_eigs,
+    _weights,
+    _workspace,
     a_matrix,
     apply_A,
     apply_A_inv,
@@ -109,7 +110,8 @@ class TestAveraging:
             [-0.0, 3.0, -0.0, -0.0, 0.25, -0.0],
             [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
         ])
-        expected = _stencil(_A_ENTRIES, np.pad(rows, ((0, 0), (1, 1))))
+        full = np.pad(rows, ((0, 0), (1, 1)))
+        expected = _stencil(_weights(_A_ENTRIES, full), full)
         assert apply_A(rows).tobytes() == expected.tobytes()
         for row, want in zip(rows, expected):
             assert apply_A(row).tobytes() == want.tobytes()
@@ -140,6 +142,13 @@ class TestSecondDifference:
         dense = dxx_matrix(M) @ u
         assert apply_dxx(u) == pytest.approx(dense, rel=1e-13)
 
+    @pytest.mark.parametrize("M", [8, 128])
+    def test_dense_zeros_off_the_band_are_positive(self, M):
+        # D's diagonal entry is negative, and its zeros are +0.0 all the
+        # same, so that fl(0 + x) in K = kappa D + ... is never -0.0
+        for T in (a_matrix(M), dxx_matrix(M)):
+            assert not np.any(np.signbit(T) & (T == 0.0))
+
     def test_stencil_values(self):
         M = 7
         u = _rand(M, seed=5)
@@ -151,50 +160,61 @@ class TestSecondDifference:
                 (full[i - 1] - 2.0 * full[i] + full[i + 1]) / h2, rel=1e-12)
 
 
-class TestStencilViews:
-    """The march slices its zero-ended buffer into three views once and
-    applies its stencils through _stencil_views."""
+class TestStencil:
+    """The march makes the stencil's weights and workspace once and applies
+    every stencil through _stencil into them; apply_A and apply_dxx let it
+    allocate."""
 
     @staticmethod
-    def _data(shape, seed):
+    def _data(shape, seed, dtype=np.float64):
         # random values with -0.0 and +0.0 entries, between zero ends
         rng = np.random.default_rng(seed)
-        v = rng.standard_normal(shape)
+        v = rng.standard_normal(shape).astype(dtype)
         v.flat[rng.integers(0, v.size, v.size // 4)] = -0.0
         v.flat[rng.integers(0, v.size, v.size // 8)] = 0.0
         v[..., :2] = -0.0  # an edge whose value and neighbour are -0.0
         return np.pad(v, [(0, 0)] * (v.ndim - 1) + [(1, 1)])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32,
+                                       np.longdouble])
     @pytest.mark.parametrize("entries", [_A_ENTRIES, _dxx_entries(1.0 / 64),
                                          (0.03 * 4096.0, 0.03 * -8192.0)])
     @pytest.mark.parametrize("shape", [(63,), (5, 31)])
-    def test_bitwise_equal_to_stencil(self, entries, shape):
+    def test_bitwise_equal_to_written_out_order(self, entries, shape, dtype):
         off, diag = entries
         for seed in range(3):
-            full = self._data(shape, seed)
-            want = _stencil(entries, full)
-            # the order the docstring states, written out
+            full = self._data(shape, seed, dtype)
+            # the order the docstring states, written out, with numpy's
+            # own scalar products in full's dtype
             ref = (off * full[..., :-2] + off * full[..., 2:]) \
                 + diag * full[..., 1:-1]
-            assert want.tobytes() == ref.tobytes()
-            out, tmp = np.empty(shape), np.empty(shape)
-            got = _stencil_views(entries, full[..., :-2], full[..., 1:-1],
-                                 full[..., 2:], out, tmp)
+            weights = _weights(entries, full)
+            want = _stencil(weights, full)
+            assert want.dtype == ref.dtype == dtype
+            out = np.empty(shape, dtype)
+            got = _stencil(weights, full, out, _workspace(full.shape, dtype))
             assert got is out
-            assert got.tobytes() == want.tobytes()
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+            # equal values and signs: bit for bit, without long double's
+            # padding bytes
+            for v in (want, got):
+                assert np.array_equal(v, ref)
+                assert np.array_equal(np.signbit(v), np.signbit(ref))
 
-    def test_views_sliced_once_see_each_new_operand(self):
+    def test_workspace_made_once_serves_each_new_operand(self):
         # as in the march: the inside of one zero-ended buffer is rewritten
-        # between calls, and the views taken before still read it
+        # between calls, and one workspace serves A's and D's weights
         m = 47
         pad = np.zeros(m + 2)
-        left, mid, right = pad[:-2], pad[1:-1], pad[2:]
-        out, tmp = np.empty(m), np.empty(m)
+        cube = pad[1:-1]
+        work = _workspace(pad.shape)
+        weights = [_weights(e, pad) for e in (_A_ENTRIES,
+                                              _dxx_entries(1.0 / (m + 1)))]
+        out = np.empty(m)
         for seed in range(4):
-            mid[...] = self._data((m,), seed)[1:-1]
-            _stencil_views(_A_ENTRIES, left, mid, right, out, tmp)
-            assert out.tobytes() == _stencil(_A_ENTRIES, pad).tobytes()
+            cube[...] = self._data((m,), seed)[1:-1]
+            for w in weights:
+                _stencil(w, pad, out, work)
+                assert out.tobytes() == _stencil(w, pad).tobytes()
         assert not np.signbit(pad[[0, -1]]).any()
 
 

@@ -504,8 +504,9 @@ class TestOnlineFeed:
 
     def test_solve_then_energy_series_builds_each_row_once(self,
                                                           monkeypatch):
-        # the history entries (k < n) of N levels number N(N-1)/2: the
-        # march builds them, and energy_series takes the terms it recorded
+        # the entries of N levels, k = n's placeholders included, number
+        # N(N+1)/2: the march builds them, and energy_series takes the
+        # terms it recorded
         entries = []
         history = caputo_l2._cd_history
 
@@ -516,7 +517,7 @@ class TestOnlineFeed:
         monkeypatch.setattr(caputo_l2, "_cd_history", counting)
         N = 30
         energy_series(_small_run(alpha=0.5, N=N, M=8))
-        assert sum(entries) == N * (N - 1) // 2
+        assert sum(entries) == N * (N + 1) // 2
 
 
 class TestSummationByParts:

@@ -121,6 +121,13 @@ def test_builder_argument_validation():
         validate_ratio_bound(build_uniform(4, 1.0), 1.5)
 
 
+@pytest.mark.parametrize("build", [build_graded_cubic, build_uniform])
+def test_bool_N_refused(build):
+    # isinstance(True, int) holds: True would build a 1-level mesh
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        build(True, 1.0)
+
+
 @pytest.mark.parametrize("steps", [[1e-3, np.inf], [np.nan, 0.5],
                                    [0.5, -np.inf]])
 def test_custom_builder_rejects_non_finite_steps(steps):

@@ -104,6 +104,7 @@ class TestConfigValidation:
         ("max_iterations", 0),
         ("max_iterations", 2.5),
         ("max_iterations", 500.0),
+        ("max_iterations", True),  # an int subclass, which ran as 1
     ])
     def test_iteration_controls(self, field, bad):
         with pytest.raises(ValueError, match=field):
@@ -537,9 +538,8 @@ class TestUnderflowTail:
         # at M = 128 min |K| is 1.25e-119: nothing is zeroed. solve rewrites
         # only A's band of K's buffer, which equals the full B0 * A + K
         # because K holds no -0.0, before the floor or after it: kappa D's
-        # zeros off the band are -0.0, but K adds the product
-        # kappa eps^2 D A^{-1} D onto them, which holds none, and a sum is
-        # -0.0 only when both its terms are
+        # zeros off the band are +0.0, and a sum is -0.0 only when both its
+        # terms are
         cfg = make_config(M)
         A, _, K = _scipy_operators(cfg)
         assert not np.any(np.signbit(K) & (K == 0.0))
