@@ -16,26 +16,57 @@ term lagged gives the fixed-point sweep
 
 started from u^{(0)} = u^{n-1} and stopped on a max-norm increment test.
 
-Each sweep is a residual correction in the sine basis:
+A sweep takes one of two forms. Far from the fixed point it is the map of
+the sine basis,
 
-    r = b(u^{(s)}) - L u^{(s)},   u^{(s+1)} = u^{(s)} + S (w * (S r)),
+    u^{(s+1)} = S (w * (S b(u^{(s)}))),
 
 with S the orthonormal DST-I matrix (sin(k pi i / M), symmetric and its own
 inverse) and w_k = 1 / (B_0 a_k + kappa d_k + kappa eps^2 d_k^2 / a_k), where
 a_k and d_k are the eigenvalues of A and D. A and D are diagonal in that
-basis, so S diag(1 / w) S equals L in exact arithmetic, and the update is the
-sweep u^{(s+1)} = L^{-1} b(u^{(s)}) up to a relative perturbation of L near
-roundoff. The residual is taken against L itself, the dense fl(B_0 A + K)
-with K from LAPACK, so a converged level solves that matrix's equation to
-roundoff: the fixed point is the one an LU solve of L reaches, not that of
-the sine-basis operator, which differs from L by rounding. Nothing is
-factored per level: w follows from B_0 in O(M). A and D are tridiagonal
-and enter the march through compact_spatial's stencil: once per level as
-A (B_0 u^{n-1} - hist) and A g, g the source on all M+1 nodes, and in each
-sweep as kappa D u^3. A sweep is that stencil, three numpy calls into a
-workspace made once per march, and three dense matrix-vector products,
-L u and two with S, each by ndarray.dot into a preallocated buffer
-(bitwise np.matmul, and cheaper per call). The stencil gives the dense
+basis, so S diag(1 / w) S equals L in exact arithmetic. Once a sweep's
+increment is at most _DENSE_BELOW * iteration_tol, the level's later
+sweeps are residual corrections against L itself:
+
+    r = b(u^{(s)}) - L u^{(s)},   u^{(s+1)} = u^{(s)} + S (w * (S r)),
+
+the sweep u^{(s+1)} = L^{-1} b(u^{(s)}) up to a relative perturbation of L
+near roundoff. L is the dense fl(B_0 A + K) with K from LAPACK, so a
+converged level solves that matrix's equation to roundoff: the fixed point
+is the one an LU solve of L reaches, not that of the sine-basis operator,
+which differs from L by rounding. Only a sweep on L stops a level. A
+sine-basis sweep whose increment is already at most iteration_tol, or is
+not finite, is redone as a sweep on L from the same iterate, r still
+holding b(u^{(s)}), and counts as one sweep. So every level ends on L's
+map, takes the sweeps that L's sweep alone takes (up to a one-sweep flip
+where an increment lands by rounding on the other side of the tolerance),
+and raises NonconvergenceError where it would, with the same residual. If
+max_iterations runs out while a level still sweeps in the sine basis, the
+error carries that last sine-basis increment.
+
+Why _DENSE_BELOW = 1e4. The two maps' fixed points differ by rounding, an
+offset delta of about 1e-12 on the coarsening benchmark. Both maps contract
+alike, so while the sweeps on L take the increment from 1e4 iteration_tol
+down to iteration_tol they shrink the carried offset about as much, and
+about delta / 1e4 is left at the stop. Sine-basis sweeps alone, stopped by
+the same test, put that benchmark's seed-0 terminal state at 1.007 of its
+output tolerance from the committed reference (ROADMAP item 1); with the
+dense tail it is 0.126 of it, nearer than L's sweep alone (0.237). A smaller
+factor buys little: at 1e3 or 1e2 the run-energy workload, two sweeps a
+level, still sweeps in the sine basis when its second increment meets the
+tolerance, and redoes 994 or 1000 of its 1000 second sweeps on L, while
+coarsening's share of sine-basis sweeps rises only from 47 % to 60 % or
+73 %. The dense tail, and with it L, leaves with the one re-baseline of
+ROADMAP items 1 and 16.
+
+Nothing is factored per level: w follows from B_0 in O(M). A and D are
+tridiagonal and enter the march through compact_spatial's stencil: once
+per level as A (B_0 u^{n-1} - hist) and A g, g the source on all M+1 nodes,
+and in each sweep as kappa D u^3. A sweep is that stencil, three numpy
+calls into a workspace made once per march, and two dense matrix-vector
+products with S, plus L u on L, each by ndarray.dot into a preallocated
+buffer (bitwise np.matmul, and cheaper per call); a sine-basis sweep's
+second product with S writes the new iterate. The stencil gives the dense
 products' values to roundoff, not bitwise.
 
 K is built once. A^{-1} D is the run's one factorisation: LAPACK gesv
@@ -60,9 +91,9 @@ NonconvergenceError at the same level.
 
 A^{-1} decays like 0.1^|i-j|, so K has a dense tail that falls toward
 underflow: down to 2e-190 at M = 200, exact zeros and subnormals from
-M = 400 on. Each sweep's L u multiplies that tail by the state, and
-products below the normal range take a slow microcode assist per operation
-on Intel x86 cores. solve therefore sets every entry of K below
+M = 400 on. Each L u multiplies that tail by the state, and products
+below the normal range take a slow microcode assist per operation on
+Intel x86 cores. solve therefore sets every entry of K below
 2^-511 = sqrt(tiny) to exactly 0.0; A is tridiagonal, so these are the only
 such entries of L. At the bench's M it buys no speed: with alpha = 0.4,
 kappa = 0.01, eps = 0.1, a run at M = 200, graded N = 1000 took
@@ -146,6 +177,13 @@ _BOUND_SLACK = 1e-12
 # Entries of K below sqrt(tiny) = 2^-511 are set to exactly 0.0 (module
 # docstring): their products with the states in L u would be subnormal.
 _K_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
+
+# A level sweeps in the sine basis until an increment is at most
+# _DENSE_BELOW * iteration_tol, then on L. The sweeps on L from there down
+# to the tolerance shrink the sine-basis map's rounding offset from L's
+# fixed point by about this factor, so the states stay on those of L's
+# sweep alone (module docstring, "Why _DENSE_BELOW = 1e4").
+_DENSE_BELOW = 1e4
 
 
 class NonconvergenceError(RuntimeError):
@@ -450,10 +488,15 @@ class _March:
     compact_spatial._stencil to a zero-ended pad, through weights and a
     workspace made once per march: each level puts B0 u^{n-1} - hist in
     the pad's inside, the cube buffer, for A, and each sweep u^3 for
-    kappa D, then reuses it for the correction and the increment. levels()
-    marches and yields each level's KernelRow once, right after U[n] and
-    dU[n-1] are set, so a caller can read the new increment beside the
-    earlier ones while the row is at hand.
+    kappa D, then reuses it for the correction and the increment. Each
+    level sweeps in the sine basis, S (w * (S b(u))) written straight into
+    the next iterate's buffer, until an increment is at most
+    _DENSE_BELOW * iteration_tol, then corrects the residual of L; only a
+    sweep on L stops the level, so a sine-basis sweep whose increment is
+    within the tolerance or not finite is redone on L from the same iterate
+    (module docstring). levels() marches and yields each level's KernelRow
+    once, right after U[n] and dU[n-1] are set, so a caller can read the
+    new increment beside the earlier ones while the row is at hand.
     Run it to its end before history(), which takes the Lipschitz constant
     in dU's buffer and returns the RunHistory that solve returns; dU holds
     no increments after that. A caller may read U, dU and the sine matrix S
@@ -519,6 +562,7 @@ class _March:
         mesh, source = config.mesh, config.source
         x_full = np.linspace(0.0, 1.0, config.M + 1)
         tol, max_iterations = config.iteration_tol, config.max_iterations
+        dense_below = _DENSE_BELOW * tol
         L_dot, S_dot = self.L.dot, self.S.dot
         multiply, add, subtract = np.multiply, np.add, np.subtract
         divide, absolute, max_of = np.divide, np.abs, np.maximum.reduce
@@ -537,7 +581,9 @@ class _March:
         D_weights = _weights(tuple(config.kappa * e
                                    for e in _dxx_entries(config.h)), pad)
         r = np.empty(m)
-        y = np.empty(m)  # L u, then the sine coefficients of the correction
+        # L u, then the sine coefficients of the correction, or of the next
+        # iterate in a sine-basis sweep
+        y = np.empty(m)
         hist = np.empty(m)
         const = np.empty(m)
         w = np.empty(m)
@@ -563,16 +609,30 @@ class _March:
             divide(1.0, w, out=w)
 
             u_s = U[n - 1]
+            spectral = True
             for s in range(max_iterations):
                 multiply(u_s, u_s, out=cube)
                 cube *= u_s
                 _stencil(D_weights, pad, r, work)
                 r += const
+                if spectral:
+                    S_dot(r, out=y)
+                    y *= w
+                    u_next = S_dot(y, out=u_bufs[s % 2])
+                    subtract(u_next, u_s, out=cube)
+                    res = max_of(absolute(cube, out=cube))
+                    if tol < res < math.inf:
+                        spectral = res > dense_below
+                        u_s = u_next
+                        continue
+                    # a sine-basis sweep may not stop a level: redo it on
+                    # L from the same u_s, r still holding b(u_s)
+                    spectral = False
                 r -= L_dot(u_s, out=y)
                 S_dot(r, out=y)
                 y *= w
                 S_dot(y, out=cube)
-                # not u_s's buffer: the increment below reads u_s
+                # neither form writes u_s's buffer: the increment reads u_s
                 u_next = add(u_s, cube, out=u_bufs[s % 2])
                 subtract(u_next, u_s, out=cube)
                 res = max_of(absolute(cube, out=cube))

@@ -314,11 +314,60 @@ def _sine_operator(cfg, B0):
     return (S * (B0 * a + k)) @ S
 
 
+class _CountedDot(np.ndarray):
+    """A view whose dot calls are counted in its calls attribute."""
+
+    def dot(self, *args, **kwargs):
+        self.calls += 1
+        return self.view(np.ndarray).dot(*args, **kwargs)
+
+
+def _counted_march(cfg):
+    """cfg's bare march walked to its end with its products counted.
+
+    Returns the march and how many products it took with L and with S.
+    """
+    march = tfch_solver._March(cfg)
+    march.L = march.L.view(_CountedDot)
+    march.S = march.S.view(_CountedDot)
+    march.L.calls = march.S.calls = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in march.levels():
+            pass
+    return march, march.L.calls, march.S.calls
+
+
 class TestStepSweep:
-    """solve's sweep corrects the residual of the dense step matrix
-    L = B0 A + K in the sine basis, where it once solved L by LU. The two
+    """solve's sweep applies the sine-basis map S (w * (S b(u))) far from
+    a level's fixed point, then corrects the residual of the dense step
+    matrix L = B0 A + K in the sine basis, where it once solved L by LU.
+    Only a sweep on L may stop a level: a sine-basis sweep whose increment
+    is already within the tolerance, or not finite, is redone on L. The
     maps agree up to roundoff, so solve must take the LU sweep's sweeps and
     reach its fixed point."""
+
+    def test_sine_basis_sweeps_far_from_the_fixed_point(self):
+        # every level closes on L, and the sweeps before an increment of
+        # _DENSE_BELOW * tol take no product with it; on this run 373 of
+        # the 782 sweeps are on L and none is redone, so S takes two
+        # products per sweep
+        cfg = _phase_separation_config()
+        march, dense, sine = _counted_march(cfg)
+        sweeps = int(march.iterations.sum())
+        assert cfg.mesh.N <= dense < sweeps
+        assert sine == 2 * sweeps
+
+    def test_zero_data_redoes_every_sweep_on_the_step_matrix(self):
+        # each level's one sweep has increment 0 in the sine basis, within
+        # the tolerance, so it is redone on L from the same state: one
+        # product with L and four with S per level
+        cfg = _config(M=16, initial=lambda x: np.zeros_like(x))
+        march, dense, sine = _counted_march(cfg)
+        N = cfg.mesh.N
+        assert march.iterations.tolist() == [1] * N
+        assert dense == N
+        assert sine == 4 * N
 
     def test_same_sweeps_and_states_as_lu_sweep_oracle(self):
         # the states differ by at most 4.8e-15 (max |u| 0.89); the bound is
@@ -493,7 +542,7 @@ def _step_matrices(cfg, monkeypatch):
 
 class TestUnderflowTail:
     """solve zeroes the entries of K below 2^-511: their products with the
-    states in each sweep's L u would be subnormal, and on Intel x86 cores
+    states in each L u would be subnormal, and on Intel x86 cores
     each such product takes a slow microcode assist. No state may move by
     a bit."""
 
